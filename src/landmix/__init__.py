@@ -27,9 +27,10 @@ from .model import (
     JointEffects,
     JointParams,
     ModelState,
-    Observation,
     PriorSpec,
+    SECTORS,
     Sector,
+    StreamStats,
     TotalEffects,
     TotalParams,
     build_covariance,
@@ -54,9 +55,4 @@ from .sampler import (
     run_chain,
     run_chains,
     update_cov_params_joint,
-    update_fixed_intercepts,
-    update_obs_variance,
-    update_random_effects_joint,
-    update_random_effects_total,
-    update_re_sd_total,
 )

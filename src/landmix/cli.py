@@ -89,8 +89,18 @@ def read_draws_csv(path, chain_index: int = 0) -> ChainDraws:
     )
 
 
-def _read_fit_dir(fit_dir: Path):
-    manifest = json.loads((fit_dir / "manifest.json").read_text(encoding="utf-8"))
+def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
+    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path}: manifest is not a JSON object")
+    missing = [key for key in required if key not in manifest]
+    if missing:
+        raise ConfigError(f"{path}: manifest lacks {', '.join(map(repr, missing))}")
+    return manifest
+
+
+def _read_fit_dir(fit_dir: Path, required: tuple[str, ...] = ("model", "chains")):
+    manifest = _read_manifest(fit_dir / "manifest.json", required)
     chains = []
     for k in range(manifest["chains"]):
         chains.append(read_draws_csv(fit_dir / f"draws_chain{k}.csv", k))
@@ -127,7 +137,10 @@ _FIT_DEFAULTS = {"chains": 4, "iters": 20000, "burnin": 10000, "thin": 5, "seed"
 def _resolve_fit_settings(args) -> dict:
     settings = dict(_FIT_DEFAULTS)
     if args.from_manifest:
-        manifest = json.loads(Path(args.from_manifest).read_text(encoding="utf-8"))
+        manifest = _read_manifest(
+            Path(args.from_manifest),
+            ("model", "data", "chains", "iterations", "burnin", "thin", "seed"),
+        )
         settings.update(
             model=manifest["model"],
             data=manifest["data"],
@@ -287,7 +300,7 @@ def _export_figure2(fit_dir: Path) -> list[list]:
 
 
 def _export_figure3(fit_dir: Path) -> list[list]:
-    manifest, chains = _read_fit_dir(fit_dir)
+    manifest, chains = _read_fit_dir(fit_dir, ("model", "chains", "data"))
     if manifest["model"] != "joint":
         raise ConfigError("--figure 3 requires a joint-model fit")
     data = load_landings(Path(manifest["data"]), "joint")

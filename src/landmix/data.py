@@ -21,7 +21,7 @@ from .model import (
     Dataset,
     JointEffects,
     JointParams,
-    Observation,
+    SECTORS,
     Params,
     Sector,
     TotalEffects,
@@ -94,46 +94,42 @@ def load_landings(path, model_kind: str, span: tuple[int, int] = DEFAULT_SPAN) -
         raise DataFormatError("no usable rows in input")
     horizon = span[1] - span[0] + 1
 
-    observations: list[Observation] = []
+    country = np.array([index[r[0]] for r in rows], dtype=np.intp)
+    t = np.array([r[1] for r in rows], dtype=np.intp) - span[0]
+    sector = np.array([r[2].code for r in rows], dtype=np.intp)
+    tonnes = np.array([r[3] for r in rows], dtype=float)
     if model_kind == "joint":
-        for country, year, sector, tonnes in rows:
-            if sector is Sector.TOTAL:
-                continue
-            observations.append(
-                Observation(index[country], year - span[0], sector, math.log(tonnes))
-            )
+        keep = sector != Sector.TOTAL.code
+    elif np.any(sector == Sector.TOTAL.code):
+        keep = sector == Sector.TOTAL.code
     else:
-        has_totals = any(sector is Sector.TOTAL for _, _, sector, _ in rows)
-        if has_totals:
-            for country, year, sector, tonnes in rows:
-                if sector is Sector.TOTAL:
-                    observations.append(
-                        Observation(index[country], year - span[0], Sector.TOTAL, math.log(tonnes))
-                    )
-        else:
-            sums: dict[tuple[str, int], float] = {}
-            for country, year, _, tonnes in rows:
-                sums[(country, year)] = sums.get((country, year), 0.0) + tonnes
-            for (country, year), tonnes in sums.items():
-                observations.append(
-                    Observation(index[country], year - span[0], Sector.TOTAL, math.log(tonnes))
-                )
-    observations.sort(key=lambda o: (o.country, o.t, o.sector.value))
-    return Dataset(tuple(observations), tuple(labels), horizon)
+        # no explicit totals: sum sector tonnage per (country, year), then log
+        cells, inverse = np.unique(country * horizon + t, return_inverse=True)
+        tonnes = np.bincount(inverse, weights=tonnes)
+        country, t = np.divmod(cells, horizon)
+        sector = np.full(cells.size, Sector.TOTAL.code)
+        keep = slice(None)
+    country, t, sector, y = country[keep], t[keep], sector[keep], np.log(tonnes[keep])
+    order = np.lexsort((sector, t, country))
+    return Dataset(country[order], t[order], sector[order], y[order], tuple(labels), horizon)
 
 
 def dataset_to_rows(data: Dataset, span_start: int = DEFAULT_SPAN[0]):
     """Landings-CSV rows (country, year, sector, tonnes) for a dataset."""
-    for obs in data.observations:
-        yield data.labels[obs.country], span_start + obs.t, obs.sector.value, math.exp(obs.y)
+    labels = [data.labels[c] for c in data.country]
+    sectors = [SECTORS[k].value for k in data.sector]
+    years = (span_start + data.t).tolist()
+    return zip(labels, years, sectors, np.exp(data.y).tolist())
 
 
 def write_landings(data: Dataset, path, span_start: int = DEFAULT_SPAN[0]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["country", "year", "sector", "tonnes"])
-        for country, year, sector, tonnes in dataset_to_rows(data, span_start):
-            writer.writerow([country, year, sector, repr(float(tonnes))])
+        writer.writerows(
+            [country, year, sector, repr(tonnes)]
+            for country, year, sector, tonnes in dataset_to_rows(data, span_start)
+        )
 
 
 def _default_labels(n: int) -> tuple[str, ...]:
@@ -164,7 +160,6 @@ def simulate_dataset(
         raise ConfigError("label count does not match country count")
     t = np.arange(horizon, dtype=float)
 
-    observations: list[Observation] = []
     if model_kind == "total":
         if not isinstance(true_params, TotalParams):
             raise ConfigError("total model expects TotalParams")
@@ -173,12 +168,9 @@ def simulate_dataset(
             raise ConfigError("standard deviations must be positive")
         b0 = rng.normal(0.0, p.sigma0, n_countries)
         b1 = rng.normal(0.0, p.sigma1, n_countries)
-        for c in range(n_countries):
-            mean = p.beta0 + b0[c] + b1[c] * t
-            y = mean + rng.normal(0.0, p.sigma, horizon)
-            observations.extend(
-                Observation(c, int(ti), Sector.TOTAL, float(yi)) for ti, yi in zip(t, y)
-            )
+        series = np.arange(n_countries)
+        sectors = np.full(n_countries, Sector.TOTAL.code)
+        level, slope = p.beta0 + b0, b1
         effects: TotalEffects | JointEffects = TotalEffects(b0, b1)
     elif model_kind == "joint":
         if not isinstance(true_params, JointParams):
@@ -191,24 +183,35 @@ def simulate_dataset(
         effects = JointEffects(pairs0[:, 0], pairs0[:, 1], pairs1[:, 0], pairs1[:, 1])
         if p.sigma <= 0:
             raise ConfigError("sigma must be positive")
-        for c in range(n_countries):
-            sectors = (
+        cells = [
+            (c, sector)
+            for c in range(n_countries)
+            for sector in (
                 (Sector.INDUSTRIAL, Sector.ARTISANAL)
                 if availability is None
                 else tuple(availability.get(c, ()))
             )
-            for sector in sectors:
-                if sector is Sector.INDUSTRIAL:
-                    mean = p.beta0_ind + effects.b0_ind[c] + effects.b1_ind[c] * t
-                elif sector is Sector.ARTISANAL:
-                    mean = p.beta0_art + effects.b0_art[c] + effects.b1_art[c] * t
-                else:
-                    raise ConfigError("joint availability must list industrial/artisanal only")
-                y = mean + rng.normal(0.0, p.sigma, horizon)
-                observations.extend(
-                    Observation(c, int(ti), sector, float(yi)) for ti, yi in zip(t, y)
-                )
+        ]
+        if any(sector not in (Sector.INDUSTRIAL, Sector.ARTISANAL) for _, sector in cells):
+            raise ConfigError("joint availability must list industrial/artisanal only")
+        series = np.array([c for c, _ in cells], dtype=np.intp)
+        sectors = np.array([sector.code for _, sector in cells], dtype=np.intp)
+        ind = sectors == Sector.INDUSTRIAL.code
+        level = np.where(
+            ind, p.beta0_ind + effects.b0_ind[series], p.beta0_art + effects.b0_art[series]
+        )
+        slope = np.where(ind, effects.b1_ind[series], effects.b1_art[series])
     else:
         raise ConfigError(f"unknown model kind {model_kind!r}")
 
-    return Dataset(tuple(observations), labels, horizon), effects
+    # one series of `horizon` rows per (country, sector) cell, drawn in cell order
+    y = level[:, None] + slope[:, None] * t + rng.normal(0.0, p.sigma, (len(series), horizon))
+    dataset = Dataset(
+        np.repeat(series, horizon),
+        np.tile(np.arange(horizon), len(series)),
+        np.repeat(sectors, horizon),
+        y.ravel(),
+        labels,
+        horizon,
+    )
+    return dataset, effects

@@ -8,6 +8,10 @@ Two longitudinal mixed models over country-level landings time series:
   sigma; the per-country intercept pairs and slope pairs are bivariate
   normal with covariances built from (sigma_I, sigma_A, rho).
 
+A ``Dataset`` holds the panel as columns (country, t, sector, y), validated
+with array operations, and computes per sector the centred per-country
+statistics ``StreamStats`` on which every full conditional depends.
+
 Priors: N(0, intercept_sd^2) on the fixed intercepts, U(0, sd_bound) on
 every standard deviation, U(-1, 1) on the correlations.  Out-of-support
 states evaluate to -inf rather than raising, so Metropolis rejection can
@@ -17,7 +21,7 @@ handle boundary proposals uniformly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -37,6 +41,14 @@ class Sector(Enum):
     INDUSTRIAL = "industrial"
     ARTISANAL = "artisanal"
 
+    @property
+    def code(self) -> int:
+        """The sector's entry in ``Dataset.sector``: its index in SECTORS."""
+        return SECTORS.index(self)
+
+
+SECTORS = tuple(Sector)
+
 
 @dataclass(frozen=True)
 class PriorSpec:
@@ -47,66 +59,138 @@ class PriorSpec:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One log-landings measurement for (country, year-index, sector)."""
+class StreamStats:
+    """Centred per-country sufficient statistics of one observation stream.
 
-    country: int
-    t: int
-    sector: Sector
-    y: float
+    For country c with n_c rows: the means t̄ and ȳ, and the centred sums
+    Stt = Σ(t − t̄)², Sty = Σ(t − t̄)(y − ȳ), Syy = Σ(y − ȳ)².  Countries
+    without rows have every entry 0.  Centring keeps the residual sum of
+    squares accurate when y sits far from zero.
+    """
+
+    n: np.ndarray
+    tbar: np.ndarray
+    ybar: np.ndarray
+    stt: np.ndarray
+    sty: np.ndarray
+    syy: np.ndarray
+
+    @classmethod
+    def from_columns(cls, c: np.ndarray, t: np.ndarray, y: np.ndarray, n_countries: int):
+        n = np.bincount(c, minlength=n_countries).astype(float)
+        inv_n = np.divide(1.0, n, out=np.zeros(n_countries), where=n > 0)
+
+        def mean(x):
+            m = np.bincount(c, weights=x, minlength=n_countries) * inv_n
+            # one correction pass brings the mean to within an ulp of exact
+            return m + np.bincount(c, weights=x - m[c], minlength=n_countries) * inv_n
+
+        tbar, ybar = mean(t), mean(y)
+        dt, dy = t - tbar[c], y - ybar[c]
+
+        def centred(x):
+            return np.bincount(c, weights=x, minlength=n_countries)
+
+        return cls(n, tbar, ybar, centred(dt * dt), centred(dt * dy), centred(dy * dy))
+
+    @property
+    def n_obs(self) -> int:
+        return int(self.n.sum())
+
+    def residual_ss(self, a, b) -> float:
+        """Σ (y − a_c − b_c·t)² over the stream, for per-country a and b."""
+        d = self.ybar - a - b * self.tbar
+        return float(np.sum(self.syy + b * (b * self.stt - 2.0 * self.sty) + self.n * d * d))
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """A validated panel of observations plus country labels."""
+    """A validated panel held as read-only columns plus country labels.
 
-    observations: tuple[Observation, ...]
+    Row i is the log-landings ``y[i]`` of country ``country[i]`` at time
+    index ``t[i]`` in sector ``SECTORS[sector[i]]``.
+    """
+
+    country: np.ndarray
+    t: np.ndarray
+    sector: np.ndarray
+    y: np.ndarray
     labels: tuple[str, ...]
     horizon: int
 
     def __post_init__(self) -> None:
-        self.observations = tuple(self.observations)
         self.labels = tuple(self.labels)
         if len(self.labels) < 1:
             raise DataFormatError("dataset needs at least one country")
-        seen = set()
-        for obs in self.observations:
-            if not (0 <= obs.country < self.n_countries):
-                raise DataFormatError(f"country index {obs.country} out of range")
-            if not (0 <= obs.t < self.horizon):
-                raise DataFormatError(f"time index {obs.t} outside horizon {self.horizon}")
-            if not math.isfinite(obs.y):
-                raise DataFormatError("non-finite observation value")
-            key = (obs.country, obs.t, obs.sector)
-            if key in seen:
-                raise DataFormatError(f"duplicate observation for {key}")
-            seen.add(key)
+        y = np.array(self.y, dtype=float)
+        if y.ndim != 1 or not np.all(np.isfinite(y)):
+            raise DataFormatError("y must be a 1-d column of finite values")
+        country, t, sector = (
+            _int_column(name, values, upper, len(y))
+            for name, values, upper in (
+                ("country index", self.country, self.n_countries),
+                ("time index", self.t, self.horizon),
+                ("sector code", self.sector, len(SECTORS)),
+            )
+        )
+        key = (country * self.horizon + t) * len(SECTORS) + sector
+        if np.unique(key).size < key.size:
+            raise DataFormatError("duplicate observation for one (country, t, sector)")
+        for col in (country, t, sector, y):
+            col.setflags(write=False)
+        self.country, self.t, self.sector, self.y = country, t, sector, y
         self._arrays_cache: dict = {}
+        self._stats_cache: dict = {}
 
     @property
     def n_countries(self) -> int:
         return len(self.labels)
 
     @property
+    def n_obs(self) -> int:
+        return len(self.y)
+
+    @property
     def availability(self) -> dict[int, frozenset[Sector]]:
-        out: dict[int, set[Sector]] = {c: set() for c in range(self.n_countries)}
-        for obs in self.observations:
-            out[obs.country].add(obs.sector)
-        return {c: frozenset(s) for c, s in out.items()}
+        present = np.zeros((self.n_countries, len(SECTORS)), dtype=bool)
+        present[self.country, self.sector] = True
+        return {
+            c: frozenset(s for s, has in zip(SECTORS, row) if has)
+            for c, row in enumerate(present)
+        }
 
     def sectors_present(self) -> frozenset[Sector]:
-        return frozenset(obs.sector for obs in self.observations)
+        return frozenset(SECTORS[k] for k in np.unique(self.sector))
 
     def arrays(self, sector: Sector | None = None):
         """(country, t, y) as numpy arrays, optionally filtered by sector."""
         if sector not in self._arrays_cache:
-            obs = [o for o in self.observations if sector is None or o.sector == sector]
+            keep = slice(None) if sector is None else self.sector == sector.code
             self._arrays_cache[sector] = (
-                np.array([o.country for o in obs], dtype=np.intp),
-                np.array([o.t for o in obs], dtype=float),
-                np.array([o.y for o in obs], dtype=float),
+                self.country[keep],
+                self.t[keep].astype(float),
+                self.y[keep],
             )
         return self._arrays_cache[sector]
+
+    def stats(self, sector: Sector) -> StreamStats:
+        """Per-country sufficient statistics of one sector, computed once."""
+        if sector not in self._stats_cache:
+            c, t, y = self.arrays(sector)
+            self._stats_cache[sector] = StreamStats.from_columns(c, t, y, self.n_countries)
+        return self._stats_cache[sector]
+
+
+def _int_column(what: str, values, upper: int, length: int) -> np.ndarray:
+    """A column of integers in [0, upper), as a fresh intp array."""
+    col = np.asarray(values)
+    out = col.astype(np.intp)
+    if col.shape != (length,) or not np.array_equal(out, col):
+        raise DataFormatError(f"{what} column must hold {length} integers")
+    bad = (out < 0) | (out >= upper)
+    if bad.any():
+        raise DataFormatError(f"{what} {out[np.argmax(bad)]} outside [0, {upper})")
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,7 +317,7 @@ def log_likelihood(state: ModelState, data: Dataset) -> float:
     if _is_total(state):
         p, e = state.params, state.effects
         c, t, y = data.arrays(Sector.TOTAL)
-        if y.size != len(data.observations):
+        if y.size != data.n_obs:
             raise SectorMismatchError("total model requires a total-sector dataset")
         resid = y - (p.beta0 + e.b0[c] + e.b1[c] * t)
         return _normal_logpdf_sum(resid, p.sigma)

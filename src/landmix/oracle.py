@@ -145,10 +145,11 @@ def grid_log_posterior(
     # likelihood
     log_sigma = np.log(sigma)
     inv2s2 = 0.5 / (sigma * sigma)
-    for obs in data.observations:
-        if obs.sector is not Sector.TOTAL:
-            raise ConfigError("grid oracle expects total-sector observations")
-        resid = obs.y - (beta0 + b0[obs.country] + b1[obs.country] * obs.t)
+    c, t, y = data.arrays(Sector.TOTAL)
+    if y.size != data.n_obs:
+        raise ConfigError("grid oracle expects total-sector observations")
+    for ci, ti, yi in zip(c.tolist(), t.tolist(), y.tolist()):
+        resid = yi - (beta0 + b0[ci] + b1[ci] * ti)
         lp = lp - 0.5 * LOG_2PI - log_sigma - resid * resid * inv2s2
     # random-effects density
     log_s0 = np.log(sigma0)
@@ -277,13 +278,13 @@ def sbc_run(
     pvalues = {}
     n_bins = config.rank_bins
     per_bin = (config.rank_draws + 1) // n_bins
-    for p in _SBC_PARAMS:
-        arr = np.asarray(ranks[p])
+    rank_arrays = {p: np.asarray(v, dtype=int) for p, v in ranks.items()}
+    for p, arr in rank_arrays.items():
         counts = np.bincount(arr // per_bin, minlength=n_bins)
         pvalues[p] = float(chisquare(counts).pvalue) if arr.size else float("nan")
     failed = excluded > config.max_exclude_frac * replicates
     return SBCResult(
-        {p: np.asarray(v) for p, v in ranks.items()},
+        rank_arrays,
         pvalues,
         replicates,
         excluded,

@@ -13,6 +13,11 @@ afterwards), which removes the slow intercept/random-effect random walk
 of the naive scalar Gibbs scheme.  The plain scalar conditional is kept
 for frozen-effects runs and validation.
 
+Every conditional reads the data only through the per-country sufficient
+statistics of each stream (``Dataset.stats``: n, t̄, ȳ, Stt, Sty, Syy),
+computed once per dataset.  A sweep therefore does O(C) work in the
+number of countries C, whatever the length of the panel.
+
 Chains are deterministic given (seed, chain_index): chain c uses
 ``SeedSequence(entropy=seed, spawn_key=(c,))``.
 """
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +41,7 @@ from .model import (
     ModelState,
     PriorSpec,
     Sector,
+    StreamStats,
     TotalEffects,
     TotalParams,
     build_covariance,
@@ -135,15 +141,6 @@ def conj_normal(prior_var: float, lik_prec: float, lik_lin: float) -> tuple[floa
     return lik_lin * var, var
 
 
-def joint_pair_precision(
-    prior_cov: Cov2, prec_add: tuple[float, float], lin: tuple[float, float]
-) -> tuple[tuple[float, float, float], tuple[float, float]]:
-    """Full-conditional precision (q11, q12, q22) and linear term of a
-    correlated effect pair with diagonal likelihood information."""
-    q11, q12, q22 = prior_cov.inv_entries()
-    return (q11 + prec_add[0], q12, q22 + prec_add[1]), lin
-
-
 def sample_trunc_invgamma_var(
     shape: float,
     rate: float,
@@ -236,31 +233,18 @@ def mh_log_accept(delta_target: float, delta_log_jacobian: float) -> float:
 # -- per-model caches and samplers ------------------------------------------
 
 
-class _Groups:
-    """Per-country sufficient statistics of one observation stream."""
-
-    def __init__(self, c, t, y, n_countries):
-        self.c = c
-        self.t = t
-        self.y = y
-        self.n_obs = len(y)
-        self.counts = np.bincount(c, minlength=n_countries).astype(float)
-        self.sum_t2 = np.bincount(c, weights=t * t, minlength=n_countries)
-
-    def sums(self, values):
-        return np.bincount(self.c, weights=values, minlength=len(self.counts))
-
-
 class TotalSampler:
     """Mutable sampling state for the total-landings model."""
 
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
-        if Sector.TOTAL not in data.sectors_present():
+        self.s = data.stats(Sector.TOTAL)
+        self.n_obs = self.s.n_obs
+        if self.n_obs == 0:
             raise DegenerateDataError("total model requires total-sector observations")
         self.priors = priors
         self.C = data.n_countries
-        c, t, y = data.arrays(Sector.TOTAL)
-        self.g = _Groups(c, t, y, self.C)
+        self.sum_t2 = self.s.stt + self.s.n * self.s.tbar**2
+        self.n_tbar = self.s.n * self.s.tbar
         self.labels = data.labels
         self.set_state(state)
 
@@ -283,23 +267,18 @@ class TotalSampler:
     # conditional-parameter helpers (exact formulas, also used by tests)
 
     def intercept_conditional_plain(self) -> tuple[float, float]:
-        g = self.g
-        resid = g.y - self.b0[g.c] - self.b1[g.c] * g.t
+        s = self.s
         s2 = self.sigma * self.sigma
-        return conj_normal(
-            self.priors.intercept_sd**2, g.n_obs / s2, float(np.sum(resid)) / s2
-        )
+        resid_sum = float(s.n @ (s.ybar - self.b0 - self.b1 * s.tbar))
+        return conj_normal(self.priors.intercept_sd**2, self.n_obs / s2, resid_sum / s2)
 
     def intercept_conditional_collapsed(self) -> tuple[float, float]:
-        g = self.g
-        z = g.y - self.b1[g.c] * g.t
-        zsum = g.sums(z)
-        has = g.counts > 0
-        v = self.sigma0**2 + self.sigma**2 / g.counts[has]
-        zbar = zsum[has] / g.counts[has]
-        return conj_normal(
-            self.priors.intercept_sd**2, float(np.sum(1.0 / v)), float(np.sum(zbar / v))
-        )
+        # country c contributes z̄_c = ȳ_c − b1_c·t̄_c ~ N(beta0, sigma0² + sigma²/n_c),
+        # with weight n_c / (n_c·sigma0² + sigma²): 0 for a country without rows
+        s = self.s
+        w = s.n / (s.n * self.sigma0**2 + self.sigma**2)
+        zbar = s.ybar - self.b1 * s.tbar
+        return conj_normal(self.priors.intercept_sd**2, float(w.sum()), float(w @ zbar))
 
     def update_intercept(self, rng, collapsed: bool) -> None:
         mean, var = (
@@ -310,31 +289,25 @@ class TotalSampler:
         self.beta0 = mean + math.sqrt(var) * rng.standard_normal()
 
     def update_random_intercepts(self, rng) -> None:
-        g = self.g
+        s = self.s
         s2 = self.sigma * self.sigma
-        resid = g.y - self.beta0 - self.b1[g.c] * g.t
-        prec = 1.0 / self.sigma0**2 + g.counts / s2
-        var = 1.0 / prec
-        mean = g.sums(resid) / s2 * var
+        var = 1.0 / (1.0 / self.sigma0**2 + s.n / s2)
+        mean = s.n * (s.ybar - self.beta0 - self.b1 * s.tbar) / s2 * var
         self.b0 = mean + np.sqrt(var) * rng.standard_normal(self.C)
 
     def update_random_slopes(self, rng) -> None:
-        g = self.g
+        s = self.s
         s2 = self.sigma * self.sigma
-        resid = g.y - self.beta0 - self.b0[g.c]
-        prec = 1.0 / self.sigma1**2 + g.sum_t2 / s2
-        var = 1.0 / prec
-        mean = g.sums(g.t * resid) / s2 * var
+        var = 1.0 / (1.0 / self.sigma1**2 + self.sum_t2 / s2)
+        mean = (s.sty + self.n_tbar * (s.ybar - self.beta0 - self.b0)) / s2 * var
         self.b1 = mean + np.sqrt(var) * rng.standard_normal(self.C)
 
     def update_obs_variance(self, rng) -> None:
-        g = self.g
-        resid = g.y - self.beta0 - self.b0[g.c] - self.b1[g.c] * g.t
-        ss = float(resid @ resid)
-        if g.n_obs > 1 and ss == 0.0:
+        ss = self.s.residual_ss(self.beta0 + self.b0, self.b1)
+        if self.n_obs > 1 and ss <= 0.0:
             raise DegenerateDataError("zero residual sum of squares with N > 1")
         v = sample_trunc_invgamma_var(
-            (g.n_obs - 1) / 2.0,
+            (self.n_obs - 1) / 2.0,
             ss / 2.0,
             self.priors.sd_bound**2,
             rng,
@@ -398,10 +371,15 @@ class JointSampler:
         self.priors = priors
         self.C = data.n_countries
         self.labels = data.labels
-        ci, ti, yi = data.arrays(Sector.INDUSTRIAL)
-        ca, ta, ya = data.arrays(Sector.ARTISANAL)
-        self.gi = _Groups(ci, ti, yi, self.C)
-        self.ga = _Groups(ca, ta, ya, self.C)
+        self.si = data.stats(Sector.INDUSTRIAL)
+        self.sa = data.stats(Sector.ARTISANAL)
+        self.n_obs_i = self.si.n_obs
+        self.n_obs_a = self.sa.n_obs
+        self.n_both = self.si.n * self.sa.n
+        self.sum_t2_i = self.si.stt + self.si.n * self.si.tbar**2
+        self.sum_t2_a = self.sa.stt + self.sa.n * self.sa.tbar**2
+        self.n_tbar_i = self.si.n * self.si.tbar
+        self.n_tbar_a = self.sa.n * self.sa.tbar
         self.log_step = {name: math.log(step_size) for name in _JOINT_MH_PARAMS}
         self.acc_count = {name: 0 for name in _JOINT_MH_PARAMS}
         self.prop_count = {name: 0 for name in _JOINT_MH_PARAMS}
@@ -448,11 +426,12 @@ class JointSampler:
         """Per-sector scalar conditionals (mean, var) with effects held fixed."""
         pv = self.priors.intercept_sd**2
         s2 = self.sigma * self.sigma
-        ri = self.gi.y - self.b0_i[self.gi.c] - self.b1_i[self.gi.c] * self.gi.t
-        ra = self.ga.y - self.b0_a[self.ga.c] - self.b1_a[self.ga.c] * self.ga.t
+        si, sa = self.si, self.sa
+        ri = float(si.n @ (si.ybar - self.b0_i - self.b1_i * si.tbar))
+        ra = float(sa.n @ (sa.ybar - self.b0_a - self.b1_a * sa.tbar))
         return (
-            conj_normal(pv, self.gi.n_obs / s2, float(np.sum(ri)) / s2),
-            conj_normal(pv, self.ga.n_obs / s2, float(np.sum(ra)) / s2),
+            conj_normal(pv, self.n_obs_i / s2, ri / s2),
+            conj_normal(pv, self.n_obs_a / s2, ra / s2),
         )
 
     def update_intercepts_plain(self, rng) -> None:
@@ -461,43 +440,31 @@ class JointSampler:
         self.beta_a = ma + math.sqrt(va) * rng.standard_normal()
 
     def update_intercepts_collapsed(self, rng) -> None:
-        """Draw (beta_I, beta_A) jointly with the intercept pairs integrated out."""
+        """Draw (beta_I, beta_A) jointly with the intercept pairs integrated out.
+
+        Country c's mean pair (z̄_I, z̄_A), z̄ = ȳ − b1·t̄, is normal around
+        (beta_I, beta_A) with covariance V_c = cov0 + sigma²·diag(1/n_I, 1/n_A).
+        Its precision V_c⁻¹ is written with n_I·n_A multiplied through, so a
+        country with one sector adds only to that sector's entry and a
+        country without rows adds nothing.
+        """
         s2 = self.sigma * self.sigma
         cov0 = self._cov(0)
-        pv = self.priors.intercept_sd**2
-        p11 = 1.0 / pv
-        p22 = 1.0 / pv
-        p12 = 0.0
-        h1 = 0.0
-        h2 = 0.0
-        zi = self.gi.y - self.b1_i[self.gi.c] * self.gi.t
-        za = self.ga.y - self.b1_a[self.ga.c] * self.ga.t
-        zsum_i = self.gi.sums(zi)
-        zsum_a = self.ga.sums(za)
-        ni = self.gi.counts
-        na = self.ga.counts
-        for c in range(self.C):
-            if ni[c] > 0 and na[c] > 0:
-                v11 = cov0.a11 + s2 / ni[c]
-                v22 = cov0.a22 + s2 / na[c]
-                v12 = cov0.a12
-                det = v11 * v22 - v12 * v12
-                q11, q12, q22 = v22 / det, -v12 / det, v11 / det
-                m1 = zsum_i[c] / ni[c]
-                m2 = zsum_a[c] / na[c]
-                p11 += q11
-                p12 += q12
-                p22 += q22
-                h1 += q11 * m1 + q12 * m2
-                h2 += q12 * m1 + q22 * m2
-            elif ni[c] > 0:
-                v = cov0.a11 + s2 / ni[c]
-                p11 += 1.0 / v
-                h1 += zsum_i[c] / ni[c] / v
-            elif na[c] > 0:
-                v = cov0.a22 + s2 / na[c]
-                p22 += 1.0 / v
-                h2 += zsum_a[c] / na[c] / v
+        si, sa = self.si, self.sa
+        ui = si.n * cov0.a11 + s2
+        ua = sa.n * cov0.a22 + s2
+        det = ui * ua - self.n_both * (cov0.a12 * cov0.a12)
+        q11 = si.n * ua / det
+        q22 = sa.n * ui / det
+        q12 = -cov0.a12 * self.n_both / det
+        zi = si.ybar - self.b1_i * si.tbar
+        za = sa.ybar - self.b1_a * sa.tbar
+        prior_prec = 1.0 / self.priors.intercept_sd**2
+        p11 = prior_prec + float(q11.sum())
+        p12 = float(q12.sum())
+        p22 = prior_prec + float(q22.sum())
+        h1 = float(q11 @ zi + q12 @ za)
+        h2 = float(q12 @ zi + q22 @ za)
         det = p11 * p22 - p12 * p12
         c11, c12, c22 = p22 / det, -p12 / det, p11 / det
         m1 = c11 * h1 + c12 * h2
@@ -511,35 +478,30 @@ class JointSampler:
 
     def update_random_effects(self, rng) -> None:
         s2 = self.sigma * self.sigma
-        # intercept pairs
-        ri = self.gi.y - self.beta_i - self.b1_i[self.gi.c] * self.gi.t
-        ra = self.ga.y - self.beta_a - self.b1_a[self.ga.c] * self.ga.t
+        si, sa = self.si, self.sa
         self.b0_i, self.b0_a = _draw_correlated_pairs(
             self._cov(0),
-            self.gi.counts / s2,
-            self.ga.counts / s2,
-            self.gi.sums(ri) / s2,
-            self.ga.sums(ra) / s2,
+            si.n / s2,
+            sa.n / s2,
+            si.n * (si.ybar - self.beta_i - self.b1_i * si.tbar) / s2,
+            sa.n * (sa.ybar - self.beta_a - self.b1_a * sa.tbar) / s2,
             rng,
         )
-        # slope pairs
-        ri = self.gi.y - self.beta_i - self.b0_i[self.gi.c]
-        ra = self.ga.y - self.beta_a - self.b0_a[self.ga.c]
         self.b1_i, self.b1_a = _draw_correlated_pairs(
             self._cov(1),
-            self.gi.sum_t2 / s2,
-            self.ga.sum_t2 / s2,
-            self.gi.sums(self.gi.t * ri) / s2,
-            self.ga.sums(self.ga.t * ra) / s2,
+            self.sum_t2_i / s2,
+            self.sum_t2_a / s2,
+            (si.sty + self.n_tbar_i * (si.ybar - self.beta_i - self.b0_i)) / s2,
+            (sa.sty + self.n_tbar_a * (sa.ybar - self.beta_a - self.b0_a)) / s2,
             rng,
         )
 
     def update_obs_variance(self, rng) -> None:
-        ri = self.gi.y - self.beta_i - self.b0_i[self.gi.c] - self.b1_i[self.gi.c] * self.gi.t
-        ra = self.ga.y - self.beta_a - self.b0_a[self.ga.c] - self.b1_a[self.ga.c] * self.ga.t
-        ss = float(ri @ ri) + float(ra @ ra)
-        n = self.gi.n_obs + self.ga.n_obs
-        if n > 1 and ss == 0.0:
+        ss = self.si.residual_ss(self.beta_i + self.b0_i, self.b1_i) + self.sa.residual_ss(
+            self.beta_a + self.b0_a, self.b1_a
+        )
+        n = self.n_obs_i + self.n_obs_a
+        if n > 1 and ss <= 0.0:
             raise DegenerateDataError("zero residual sum of squares with N > 1")
         v = sample_trunc_invgamma_var(
             (n - 1) / 2.0, ss / 2.0, self.priors.sd_bound**2, rng, current_var=self.sigma**2
@@ -659,33 +621,21 @@ def _clip_sd(x: float, priors: PriorSpec) -> float:
     return min(max(x, 0.01), upper)
 
 
-def _moment_estimates(g: _Groups):
+def _moment_estimates(s: StreamStats):
     """Grand mean, per-country means/slopes and a pooled residual sd."""
-    has = g.counts > 0
-    grand = float(np.mean(g.y)) if g.n_obs else 0.0
-    means = np.zeros(len(g.counts))
-    means[has] = g.sums(g.y)[has] / g.counts[has]
-    slopes = np.zeros(len(g.counts))
-    st = g.sums(g.t)
-    sty = g.sums(g.t * g.y)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var_t = g.sum_t2 - np.where(has, st * st / np.maximum(g.counts, 1), 0.0)
-        cov_ty = sty - np.where(has, st * means * 1.0, 0.0)
-        ok = has & (var_t > 0)
-        slopes[ok] = cov_ty[ok] / var_t[ok]
-    fitted = means[g.c] + slopes[g.c] * (g.t - np.where(g.counts[g.c] > 0, st[g.c] / g.counts[g.c], 0.0))
-    resid = g.y - fitted
-    resid_sd = float(np.std(resid)) if g.n_obs > 1 else 0.5
-    return grand, means, slopes, resid_sd
+    n_obs = s.n_obs
+    grand = float(s.n @ s.ybar) / n_obs if n_obs else 0.0
+    slopes = np.divide(s.sty, s.stt, out=np.zeros_like(s.stt), where=s.stt > 0)
+    ss = s.residual_ss(s.ybar - slopes * s.tbar, slopes)
+    resid_sd = math.sqrt(max(ss, 0.0) / n_obs) if n_obs > 1 else 0.5
+    return grand, s.ybar, slopes, resid_sd
 
 
 def initial_state(model_kind: str, data: Dataset, priors: PriorSpec = PriorSpec()) -> ModelState:
     """Deterministic moment-based starting point inside the prior support."""
     C = data.n_countries
     if model_kind == "total":
-        c, t, y = data.arrays(Sector.TOTAL)
-        g = _Groups(c, t, y, C)
-        grand, means, slopes, resid_sd = _moment_estimates(g)
+        grand, means, slopes, resid_sd = _moment_estimates(data.stats(Sector.TOTAL))
         sigma0 = float(np.std(means - grand, ddof=1)) if C > 1 else 1.0
         sigma1 = float(np.std(slopes, ddof=1)) if C > 1 else 0.1
         params = TotalParams(
@@ -696,14 +646,13 @@ def initial_state(model_kind: str, data: Dataset, priors: PriorSpec = PriorSpec(
         )
         return ModelState(params, TotalEffects(np.zeros(C), np.zeros(C)))
     if model_kind == "joint":
-        ci, ti, yi = data.arrays(Sector.INDUSTRIAL)
-        ca, ta, ya = data.arrays(Sector.ARTISANAL)
-        gi = _Groups(ci, ti, yi, C)
-        ga = _Groups(ca, ta, ya, C)
-        grand_i, means_i, slopes_i, rsd_i = _moment_estimates(gi)
-        grand_a, means_a, slopes_a, rsd_a = _moment_estimates(ga)
-        n_tot = gi.n_obs + ga.n_obs
-        resid_sd = (gi.n_obs * rsd_i + ga.n_obs * rsd_a) / n_tot if n_tot else 0.5
+        si = data.stats(Sector.INDUSTRIAL)
+        sa = data.stats(Sector.ARTISANAL)
+        grand_i, means_i, slopes_i, rsd_i = _moment_estimates(si)
+        grand_a, means_a, slopes_a, rsd_a = _moment_estimates(sa)
+        n_i, n_a = si.n_obs, sa.n_obs
+        n_tot = n_i + n_a
+        resid_sd = (n_i * rsd_i + n_a * rsd_a) / n_tot if n_tot else 0.5
 
         def spread(values, mask_counts):
             active = values[mask_counts > 0]
@@ -713,10 +662,10 @@ def initial_state(model_kind: str, data: Dataset, priors: PriorSpec = PriorSpec(
             grand_i,
             grand_a,
             _clip_sd(resid_sd, priors),
-            _clip_sd(spread(means_i - grand_i, gi.counts), priors),
-            _clip_sd(spread(means_a - grand_a, ga.counts), priors),
-            _clip_sd(spread(slopes_i, gi.counts), priors),
-            _clip_sd(spread(slopes_a, ga.counts), priors),
+            _clip_sd(spread(means_i - grand_i, si.n), priors),
+            _clip_sd(spread(means_a - grand_a, sa.n), priors),
+            _clip_sd(spread(slopes_i, si.n), priors),
+            _clip_sd(spread(slopes_a, sa.n), priors),
             0.0,
             0.0,
         )
@@ -788,64 +737,6 @@ def run_chains(
 # -- single-update entry points ----------------------------------------------
 
 
-def update_fixed_intercepts(
-    state: ModelState, data: Dataset, rng, priors: PriorSpec = PriorSpec()
-) -> ModelState:
-    """Exact scalar conjugate update of the fixed intercept(s), effects fixed."""
-    if isinstance(state.params, TotalParams):
-        s = TotalSampler(data, priors, state)
-        s.update_intercept(rng, collapsed=False)
-        return s.get_state()
-    s = JointSampler(data, priors, state, 0.5)
-    s.update_intercepts_plain(rng)
-    return s.get_state()
-
-
-def update_random_effects_total(
-    state: ModelState, data: Dataset, rng, priors: PriorSpec = PriorSpec()
-) -> ModelState:
-    s = TotalSampler(data, priors, state)
-    s.update_random_intercepts(rng)
-    s.update_random_slopes(rng)
-    return s.get_state()
-
-
-def update_random_effects_joint(
-    state: ModelState, data: Dataset, rng, priors: PriorSpec = PriorSpec()
-) -> ModelState:
-    s = JointSampler(data, priors, state, 0.5)
-    s.update_random_effects(rng)
-    return s.get_state()
-
-
-def update_obs_variance(
-    state: ModelState, data: Dataset, rng, priors: PriorSpec = PriorSpec()
-) -> ModelState:
-    if isinstance(state.params, TotalParams):
-        s = TotalSampler(data, priors, state)
-    else:
-        s = JointSampler(data, priors, state, 0.5)
-    s.update_obs_variance(rng)
-    return s.get_state()
-
-
-def update_re_sd_total(state: ModelState, rng, priors: PriorSpec = PriorSpec()) -> ModelState:
-    p = state.params
-    assert isinstance(p, TotalParams)
-    e = state.effects
-    C = len(e.b0)
-    out = {"sigma0": p.sigma0, "sigma1": p.sigma1}
-    for key, b, cur in (("sigma0", e.b0, p.sigma0), ("sigma1", e.b1, p.sigma1)):
-        ss = float(np.asarray(b) @ np.asarray(b))
-        if C > 1 and ss == 0.0:
-            raise DegenerateDataError("all random effects are zero: degenerate conditional")
-        v = sample_trunc_invgamma_var(
-            (C - 1) / 2.0, ss / 2.0, priors.sd_bound**2, rng, current_var=cur**2
-        )
-        out[key] = math.sqrt(v)
-    return ModelState(replace(p, sigma0=out["sigma0"], sigma1=out["sigma1"]), e.copy())
-
-
 def update_cov_params_joint(
     state: ModelState,
     rng,
@@ -856,9 +747,8 @@ def update_cov_params_joint(
     assert isinstance(p, JointParams)
     e = state.effects
     C = len(e.b0_ind)
-    dummy = Dataset(
-        (), tuple(f"c{i}" for i in range(C)), 1
-    )  # no observations needed: target is RE density + prior only
+    # no observations needed: the target is the RE density and the prior only
+    dummy = Dataset((), (), (), (), tuple(f"c{i}" for i in range(C)), 1)
     s = JointSampler(dummy, priors, ModelState(p, e), step_size)
     s.update_cov_params(rng, 0, adapting=False)
     return s.get_state()

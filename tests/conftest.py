@@ -6,7 +6,6 @@ from landmix.model import (
     JointEffects,
     JointParams,
     ModelState,
-    Observation,
     Sector,
     TotalEffects,
     TotalParams,
@@ -15,16 +14,23 @@ from landmix.model import (
 
 def make_total_dataset(entries, n_countries, horizon=50, labels=None):
     """entries: iterable of (country, t, y) for the total sector."""
-    obs = tuple(Observation(c, t, Sector.TOTAL, y) for c, t, y in entries)
-    labels = labels or tuple(f"c{i}" for i in range(n_countries))
-    return Dataset(obs, labels, horizon)
+    return make_joint_dataset(
+        [(c, t, Sector.TOTAL, y) for c, t, y in entries], n_countries, horizon, labels
+    )
 
 
 def make_joint_dataset(entries, n_countries, horizon=50, labels=None):
     """entries: iterable of (country, t, sector, y)."""
-    obs = tuple(Observation(c, t, s, y) for c, t, s, y in entries)
+    rows = list(entries)
     labels = labels or tuple(f"c{i}" for i in range(n_countries))
-    return Dataset(obs, labels, horizon)
+    return Dataset(
+        [c for c, _, _, _ in rows],
+        [t for _, t, _, _ in rows],
+        [s.code for _, _, s, _ in rows],
+        [y for _, _, _, y in rows],
+        labels,
+        horizon,
+    )
 
 
 def total_state(beta0, sigma, sigma0, sigma1, b0, b1):

@@ -144,6 +144,25 @@ class TestExitCodes:
         mpath.write_text(json.dumps(manifest))
         assert run("fit", "--from-manifest", mpath, "--out", tmp_path / "x") == 3
 
+    @staticmethod
+    def manifest_without(fit, key, tmp_path):
+        manifest = json.loads((fit / "manifest.json").read_text())
+        del manifest[key]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        return tmp_path / "manifest.json"
+
+    def test_fit_from_manifest_missing_key(self, total_fixture, tmp_path, capsys):
+        _, fit = total_fixture
+        mpath = self.manifest_without(fit, "chains", tmp_path)
+        assert run("fit", "--from-manifest", mpath, "--out", tmp_path / "x") == 2
+        assert "'chains'" in capsys.readouterr().err
+
+    def test_summarize_manifest_missing_key(self, total_fixture, tmp_path, capsys):
+        _, fit = total_fixture
+        self.manifest_without(fit, "chains", tmp_path)
+        assert run("summarize", "--fit", tmp_path) == 2
+        assert "'chains'" in capsys.readouterr().err
+
     def test_degenerate_data_numeric_exit(self, tmp_path):
         # a single observation leaves the variance update with zero degrees
         # of freedom, which is reported as a numerical failure
@@ -164,7 +183,8 @@ class TestExport:
         assert rows[0] == ["country", "year", "log_tonnes", "sector"]
         source = load_landings(sim / "data.csv", "total")
         by_key = {
-            (source.labels[o.country], 1970 + o.t): o.y for o in source.observations
+            (source.labels[c], 1970 + int(t)): y
+            for c, t, y in zip(source.country, source.t, source.y)
         }
         for country, year, logt, sector in rows[1:]:
             assert sector == "total"

@@ -14,6 +14,11 @@ from landmix.errors import ConfigError, DataFormatError
 from landmix.model import JointParams, Sector, TotalParams
 
 
+def assert_same_rows(a, b):
+    for name in ("country", "t", "sector", "y"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
 def write_csv(tmp_path, rows, name="landings.csv"):
     path = tmp_path / name
     path.write_text("country,year,sector,tonnes\n" + "\n".join(rows) + "\n")
@@ -24,20 +29,20 @@ class TestLoadLandings:
     def test_log_transform_and_time_index(self, tmp_path):
         path = write_csv(tmp_path, ["Spain,1970,industrial,1000"])
         data = load_landings(path, "joint")
-        (obs,) = data.observations
-        assert obs.t == 0
-        assert obs.sector is Sector.INDUSTRIAL
-        assert obs.y == pytest.approx(6.907755278982137, abs=1e-9)
+        assert data.n_obs == 1
+        assert data.t[0] == 0
+        assert data.sector[0] == Sector.INDUSTRIAL.code
+        assert data.y[0] == pytest.approx(6.907755278982137, abs=1e-9)
 
     def test_sum_then_log_for_total(self, tmp_path):
         path = write_csv(
             tmp_path, ["France,1980,industrial,600", "France,1980,artisanal,400"]
         )
         data = load_landings(path, "total")
-        (obs,) = data.observations
-        assert obs.t == 10
-        assert obs.sector is Sector.TOTAL
-        assert obs.y == pytest.approx(math.log(1000.0), rel=1e-12)
+        assert data.n_obs == 1
+        assert data.t[0] == 10
+        assert data.sector[0] == Sector.TOTAL.code
+        assert data.y[0] == pytest.approx(math.log(1000.0), rel=1e-12)
 
     def test_explicit_total_rows_win(self, tmp_path):
         path = write_csv(
@@ -45,8 +50,8 @@ class TestLoadLandings:
             ["France,1980,industrial,600", "France,1980,total,900"],
         )
         data = load_landings(path, "total")
-        (obs,) = data.observations
-        assert obs.y == pytest.approx(math.log(900.0), rel=1e-12)
+        assert data.n_obs == 1
+        assert data.y[0] == pytest.approx(math.log(900.0), rel=1e-12)
 
     def test_zero_tonnage_dropped_with_warning(self, tmp_path, caplog):
         path = write_csv(
@@ -54,7 +59,7 @@ class TestLoadLandings:
         )
         with caplog.at_level(logging.WARNING, logger="landmix.data"):
             data = load_landings(path, "joint")
-        assert len(data.observations) == 1
+        assert data.n_obs == 1
         assert any("zero-tonnage" in rec.message for rec in caplog.records)
 
     def test_duplicate_row_rejected(self, tmp_path):
@@ -113,9 +118,10 @@ class TestLoadLandings:
         write_landings(d2, out2)
         d3 = load_landings(out2, "joint")
         assert d2.labels == d3.labels
-        assert d2.observations == d3.observations
-        for a, b in zip(d1.observations, d2.observations):
-            assert a.y == pytest.approx(b.y, rel=1e-15)
+        assert_same_rows(d2, d3)
+        for name in ("country", "t", "sector"):
+            assert np.array_equal(getattr(d1, name), getattr(d2, name))
+        np.testing.assert_allclose(d1.y, d2.y, rtol=1e-15)
 
 
 class TestSimulateDataset:
@@ -123,14 +129,14 @@ class TestSimulateDataset:
         p = TotalParams(8.0, 0.5, 2.0, 0.05)
         d1, e1 = simulate_dataset("total", p, 5, 10, seed=42)
         d2, e2 = simulate_dataset("total", p, 5, 10, seed=42)
-        assert d1.observations == d2.observations
+        assert_same_rows(d1, d2)
         assert np.array_equal(e1.b0, e2.b0)
 
     def test_degenerate_variance_limit(self):
         p = TotalParams(3.5, 1e-8, 1e-8, 1e-8)
         data, _ = simulate_dataset("total", p, 3, 4, seed=0)
-        for obs in data.observations:
-            assert obs.y == pytest.approx(3.5, abs=1e-6)
+        assert data.n_obs == 12
+        np.testing.assert_allclose(data.y, 3.5, rtol=0, atol=1e-6)
 
     def test_intercept_effect_spread_matches_sigma0(self):
         p = TotalParams(8.098, 0.541, 4.234, 0.054)
@@ -144,7 +150,7 @@ class TestSimulateDataset:
         write_landings(data, path)
         loaded = load_landings(path, "joint", span=(1970, 1970 + data.horizon - 1))
         assert loaded.labels == data.labels
-        assert len(loaded.observations) == len(data.observations)
+        assert loaded.n_obs == data.n_obs
 
     def test_availability_respected(self):
         p = JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.06, 0.5, 0.9)

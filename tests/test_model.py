@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from landmix.errors import DegenerateCovarianceError, SectorMismatchError
 from landmix.model import (
     LOG_2PI,
-    Observation,
+    Dataset,
     PriorSpec,
     Sector,
     build_covariance,
@@ -245,3 +245,22 @@ class TestPriorSpecOverride:
         p_ok = total_state(0.0, 2.0, 1.0, 1.0, [0.0], [0.0]).params
         expected = -0.5 * LOG_2PI - math.log(2.0) - 3 * math.log(3.0)
         assert log_prior(p_ok, priors) == pytest.approx(expected, abs=1e-12)
+
+
+class TestStreamStats:
+    def test_residual_ss_stable_far_from_zero(self):
+        # log-tonnes offset by 1e6: raw moments (sum y^2 ~ 1e14) would lose
+        # every digit of a residual SS of order 100; centred ones keep them
+        rng = np.random.default_rng(11)
+        C, T = 8, 45
+        c = np.repeat(np.arange(C), T)
+        t = np.tile(np.arange(T), C)
+        a = 1e6 + rng.normal(0.0, 3.0, C)
+        b = rng.normal(0.0, 0.05, C)
+        y = a[c] + b[c] * t + rng.normal(0.0, 0.5, C * T)
+        data = Dataset(c, t, np.full(C * T, Sector.TOTAL.code), y, [f"c{i}" for i in range(C)], T)
+        a_state = a + rng.normal(0.0, 0.1, C)
+        b_state = b + rng.normal(0.0, 0.01, C)
+        direct = float(np.sum((y - a_state[c] - b_state[c] * t) ** 2))
+        got = data.stats(Sector.TOTAL).residual_ss(a_state, b_state)
+        assert got == pytest.approx(direct, rel=1e-10)

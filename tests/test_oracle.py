@@ -158,3 +158,13 @@ class TestSBC:
         ranks = res.ranks["sigma"]
         extremes = np.sum((ranks == 0) | (ranks == res.rank_max))
         assert extremes >= ranks.size * 0.7
+
+    def test_every_replicate_excluded_gives_nan_pvalues(self):
+        # a gate below 1 excludes every replicate: no ranks remain to bin
+        config = SBCConfig(4, 10, ChainConfig(iterations=40, burnin=20, thin=1, chains=2), rhat_gate=0.5)
+        res = sbc_run("total", config, replicates=3, seed=0)
+        assert res.excluded == 3
+        assert res.failed
+        for p, value in res.pvalues.items():
+            assert math.isnan(value)
+            assert res.ranks[p].size == 0

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from landmix.errors import ConfigError, DegenerateDataError
 from landmix.model import (
@@ -18,21 +20,68 @@ from landmix.sampler import (
     TotalSampler,
     chain_rng,
     conj_normal,
+    _draw_correlated_pairs,
     initial_state,
-    joint_pair_precision,
     mh_log_accept,
     run_chain,
     run_chains,
     sample_trunc_invgamma_var,
     update_cov_params_joint,
-    update_fixed_intercepts,
-    update_obs_variance,
-    update_random_effects_joint,
-    update_re_sd_total,
 )
 from landmix.data import simulate_dataset
 
 from conftest import joint_state, make_joint_dataset, make_total_dataset, total_state
+
+
+class FixedNormal:
+    """Stands in for a generator: each standard-normal request takes the next
+    of ``blocks``, and zeros once they run out."""
+
+    def __init__(self, *blocks):
+        self.blocks = [np.asarray(b, dtype=float) for b in blocks]
+
+    def standard_normal(self, size=None):
+        z = self.blocks.pop(0) if self.blocks else np.zeros(size or ())
+        return float(z) if size is None else z.reshape(size)
+
+
+def drawn(sampler, state, update, *blocks):
+    """The state that an update of ``state`` leaves when its normals are ``blocks``."""
+    sampler.set_state(state)
+    getattr(sampler, update)(FixedNormal(*blocks))
+    return sampler.get_state()
+
+
+def normal_draws(sampler, state, update, read, size):
+    """(mean, var) of independent normal draws, read off the live update: its
+    draw at z = 0, and the square of its step from z = 0 to z = 1."""
+    at0 = read(drawn(sampler, state, update, np.zeros(size)))
+    at1 = read(drawn(sampler, state, update, np.ones(size)))
+    return at0, (at1 - at0) ** 2
+
+
+def pair_draws(sampler, state, update, read, size, before=()):
+    """Mean and covariance (c11, c12, c22) of correlated pair draws, read off
+    the live update at z = 0 and at the two unit vectors of its Cholesky
+    factor.  ``before`` are the normals of the draws the update makes first."""
+
+    def at(z1, z2):
+        return read(drawn(sampler, state, update, *before, np.stack([z1, z2])))
+
+    zero, one = np.zeros(size), np.ones(size)
+    m1, m2 = at(zero, zero)
+    x1, x2 = at(one, zero)
+    _, y2 = at(zero, one)
+    l11, l21, l22 = x1 - m1, x2 - m2, y2 - m2
+    return (m1, m2), (l11 * l11, l11 * l21, l21 * l21 + l22 * l22)
+
+
+def b0_pair(state):
+    return state.effects.b0_ind, state.effects.b0_art
+
+
+def b1_pair(state):
+    return state.effects.b1_ind, state.effects.b1_art
 
 
 class TestConjugateFormulas:
@@ -81,8 +130,8 @@ class TestConjugateFormulas:
         data = make_total_dataset([(0, 0, 5.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 2.0, [0.0], [0.0])
         s = TotalSampler(data, PriorSpec(), state)
-        prec = 1.0 / s.sigma1**2 + s.g.sum_t2[0] / s.sigma**2
-        assert prec == pytest.approx(1.0 / 4.0)
+        _, var = normal_draws(s, state, "update_random_slopes", lambda st: st.effects.b1, 1)
+        assert 1.0 / var[0] == pytest.approx(1.0 / 4.0)
 
 
 class TestCollapsedIntercept:
@@ -129,23 +178,33 @@ class TestCollapsedIntercept:
 
 class TestJointPairConditional:
     def test_missing_sector_informed_through_correlation(self):
+        # a country with industrial rows only: its artisanal intercept is
+        # informed through the correlation alone, E[b_A | b_I] = rho (sd_A / sd_I) b_I
         sd_i, sd_a, rho = 1.4, 2.2, 0.9
-        cov = build_covariance(sd_i, sd_a, rho)
-        (q11, q12, q22), (h1, h2) = joint_pair_precision(cov, (5.0, 0.0), (3.0, 0.0))
-        b_i = 1.7
-        cond_mean_a = (h2 - q12 * b_i) / q22
-        assert cond_mean_a == pytest.approx(rho * (sd_a / sd_i) * b_i, rel=1e-12)
+        data = make_joint_dataset(
+            [(0, t, Sector.INDUSTRIAL, 3.0 + 0.1 * t) for t in range(5)], 1
+        )
+        state = joint_state((0, 0, 1, sd_i, sd_a, 1, 1, rho, 0.0), [0.0], [0.0], [0.0], [0.0])
+        s = JointSampler(data, PriorSpec(), state, 0.5)
+        (m_i, m_a), (c11, c12, c22) = pair_draws(s, state, "update_random_effects", b0_pair, 1)
+        slope = rho * sd_a / sd_i
+        assert m_a[0] == pytest.approx(slope * m_i[0], rel=1e-12)
+        assert c12[0] / c11[0] == pytest.approx(slope, rel=1e-12)
+        # given b_I, b_A keeps the prior's residual spread sd_A^2 (1 - rho^2)
+        assert c22[0] - c12[0] ** 2 / c11[0] == pytest.approx(sd_a**2 * (1 - rho**2), rel=1e-12)
 
     def test_zero_correlation_factorizes(self, rng):
         data = make_joint_dataset(
             [(0, 0, Sector.INDUSTRIAL, 2.0), (0, 0, Sector.ARTISANAL, -1.0)], 1
         )
         state = joint_state((0, 0, 1, 1, 1, 1, 1, 0.0, 0.0), [0.0], [0.0], [0.0], [0.0])
+        s = JointSampler(data, PriorSpec(), state, 0.5)
         draws_i, draws_a = [], []
         for _ in range(6000):
-            new = update_random_effects_joint(state, data, rng)
-            draws_i.append(new.effects.b0_ind[0])
-            draws_a.append(new.effects.b0_art[0])
+            s.set_state(state)
+            s.update_random_effects(rng)
+            draws_i.append(s.b0_i[0])
+            draws_a.append(s.b0_a[0])
         # marginals equal the univariate conjugate update N(1, 0.5), N(-0.5, 0.5)
         m_i, v_i = conj_normal(1.0, 1.0, 2.0)
         m_a, v_a = conj_normal(1.0, 1.0, -1.0)
@@ -161,11 +220,13 @@ class TestJointPairConditional:
         state = joint_state(
             (0, 0, 1, 2.0, 3.0, 1, 1, 0.5, 0.0), [0.0] * 2, [0.0] * 2, [0.0] * 2, [0.0] * 2
         )
+        s = JointSampler(data, PriorSpec(), state, 0.5)
         b0i, b0a = [], []
         for _ in range(6000):
-            new = update_random_effects_joint(state, data, rng)
-            b0i.append(new.effects.b0_ind[1])
-            b0a.append(new.effects.b0_art[1])
+            s.set_state(state)
+            s.update_random_effects(rng)
+            b0i.append(s.b0_i[1])
+            b0a.append(s.b0_a[1])
         assert np.std(b0i) == pytest.approx(2.0, rel=0.08)
         assert np.std(b0a) == pytest.approx(3.0, rel=0.08)
         assert np.corrcoef(b0i, b0a)[0, 1] == pytest.approx(0.5, abs=0.06)
@@ -215,7 +276,7 @@ class TestTruncatedInverseGamma:
         data = make_total_dataset([(0, 0, 1.0), (0, 1, 1.0)], 1)
         state = total_state(1.0, 1.0, 1.0, 1.0, [0.0], [0.0])
         with pytest.raises(DegenerateDataError):
-            update_obs_variance(state, data, rng)
+            TotalSampler(data, PriorSpec(), state).update_obs_variance(rng)
 
     def test_re_sd_shape_formula(self):
         assert (12 - 1) / 2.0 == 5.5
@@ -224,18 +285,22 @@ class TestTruncatedInverseGamma:
         # 12 effects with SS=44 -> IG(5.5, 22), mean 22/4.5
         b0 = np.full(12, math.sqrt(44.0 / 12.0))
         state = total_state(0.0, 1.0, 2.0, 1.0, b0, np.full(12, 0.1))
+        s = TotalSampler(make_total_dataset([(c, 0, 0.0) for c in range(12)], 12),
+                         PriorSpec(), state)
         draws = []
         for _ in range(20000):
-            new = update_re_sd_total(state, rng)
-            draws.append(new.params.sigma0 ** 2)
+            s.update_re_sd(0, rng)  # b0 stays fixed, so the draws are independent
+            draws.append(s.sigma0 ** 2)
         draws = np.asarray(draws)
         se = np.std(draws) / math.sqrt(len(draws))
         assert np.mean(draws) == pytest.approx(22.0 / 4.5, abs=4 * se)
 
     def test_all_zero_effects_signaled(self, rng):
         state = total_state(0.0, 1.0, 1.0, 1.0, np.zeros(3), np.zeros(3))
+        s = TotalSampler(make_total_dataset([(c, 0, 0.0) for c in range(3)], 3),
+                         PriorSpec(), state)
         with pytest.raises(DegenerateDataError):
-            update_re_sd_total(state, rng)
+            s.update_re_sd(0, rng)
 
 
 class TestCovParamsMH:
@@ -345,10 +410,11 @@ class TestChainRunner:
         # iterate the plain update with everything else frozen
         data = make_total_dataset([(0, 0, 10.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
+        s = TotalSampler(data, PriorSpec(), state)
         draws = []
         for _ in range(10000):
-            new = update_fixed_intercepts(state, data, rng)
-            draws.append(new.params.beta0)
+            s.update_intercept(rng, collapsed=False)  # effects stay frozen
+            draws.append(s.beta0)
         draws = np.asarray(draws)
         se = 0.995037 / math.sqrt(len(draws))
         assert np.mean(draws) == pytest.approx(9.90099, abs=3 * se)
@@ -362,3 +428,208 @@ class TestChainRunner:
         for s in (q.sigma, q.sigma0, q.sigma1):
             assert 0.01 <= s <= 9.9
         assert np.all(state.effects.b0 == 0)
+
+
+# -- the statistics path against direct O(N) formulas --------------------------
+
+REL = 1e-10
+
+
+def assert_close(got, want, scale=0.0):
+    """|got - want| <= REL * (|want| + scale), elementwise; ``scale`` is the
+    natural unit of a quantity that may be near 0 (a posterior sd for a mean)."""
+    got = np.asarray(got, dtype=float)
+    want = np.asarray(want, dtype=float)
+    assert np.all(np.abs(got - want) <= REL * (np.abs(want) + scale)), (got, want)
+
+
+SDS = st.floats(0.1, 9.9)
+
+
+@st.composite
+def ragged_panels(draw, sectors):
+    """Rows (country, t, sector, y) with missing years, single-row countries
+    and, with two sectors, countries holding one sector or none."""
+    C = draw(st.integers(1, 5))
+    horizon = 8
+    cells = [
+        (c, t, sector)
+        for c in range(C)
+        for sector in sectors
+        for t in sorted(draw(st.sets(st.integers(0, horizon - 1), max_size=horizon)))
+    ]
+    assume(cells)
+    level = draw(st.floats(-50, 50))
+    noise = draw(st.lists(st.floats(-5, 5), min_size=len(cells), max_size=len(cells)))
+    # the jitter keeps every series off a straight line, so the SS stays away from 0
+    y = level + np.asarray(noise) + 0.25 * np.sin(np.arange(len(cells)) + 1.0)
+    return C, horizon, [(c, t, sector, float(v)) for (c, t, sector), v in zip(cells, y)]
+
+
+def effects(draw, C, bound):
+    return np.asarray(draw(st.lists(st.floats(-bound, bound), min_size=C, max_size=C)))
+
+
+def columns(entries, sector):
+    rows = [(c, t, y) for c, t, s, y in entries if s is sector]
+    c, t, y = np.array(rows, dtype=float).reshape(-1, 3).T
+    return c.astype(int), t, y
+
+
+def pair_conditional(prior_cov, prec_add, lin):
+    """Per-country (mean, cov) of an effect pair by 2x2 matrix inversion."""
+    prior_prec = np.linalg.inv(prior_cov.as_array())
+    covs = np.linalg.inv(prior_prec + prec_add[:, None, :] * np.eye(2))
+    return np.einsum("cij,cj->ci", covs, lin), covs
+
+
+def assert_pair_close(got, want_mean, want_cov):
+    (m1, m2), (c11, c12, c22) = got
+    sd = np.sqrt(np.stack([want_cov[:, 0, 0], want_cov[:, 1, 1]], axis=1))
+    assert_close(c11, want_cov[:, 0, 0])
+    assert_close(c22, want_cov[:, 1, 1])
+    assert_close(c12, want_cov[:, 0, 1], sd[:, 0] * sd[:, 1])
+    assert_close(np.stack([m1, m2], axis=1), want_mean, sd)
+
+
+class TestStatisticsPath:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_total_conditionals_match_direct_sums(self, data):
+        C, horizon, entries = data.draw(ragged_panels((Sector.TOTAL,)))
+        state = total_state(
+            data.draw(st.floats(-50, 50)), data.draw(SDS), data.draw(SDS), data.draw(SDS),
+            effects(data.draw, C, 5.0), effects(data.draw, C, 1.0),
+        )
+        sampler = TotalSampler(
+            make_total_dataset([(c, t, y) for c, t, _, y in entries], C, horizon),
+            PriorSpec(),
+            state,
+        )
+        p, e = state.params, state.effects
+        c, t, y = columns(entries, Sector.TOTAL)
+        pv, s2 = 100.0, p.sigma**2
+
+        mean, var = sampler.intercept_conditional_plain()
+        prec = 1.0 / pv + len(y) / s2
+        assert_close(var, 1.0 / prec)
+        assert_close(mean, np.sum(y - e.b0[c] - e.b1[c] * t) / s2 / prec, math.sqrt(var))
+
+        prec, lin = 1.0 / pv, 0.0
+        for k in range(C):
+            z = (y - e.b1[c] * t)[c == k]
+            if z.size:
+                v = p.sigma0**2 + s2 / z.size
+                prec += 1.0 / v
+                lin += z.mean() / v
+        mean, var = sampler.intercept_conditional_collapsed()
+        assert_close(var, 1.0 / prec)
+        assert_close(mean, lin / prec, math.sqrt(var))
+
+        prec = 1.0 / p.sigma0**2 + np.bincount(c, minlength=C) / s2
+        lin = np.bincount(c, weights=y - p.beta0 - e.b1[c] * t, minlength=C) / s2
+        mean, var = normal_draws(sampler, state, "update_random_intercepts",
+                                 lambda st: st.effects.b0, C)
+        assert_close(var, 1.0 / prec)
+        assert_close(mean, lin / prec, np.sqrt(var))
+
+        prec = 1.0 / p.sigma1**2 + np.bincount(c, weights=t * t, minlength=C) / s2
+        lin = np.bincount(c, weights=t * (y - p.beta0 - e.b0[c]), minlength=C) / s2
+        mean, var = normal_draws(sampler, state, "update_random_slopes",
+                                 lambda st: st.effects.b1, C)
+        assert_close(var, 1.0 / prec)
+        assert_close(mean, lin / prec, np.sqrt(var))
+
+        got = sampler.s.residual_ss(p.beta0 + e.b0, e.b1)
+        assert_close(got, np.sum((y - p.beta0 - e.b0[c] - e.b1[c] * t) ** 2))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_joint_conditionals_match_direct_sums(self, data):
+        C, horizon, entries = data.draw(ragged_panels((Sector.INDUSTRIAL, Sector.ARTISANAL)))
+        rhos = st.floats(-0.95, 0.95)
+        state = joint_state(
+            (
+                data.draw(st.floats(-50, 50)), data.draw(st.floats(-50, 50)),
+                data.draw(SDS), data.draw(SDS), data.draw(SDS), data.draw(SDS), data.draw(SDS),
+                data.draw(rhos), data.draw(rhos),
+            ),
+            effects(data.draw, C, 5.0), effects(data.draw, C, 5.0),
+            effects(data.draw, C, 1.0), effects(data.draw, C, 1.0),
+        )
+        sampler = JointSampler(make_joint_dataset(entries, C, horizon), PriorSpec(), state, 0.5)
+        p, e = state.params, state.effects
+        pv, s2 = 100.0, p.sigma**2
+        streams = [
+            (columns(entries, Sector.INDUSTRIAL), p.beta0_ind, e.b0_ind, e.b1_ind),
+            (columns(entries, Sector.ARTISANAL), p.beta0_art, e.b0_art, e.b1_art),
+        ]
+
+        for (mean, var), ((c, t, y), _, b0, b1) in zip(
+            sampler.intercept_conditional_plain(), streams
+        ):
+            prec = 1.0 / pv + len(y) / s2
+            assert_close(var, 1.0 / prec)
+            assert_close(mean, np.sum(y - b0[c] - b1[c] * t) / s2 / prec, math.sqrt(var))
+
+        # the collapsed conditional, country by country: each country adds the
+        # precision of its mean pair over the sectors it has rows in
+        cov0 = build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0).as_array()
+        prec, lin = np.eye(2) / pv, np.zeros(2)
+        for k in range(C):
+            zbar, n, has = np.zeros(2), np.zeros(2), []
+            for j, ((c, t, y), _, _, b1) in enumerate(streams):
+                z = (y - b1[c] * t)[c == k]
+                if z.size:
+                    zbar[j], n[j] = z.mean(), z.size
+                    has.append(j)
+            if has:
+                cell = np.ix_(has, has)
+                q = np.linalg.inv(cov0[cell] + s2 * np.diag(1.0 / n[has]))
+                prec[cell] += q
+                lin[has] += q @ zbar[has]
+        cov = np.linalg.inv(prec)
+        got = pair_draws(sampler, state, "update_intercepts_collapsed",
+                         lambda st: (np.array([st.params.beta0_ind]),
+                                     np.array([st.params.beta0_art])), 1)
+        assert_pair_close(got, (cov @ lin)[None, :], cov[None, :, :])
+
+        def information(weight, resid):
+            prec_add, lin = np.zeros((C, 2)), np.zeros((C, 2))
+            for j, ((c, t, y), beta, b0, b1) in enumerate(streams):
+                prec_add[:, j] = np.bincount(c, weights=weight(t) ** 2, minlength=C) / s2
+                lin[:, j] = np.bincount(c, weights=weight(t) * resid(c, t, y, beta, b0, b1),
+                                        minlength=C) / s2
+            return prec_add, lin
+
+        cov0 = build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
+        want_mean, want_cov = pair_conditional(
+            cov0, *information(np.ones_like, lambda c, t, y, beta, b0, b1: y - beta - b1[c] * t)
+        )
+        got = pair_draws(sampler, state, "update_random_effects", b0_pair, C)
+        assert_pair_close(got, want_mean, want_cov)
+
+        # the slope pairs are drawn after the intercept pairs: hold those at
+        # their conditional mean (normals 0) and condition on it
+        drawn_b0 = dict(zip(("ind", "art"), got[0]))
+        streams = [(cols, beta, drawn_b0[tag], b1)
+                   for tag, (cols, beta, _, b1) in zip(("ind", "art"), streams)]
+        cov1 = build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)
+        want_mean, want_cov = pair_conditional(
+            cov1, *information(lambda t: t, lambda c, t, y, beta, b0, b1: y - beta - b0[c])
+        )
+        got = pair_draws(sampler, state, "update_random_effects", b1_pair, C,
+                         before=(np.zeros((2, C)),))
+        assert_pair_close(got, want_mean, want_cov)
+
+        direct = sum(
+            np.sum((y - beta - e0[c] - e1[c] * t) ** 2)
+            for (c, t, y), beta, e0, e1 in (
+                (columns(entries, Sector.INDUSTRIAL), p.beta0_ind, e.b0_ind, e.b1_ind),
+                (columns(entries, Sector.ARTISANAL), p.beta0_art, e.b0_art, e.b1_art),
+            )
+        )
+        got = sampler.si.residual_ss(p.beta0_ind + e.b0_ind, e.b1_ind) + sampler.sa.residual_ss(
+            p.beta0_art + e.b0_art, e.b1_art
+        )
+        assert_close(got, direct)
