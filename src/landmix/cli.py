@@ -90,7 +90,7 @@ def read_draws_csv(path, chain_index: int = 0) -> ChainDraws:
 
 
 def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
-    manifest = json.loads(Path(path).read_text(encoding="utf-8"))
+    manifest = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(manifest, dict):
         raise ConfigError(f"{path}: manifest is not a JSON object")
     missing = [key for key in required if key not in manifest]

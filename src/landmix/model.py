@@ -100,7 +100,7 @@ class StreamStats:
     def residual_ss(self, a, b) -> float:
         """Σ (y − a_c − b_c·t)² over the stream, for per-country a and b."""
         d = self.ybar - a - b * self.tbar
-        return float(np.sum(self.syy + b * (b * self.stt - 2.0 * self.sty) + self.n * d * d))
+        return float(self.syy.sum() + (b * b) @ self.stt - 2.0 * (b @ self.sty) + (self.n * d) @ d)
 
 
 @dataclass(eq=False)

@@ -291,16 +291,16 @@ class TotalSampler:
     def update_random_intercepts(self, rng) -> None:
         s = self.s
         s2 = self.sigma * self.sigma
-        var = 1.0 / (1.0 / self.sigma0**2 + s.n / s2)
-        mean = s.n * (s.ybar - self.beta0 - self.b1 * s.tbar) / s2 * var
-        self.b0 = mean + np.sqrt(var) * rng.standard_normal(self.C)
+        prec = s2 / self.sigma0**2 + s.n  # conditional precision times sigma²
+        mean = s.n * (s.ybar - self.beta0 - self.b1 * s.tbar) / prec
+        self.b0 = mean + np.sqrt(s2 / prec) * rng.standard_normal(self.C)
 
     def update_random_slopes(self, rng) -> None:
         s = self.s
         s2 = self.sigma * self.sigma
-        var = 1.0 / (1.0 / self.sigma1**2 + self.sum_t2 / s2)
-        mean = (s.sty + self.n_tbar * (s.ybar - self.beta0 - self.b0)) / s2 * var
-        self.b1 = mean + np.sqrt(var) * rng.standard_normal(self.C)
+        prec = s2 / self.sigma1**2 + self.sum_t2  # conditional precision times sigma²
+        mean = (s.sty + self.n_tbar * (s.ybar - self.beta0 - self.b0)) / prec
+        self.b1 = mean + np.sqrt(s2 / prec) * rng.standard_normal(self.C)
 
     def update_obs_variance(self, rng) -> None:
         ss = self.s.residual_ss(self.beta0 + self.b0, self.b1)

@@ -18,9 +18,9 @@ from landmix.sampler import (
     ChainConfig,
     JointSampler,
     TotalSampler,
+    _draw_correlated_pairs,
     chain_rng,
     conj_normal,
-    _draw_correlated_pairs,
     initial_state,
     mh_log_accept,
     run_chain,
@@ -192,6 +192,13 @@ class TestJointPairConditional:
         assert c12[0] / c11[0] == pytest.approx(slope, rel=1e-12)
         # given b_I, b_A keeps the prior's residual spread sd_A^2 (1 - rho^2)
         assert c22[0] - c12[0] ** 2 / c11[0] == pytest.approx(sd_a**2 * (1 - rho**2), rel=1e-12)
+        # the bare draw, with industrial information only: precision 5, linear term 3
+        cov = build_covariance(sd_i, sd_a, rho)
+        info = ([5.0], [0.0], [3.0], [0.0])
+        m_i, m_a = _draw_correlated_pairs(cov, *np.array(info), FixedNormal([[0.0], [0.0]]))
+        x_i, x_a = _draw_correlated_pairs(cov, *np.array(info), FixedNormal([[1.0], [0.0]]))
+        assert m_a[0] == pytest.approx(slope * m_i[0], rel=1e-12)
+        assert (x_a - m_a)[0] == pytest.approx(slope * (x_i - m_i)[0], rel=1e-12)
 
     def test_zero_correlation_factorizes(self, rng):
         data = make_joint_dataset(
