@@ -161,7 +161,8 @@ class TestSBC:
 
     def test_every_replicate_excluded_gives_nan_pvalues(self):
         # a gate below 1 excludes every replicate: no ranks remain to bin
-        config = SBCConfig(4, 10, ChainConfig(iterations=40, burnin=20, thin=1, chains=2), rhat_gate=0.5)
+        chain = ChainConfig(iterations=40, burnin=20, thin=1, chains=2)
+        config = SBCConfig(4, 10, chain, rhat_gate=0.5)
         res = sbc_run("total", config, replicates=3, seed=0)
         assert res.excluded == 3
         assert res.failed
