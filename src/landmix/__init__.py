@@ -54,5 +54,4 @@ from .sampler import (
     initial_state,
     run_chain,
     run_chains,
-    update_cov_params_joint,
 )

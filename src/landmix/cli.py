@@ -64,6 +64,16 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _checked_sha256(path: Path, expected: str | None) -> str:
+    """The data file's checksum, which must equal ``expected`` when one is given."""
+    if not path.exists():
+        raise DataFormatError(f"data file not found: {path}")
+    sha = _sha256(path)
+    if expected and expected != sha:
+        raise DataFormatError(f"{path}: data checksum does not match manifest")
+    return sha
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -79,14 +89,40 @@ def _write_draws_csv(path: Path, draws: ChainDraws) -> None:
 
 
 def read_draws_csv(path, chain_index: int = 0) -> ChainDraws:
+    """Read one chain's draw file; a damaged file raises DataFormatError."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        names = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
+        names = next(reader, [])
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: {len(row)} values for {len(names)} columns"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataFormatError(f"{path}:{reader.line_num}: no draws")
     arr = np.asarray(rows)
     return ChainDraws(
         {name: arr[:, k] for k, name in enumerate(names)}, {}, chain_index
     )
+
+
+_MANIFEST_TYPES = {
+    "model": str,
+    "data": str,
+    "data_sha256": str,
+    "chains": int,
+    "iterations": int,
+    "burnin": int,
+    "thin": int,
+    "seed": int,
+}
 
 
 def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
@@ -96,6 +132,15 @@ def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
     missing = [key for key in required if key not in manifest]
     if missing:
         raise ConfigError(f"{path}: manifest lacks {', '.join(map(repr, missing))}")
+    for key in required:
+        value, kind = manifest[key], _MANIFEST_TYPES[key]
+        # bool is an int subclass, but true/false is no count
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ConfigError(f"{path}: manifest key {key!r} must be {kind.__name__}")
+    if "model" in required and manifest["model"] not in ("total", "joint"):
+        raise ConfigError(f"{path}: manifest key 'model' must be 'total' or 'joint'")
+    if "chains" in required and manifest["chains"] < 1:
+        raise ConfigError(f"{path}: manifest key 'chains' must be at least 1")
     return manifest
 
 
@@ -128,10 +173,9 @@ _FIT_KEYS = {
     "burnin": int,
     "thin": int,
     "seed": int,
-    "step_size": float,
 }
 
-_FIT_DEFAULTS = {"chains": 4, "iters": 20000, "burnin": 10000, "thin": 5, "seed": 0, "step_size": 0.5}
+_FIT_DEFAULTS = {"chains": 4, "iters": 20000, "burnin": 10000, "thin": 5, "seed": 0}
 
 
 def _resolve_fit_settings(args) -> dict:
@@ -149,7 +193,6 @@ def _resolve_fit_settings(args) -> dict:
             burnin=manifest["burnin"],
             thin=manifest["thin"],
             seed=manifest["seed"],
-            step_size=manifest.get("step_size", 0.5),
         )
         settings["_expected_sha"] = manifest.get("data_sha256")
     if args.config:
@@ -177,12 +220,7 @@ def cmd_fit(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     data_path = Path(settings["data"])
-    if not data_path.exists():
-        raise DataFormatError(f"data file not found: {data_path}")
-    sha = _sha256(data_path)
-    expected = settings.pop("_expected_sha", None)
-    if expected and expected != sha:
-        raise DataFormatError("data checksum does not match manifest")
+    sha = _checked_sha256(data_path, settings.pop("_expected_sha", None))
     data = load_landings(data_path, settings["model"])
     config = ChainConfig(
         iterations=settings["iters"],
@@ -190,7 +228,6 @@ def cmd_fit(args) -> int:
         thin=settings["thin"],
         chains=settings["chains"],
         seed=settings["seed"],
-        step_size=settings["step_size"],
     )
     chains = run_chains(settings["model"], data, config, parallel=args.parallel)
     for ch in chains:
@@ -220,7 +257,6 @@ def cmd_fit(args) -> int:
         "thin": config.thin,
         "chains": config.chains,
         "seed": config.seed,
-        "step_size": config.step_size,
     }
     _write_json(out_dir / "manifest.json", manifest)
     print(render_summary_table(summary, settings["model"]))
@@ -300,10 +336,12 @@ def _export_figure2(fit_dir: Path) -> list[list]:
 
 
 def _export_figure3(fit_dir: Path) -> list[list]:
-    manifest, chains = _read_fit_dir(fit_dir, ("model", "chains", "data"))
+    manifest, chains = _read_fit_dir(fit_dir, ("model", "chains", "data", "data_sha256"))
     if manifest["model"] != "joint":
         raise ConfigError("--figure 3 requires a joint-model fit")
-    data = load_landings(Path(manifest["data"]), "joint")
+    data_path = Path(manifest["data"])
+    _checked_sha256(data_path, manifest["data_sha256"])
+    data = load_landings(data_path, "joint")
     avail = data.availability
     dual = [
         data.labels[c]
@@ -405,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--burnin", type=int)
     fit.add_argument("--thin", type=int)
     fit.add_argument("--seed", type=int)
-    fit.add_argument("--step-size", dest="step_size", type=float)
     fit.add_argument("--config", help="key=value config file (flags win)")
     fit.add_argument("--from-manifest", help="rerun a previous fit from its manifest")
     fit.add_argument("--parallel", type=int, default=1)

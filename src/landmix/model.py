@@ -88,8 +88,8 @@ class StreamStats:
         tbar, ybar = mean(t), mean(y)
         dt, dy = t - tbar[c], y - ybar[c]
 
-        def centred(x):
-            return np.bincount(c, weights=x, minlength=n_countries)
+        def centred(x):  # float even for an empty stream
+            return np.bincount(c, weights=x, minlength=n_countries).astype(float)
 
         return cls(n, tbar, ybar, centred(dt * dt), centred(dt * dy), centred(dy * dy))
 

@@ -2,10 +2,15 @@
 
 One sweep updates, in fixed order: fixed intercepts, random effects,
 observation variance, random-effect scale parameters.  Conjugate blocks
-are drawn exactly; the joint model's covariance parameters (four sds and
-two correlations) move by scalar random-walk Metropolis in transformed
-space (log sd, atanh rho) with Jacobian corrections.  Step sizes adapt by
-Robbins-Monro toward 0.44 acceptance during burn-in only.
+are drawn exactly.  Each 2x2 covariance block of the joint model (two sds
+and a correlation) takes one independence Metropolis-Hastings step whose
+proposal is the inverse-Wishart shape of its conditional: with scatter
+S = sum_c x_c x_c^T of the C effect pairs, propose Sigma' ~ IW(S, nu),
+nu = max(C - 1, 2).  The U(0, b)^2 x U(-1, 1) prior on (sd_a, sd_b, rho)
+has density (1 - rho^2) / |Sigma| in Sigma coordinates, so the log
+acceptance ratio is log(1 - rho'^2) - log(1 - rho^2)
++ (k/2)(log|Sigma'| - log|Sigma|) with k = nu + 1 - C, and a proposal
+with an sd at or above the bound is rejected.  Nothing is tuned.
 
 The fixed-intercept update is partially collapsed: it integrates the
 random intercepts out of the conditional (they are redrawn immediately
@@ -33,7 +38,6 @@ import numpy as np
 
 from .errors import ConfigError, DegenerateDataError
 from .model import (
-    LOG_2PI,
     Cov2,
     Dataset,
     JointEffects,
@@ -46,8 +50,6 @@ from .model import (
     TotalParams,
     build_covariance,
 )
-
-MH_TARGET_ACCEPT = 0.44
 
 _SKIP_KEYS = {
     "intercepts",
@@ -69,8 +71,6 @@ class ChainConfig:
     thin: int = 5
     chains: int = 4
     seed: int = 0
-    adapt: bool = True
-    step_size: float = 0.5
     skip_updates: tuple[str, ...] = ()
     priors: PriorSpec = field(default_factory=PriorSpec)
 
@@ -79,8 +79,6 @@ class ChainConfig:
             raise ConfigError("iterations, thin and chains must be positive")
         if not (0 <= self.burnin < self.iterations):
             raise ConfigError("burnin must satisfy 0 <= burnin < iterations")
-        if self.step_size <= 0:
-            raise ConfigError("step size must be positive")
         bad = set(self.skip_updates) - _SKIP_KEYS
         if bad:
             raise ConfigError(f"unknown skip keys {sorted(bad)}")
@@ -208,26 +206,26 @@ def _draw_correlated_pairs(prior_cov, prec_add_1, prec_add_2, lin_1, lin_2, rng)
     return x1, x2
 
 
-def _pairs_log_density(x1, x2, sa, sb, rho, bound) -> float:
-    """Log density of centered correlated pairs; -inf outside prior support."""
-    if not (0.0 < sa < bound and 0.0 < sb < bound and abs(rho) < 1.0):
-        return -math.inf
-    n = len(x1)
-    omr = 1.0 - rho * rho
-    logdet = 2.0 * math.log(sa) + 2.0 * math.log(sb) + math.log(omr)
-    quad = float(
-        np.sum(
-            (x1 * x1) / (sa * sa)
-            - 2.0 * rho * x1 * x2 / (sa * sb)
-            + (x2 * x2) / (sb * sb)
-        )
-    ) / omr
-    return -n * LOG_2PI - 0.5 * n * logdet - 0.5 * quad
+def _draw_inv_wishart_2x2(s11, s12, s22, nu, rng) -> tuple[float, float, float]:
+    """(sd_1, sd_2, rho) of one IW(S, nu) draw, by the Bartlett decomposition.
 
-
-def mh_log_accept(delta_target: float, delta_log_jacobian: float) -> float:
-    """Log acceptance ratio of a transformed-space random-walk proposal."""
-    return delta_target + delta_log_jacobian
+    Sigma = R (A A^T)^-1 R^T, with R the lower Cholesky factor of
+    S = [[s11, s12], [s12, s22]] and A = [[sqrt(c1), 0], [z, sqrt(c2)]],
+    where c1 ~ chi2(nu), c2 ~ chi2(nu - 1) and z ~ N(0, 1).
+    """
+    det_s = s11 * s22 - s12 * s12
+    if not det_s > 0.0:
+        raise DegenerateDataError("effect pairs are collinear: singular scatter")
+    c1, c2 = rng.chisquare(nu), rng.chisquare(nu - 1)
+    z = rng.standard_normal()
+    r11 = math.sqrt(s11)
+    r21 = s12 / r11
+    r22 = math.sqrt(det_s / s11)
+    m11 = (z * z + c2) / (c1 * c2)  # (A A^T)^-1 = [[m11, m12], [m12, 1/c2]]
+    m12 = -z / (math.sqrt(c1) * c2)
+    sd_1 = r11 * math.sqrt(m11)
+    sd_2 = math.sqrt(r21 * r21 * m11 + 2.0 * r21 * r22 * m12 + r22 * r22 / c2)
+    return sd_1, sd_2, r11 * (r21 * m11 + r22 * m12) / (sd_1 * sd_2)
 
 
 # -- per-model caches and samplers ------------------------------------------
@@ -329,7 +327,7 @@ class TotalSampler:
         else:
             self.sigma1 = math.sqrt(v)
 
-    def sweep(self, rng, skipped: frozenset[str], iteration: int, adapting: bool) -> None:
+    def sweep(self, rng, skipped: frozenset[str]) -> None:
         collapsed = "re_intercepts" not in skipped
         if "intercepts" not in skipped:
             self.update_intercept(rng, collapsed)
@@ -359,13 +357,10 @@ class TotalSampler:
         return {}
 
 
-_JOINT_MH_PARAMS = ("sigma0_I", "sigma0_A", "rho0", "sigma1_I", "sigma1_A", "rho1")
-
-
 class JointSampler:
     """Mutable sampling state for the shared-parameter joint model."""
 
-    def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState, step_size: float):
+    def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
         if Sector.TOTAL in data.sectors_present():
             raise DegenerateDataError("joint model cannot use total-sector observations")
         self.priors = priors
@@ -380,9 +375,8 @@ class JointSampler:
         self.sum_t2_a = self.sa.stt + self.sa.n * self.sa.tbar**2
         self.n_tbar_i = self.si.n * self.si.tbar
         self.n_tbar_a = self.sa.n * self.sa.tbar
-        self.log_step = {name: math.log(step_size) for name in _JOINT_MH_PARAMS}
-        self.acc_count = {name: 0 for name in _JOINT_MH_PARAMS}
-        self.prop_count = {name: 0 for name in _JOINT_MH_PARAMS}
+        self.accepted = [0, 0]
+        self.proposed = 0
         self.set_state(state)
 
     def set_state(self, state: ModelState) -> None:
@@ -508,57 +502,32 @@ class JointSampler:
         )
         self.sigma = math.sqrt(v)
 
-    def _block_density(self, which: int, sa: float, sb: float, rho: float) -> float:
-        x1 = self.b0_i if which == 0 else self.b1_i
-        x2 = self.b0_a if which == 0 else self.b1_a
-        return _pairs_log_density(x1, x2, sa, sb, rho, self.priors.sd_bound)
+    def update_cov_params(self, rng) -> None:
+        """One independence-MH step per covariance block, proposing IW(S, nu)."""
+        if self.C < 2:
+            raise DegenerateDataError("joint covariance needs at least 2 countries")
+        nu = max(self.C - 1, 2)
+        half_k = 0.5 * (nu + 1 - self.C)
+        bound = self.priors.sd_bound
 
-    def update_cov_params(self, rng, iteration: int, adapting: bool) -> None:
-        for name in _JOINT_MH_PARAMS:
-            block = 0 if name.endswith("0") or "0_" in name else 1
-            sds = self.sd0 if block == 0 else self.sd1
-            rho = self.rho[block]
-            step = math.exp(self.log_step[name])
-            eps = rng.standard_normal()
-            u = rng.uniform()
-            if name.startswith("sigma"):
-                idx = 0 if name.endswith("_I") else 1
-                cur = sds[idx]
-                z_new = math.log(cur) + step * eps
-                prop = math.exp(z_new)
-                cand = [prop, sds[1]] if idx == 0 else [sds[0], prop]
-                delta = self._block_density(block, cand[0], cand[1], rho) - self._block_density(
-                    block, sds[0], sds[1], rho
-                )
-                la = mh_log_accept(delta, z_new - math.log(cur))
-            else:
-                cur = rho
-                z_new = math.atanh(cur) + step * eps
-                prop = math.tanh(z_new)
-                delta = self._block_density(block, sds[0], sds[1], prop) - self._block_density(
-                    block, sds[0], sds[1], cur
-                )
-                jac = (
-                    math.log1p(-prop * prop) - math.log1p(-cur * cur)
-                    if abs(prop) < 1
-                    else -math.inf
-                )
-                la = mh_log_accept(delta, jac)
-            accept = la >= 0 or math.log(u) < la
-            if accept:
-                if name.startswith("sigma"):
-                    sds[0 if name.endswith("_I") else 1] = prop
-                else:
-                    self.rho[block] = prop
-            if adapting:
-                a_prob = math.exp(min(0.0, la)) if la > -math.inf else 0.0
-                gamma = (iteration + 1) ** -0.6
-                self.log_step[name] += gamma * (a_prob - MH_TARGET_ACCEPT)
-            else:
-                self.prop_count[name] += 1
-                self.acc_count[name] += int(accept)
+        def log_weight(sd_1, sd_2, rho):  # log of target / proposal density
+            omr = 1.0 - rho * rho
+            return math.log(omr) + half_k * math.log((sd_1 * sd_2) ** 2 * omr)
 
-    def sweep(self, rng, skipped: frozenset[str], iteration: int, adapting: bool) -> None:
+        self.proposed += 1
+        for block, (x1, x2, sds) in enumerate(
+            ((self.b0_i, self.b0_a, self.sd0), (self.b1_i, self.b1_a, self.sd1))
+        ):
+            prop = _draw_inv_wishart_2x2(float(x1 @ x1), float(x1 @ x2), float(x2 @ x2), nu, rng)
+            u = rng.random()
+            if not (prop[0] < bound and prop[1] < bound and abs(prop[2]) < 1.0):
+                continue
+            la = log_weight(*prop) - log_weight(sds[0], sds[1], self.rho[block])
+            if la >= 0.0 or u < math.exp(la):
+                sds[0], sds[1], self.rho[block] = prop
+                self.accepted[block] += 1
+
+    def sweep(self, rng, skipped: frozenset[str]) -> None:
         collapsed = "re_intercepts" not in skipped
         if "intercepts" not in skipped:
             if collapsed:
@@ -572,7 +541,7 @@ class JointSampler:
         if "obs_variance" not in skipped:
             self.update_obs_variance(rng)
         if "cov_params" not in skipped:
-            self.update_cov_params(rng, iteration, adapting)
+            self.update_cov_params(rng)
 
     def param_names(self) -> list[str]:
         names = list(
@@ -604,11 +573,9 @@ class JointSampler:
         )
 
     def acceptance(self) -> dict[str, float]:
-        return {
-            name: self.acc_count[name] / self.prop_count[name]
-            for name in _JOINT_MH_PARAMS
-            if self.prop_count[name]
-        }
+        if not self.proposed:
+            return {}
+        return {f"cov{block}": n / self.proposed for block, n in enumerate(self.accepted)}
 
 
 # -- initialization ----------------------------------------------------------
@@ -682,7 +649,7 @@ def _make_sampler(model_kind: str, data: Dataset, config: ChainConfig, state: Mo
     if model_kind == "total":
         return TotalSampler(data, config.priors, state)
     if model_kind == "joint":
-        return JointSampler(data, config.priors, state, config.step_size)
+        return JointSampler(data, config.priors, state)
     raise ConfigError(f"unknown model kind {model_kind!r}")
 
 
@@ -703,7 +670,7 @@ def run_chain(
     out = np.empty((n_ret, len(names)))
     j = 0
     for it in range(config.iterations):
-        sampler.sweep(rng, skipped, it, adapting=config.adapt and it < config.burnin)
+        sampler.sweep(rng, skipped)
         if it >= config.burnin and (it - config.burnin) % config.thin == 0 and j < n_ret:
             out[j] = sampler.values()
             j += 1
@@ -732,23 +699,3 @@ def run_chains(
         with ProcessPoolExecutor(max_workers=min(parallel, config.chains)) as pool:
             return list(pool.map(_run_chain_task, tasks))
     return [_run_chain_task(t) for t in tasks]
-
-
-# -- single-update entry points ----------------------------------------------
-
-
-def update_cov_params_joint(
-    state: ModelState,
-    rng,
-    priors: PriorSpec = PriorSpec(),
-    step_size: float = 0.5,
-) -> ModelState:
-    p = state.params
-    assert isinstance(p, JointParams)
-    e = state.effects
-    C = len(e.b0_ind)
-    # no observations needed: the target is the RE density and the prior only
-    dummy = Dataset((), (), (), (), tuple(f"c{i}" for i in range(C)), 1)
-    s = JointSampler(dummy, priors, ModelState(p, e), step_size)
-    s.update_cov_params(rng, 0, adapting=False)
-    return s.get_state()

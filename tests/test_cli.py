@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import shutil
 
 import pytest
 
@@ -101,6 +102,60 @@ class TestFit:
         assert (rerun / "draws_chain0.csv").read_bytes() == \
             (fit / "draws_chain0.csv").read_bytes()
 
+    def test_joint_rerun_and_parallel_byte_identical(self, joint_fixture, tmp_path):
+        _, fit = joint_fixture
+        for flags in ((), ("--parallel", "2")):
+            rerun = tmp_path / f"rerun{len(flags)}"
+            assert run("fit", "--from-manifest", fit / "manifest.json", *flags,
+                       "--out", rerun) == 0
+            for k in (0, 1):
+                assert (rerun / f"draws_chain{k}.csv").read_bytes() == \
+                    (fit / f"draws_chain{k}.csv").read_bytes()
+
+    def test_old_manifest_with_step_size_reruns(self, joint_fixture, tmp_path):
+        _, fit = joint_fixture
+        manifest = json.loads((fit / "manifest.json").read_text())
+        assert "step_size" not in manifest
+        manifest["step_size"] = 0.5  # written by versions with a tuned random walk
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert run("fit", "--from-manifest", tmp_path / "manifest.json",
+                   "--out", tmp_path / "rerun") == 0
+        assert (tmp_path / "rerun" / "draws_chain0.csv").read_bytes() == \
+            (fit / "draws_chain0.csv").read_bytes()
+
+    def test_step_size_option_removed(self, total_fixture, tmp_path):
+        sim, _ = total_fixture
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = total\ndata = {sim / 'data.csv'}\nstep_size = 0.5\n")
+        assert run("fit", "--config", cfg, "--out", tmp_path / "a") == 2
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--model", "total", "--data", sim / "data.csv",
+                "--step-size", "0.5", "--out", tmp_path / "b")
+        assert exc.value.code == 2
+
+    def test_one_country_joint_fit_is_numeric_failure(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        rows = ["country,year,sector,tonnes"]
+        for year in range(1970, 1980):
+            rows.append(f"Only,{year},industrial,{100 + year - 1970}")
+            rows.append(f"Only,{year},artisanal,{50 + 2 * (year - 1970)}")
+        data.write_text("\n".join(rows) + "\n")
+        assert run("fit", "--model", "joint", "--data", data, "--chains", "1",
+                   "--iters", "50", "--burnin", "10", "--thin", "1",
+                   "--out", tmp_path / "fit") == 4
+        assert "at least 2 countries" in capsys.readouterr().err
+
+    def test_joint_fit_with_one_sector_runs(self, tmp_path):
+        data = tmp_path / "ind.csv"
+        rows = ["country,year,sector,tonnes"]
+        for year in range(1970, 1980):
+            rows.append(f"A,{year},industrial,{100 + year - 1970}")
+            rows.append(f"B,{year},industrial,{80 + 3 * (year - 1970) % 7}")
+        data.write_text("\n".join(rows) + "\n")
+        assert run("fit", "--model", "joint", "--data", data, "--chains", "1",
+                   "--iters", "200", "--burnin", "50", "--thin", "1",
+                   "--out", tmp_path / "fit") == 0
+
     def test_config_file_flags_win(self, total_fixture, tmp_path):
         sim, _ = total_fixture
         cfg = tmp_path / "run.cfg"
@@ -163,6 +218,51 @@ class TestExitCodes:
         assert run("summarize", "--fit", tmp_path) == 2
         assert "'chains'" in capsys.readouterr().err
 
+    @staticmethod
+    def manifest_with(fit, key, value, tmp_path):
+        manifest = json.loads((fit / "manifest.json").read_text())
+        manifest[key] = value
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        return tmp_path / "manifest.json"
+
+    @pytest.mark.parametrize("key, value", [
+        ("chains", "2"), ("chains", 0), ("chains", True), ("model", "bogus"),
+    ])
+    def test_summarize_manifest_bad_value(self, total_fixture, tmp_path, capsys, key, value):
+        _, fit = total_fixture
+        self.manifest_with(fit, key, value, tmp_path)
+        assert run("summarize", "--fit", tmp_path) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("chains", "2"), ("model", "bogus"), ("iterations", 1.5), ("seed", None), ("data", 3),
+    ])
+    def test_fit_from_manifest_bad_value(self, total_fixture, tmp_path, capsys, key, value):
+        _, fit = total_fixture
+        mpath = self.manifest_with(fit, key, value, tmp_path)
+        assert run("fit", "--from-manifest", mpath, "--out", tmp_path / "x") == 2
+        assert repr(key) in capsys.readouterr().err
+
+    @staticmethod
+    def header_only(text):
+        return text.splitlines(keepends=True)[0]
+
+    @staticmethod
+    def non_numeric_on_line_3(text):
+        lines = text.splitlines(keepends=True)
+        lines[2] = "oops," + lines[2].split(",", 1)[1]
+        return "".join(lines)
+
+    @pytest.mark.parametrize("damage, line", [("header_only", 1), ("non_numeric_on_line_3", 3)])
+    def test_damaged_draw_file(self, total_fixture, tmp_path, capsys, damage, line):
+        _, fit = total_fixture
+        for name in ("manifest.json", "draws_chain0.csv"):
+            shutil.copy(fit / name, tmp_path / name)
+        text = (fit / "draws_chain1.csv").read_text()
+        (tmp_path / "draws_chain1.csv").write_text(getattr(self, damage)(text))
+        assert run("summarize", "--fit", tmp_path) == 3
+        assert f"draws_chain1.csv:{line}:" in capsys.readouterr().err
+
     def test_degenerate_data_numeric_exit(self, tmp_path):
         # a single observation leaves the variance update with zero degrees
         # of freedom, which is reported as a numerical failure
@@ -219,6 +319,21 @@ class TestExport:
         assert rows[0] == ["country", "effect", "industrial_mean", "artisanal_mean"]
         assert {r[0] for r in rows[1:]} == {"Both"}
         assert [r[1] for r in rows[1:]] == ["intercept", "slope"]
+
+    def test_figure3_checks_data_checksum(self, joint_fixture, tmp_path):
+        sim, fit = joint_fixture
+        data = tmp_path / "data.csv"
+        shutil.copy(sim / "data.csv", data)
+        manifest = json.loads((fit / "manifest.json").read_text())
+        manifest["data"] = str(data)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        for k in (0, 1):
+            shutil.copy(fit / f"draws_chain{k}.csv", tmp_path / f"draws_chain{k}.csv")
+        out = tmp_path / "fig3.csv"
+        assert run("export", "--figure", "3", "--fit", tmp_path, "--out", out) == 0
+        with open(data, "a") as fh:
+            fh.write("Extra,1970,industrial,5\n")
+        assert run("export", "--figure", "3", "--fit", tmp_path, "--out", out) == 3
 
     def test_figure3_from_total_fit_rejected(self, total_fixture, tmp_path):
         _, fit = total_fixture

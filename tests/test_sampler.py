@@ -19,14 +19,13 @@ from landmix.sampler import (
     JointSampler,
     TotalSampler,
     _draw_correlated_pairs,
+    _draw_inv_wishart_2x2,
     chain_rng,
     conj_normal,
     initial_state,
-    mh_log_accept,
     run_chain,
     run_chains,
     sample_trunc_invgamma_var,
-    update_cov_params_joint,
 )
 from landmix.data import simulate_dataset
 
@@ -165,7 +164,7 @@ class TestCollapsedIntercept:
         # no data information and approaches the intercept prior
         data = make_joint_dataset([(0, 0, Sector.INDUSTRIAL, 8.0)], 1)
         state = joint_state((0, 0, 1, 9.9, 9.9, 1, 1, 0.0, 0.0), [0.0], [0.0], [0.0], [0.0])
-        s = JointSampler(data, PriorSpec(), state, 0.5)
+        s = JointSampler(data, PriorSpec(), state)
         draws = []
         for _ in range(4000):
             s.beta_i = 0.0
@@ -185,7 +184,7 @@ class TestJointPairConditional:
             [(0, t, Sector.INDUSTRIAL, 3.0 + 0.1 * t) for t in range(5)], 1
         )
         state = joint_state((0, 0, 1, sd_i, sd_a, 1, 1, rho, 0.0), [0.0], [0.0], [0.0], [0.0])
-        s = JointSampler(data, PriorSpec(), state, 0.5)
+        s = JointSampler(data, PriorSpec(), state)
         (m_i, m_a), (c11, c12, c22) = pair_draws(s, state, "update_random_effects", b0_pair, 1)
         slope = rho * sd_a / sd_i
         assert m_a[0] == pytest.approx(slope * m_i[0], rel=1e-12)
@@ -205,7 +204,7 @@ class TestJointPairConditional:
             [(0, 0, Sector.INDUSTRIAL, 2.0), (0, 0, Sector.ARTISANAL, -1.0)], 1
         )
         state = joint_state((0, 0, 1, 1, 1, 1, 1, 0.0, 0.0), [0.0], [0.0], [0.0], [0.0])
-        s = JointSampler(data, PriorSpec(), state, 0.5)
+        s = JointSampler(data, PriorSpec(), state)
         draws_i, draws_a = [], []
         for _ in range(6000):
             s.set_state(state)
@@ -227,7 +226,7 @@ class TestJointPairConditional:
         state = joint_state(
             (0, 0, 1, 2.0, 3.0, 1, 1, 0.5, 0.0), [0.0] * 2, [0.0] * 2, [0.0] * 2, [0.0] * 2
         )
-        s = JointSampler(data, PriorSpec(), state, 0.5)
+        s = JointSampler(data, PriorSpec(), state)
         b0i, b0a = [], []
         for _ in range(6000):
             s.set_state(state)
@@ -310,39 +309,110 @@ class TestTruncatedInverseGamma:
             s.update_re_sd(0, rng)
 
 
+def grid_block_means(x1, x2, n=400, n_rho=200, bound=10.0):
+    """Posterior means of (sd_1, sd_2, rho) for centred pairs under the uniform
+    box prior, by midpoint quadrature of |Sigma|^(-C/2) exp(-tr(S Sigma^-1)/2),
+    one rho slice at a time."""
+    C = len(x1)
+    s11, s12, s22 = x1 @ x1, x1 @ x2, x2 @ x2
+    sd = (np.arange(n) + 0.5) * bound / n
+    rhos = -1.0 + (np.arange(n_rho) + 0.5) * 2.0 / n_rho
+    sd_1, sd_2 = sd[:, None], sd[None, :]
+    peaks, mass, m1, m2 = [], [], [], []
+    for rho in rhos:
+        omr = 1.0 - rho * rho
+        quad = (s11 / sd_1**2 - 2.0 * rho * s12 / (sd_1 * sd_2) + s22 / sd_2**2) / omr
+        logp = -0.5 * C * np.log(sd_1**2 * sd_2**2 * omr) - 0.5 * quad
+        peaks.append(logp.max())
+        w = np.exp(logp - peaks[-1])
+        mass.append(w.sum())
+        m1.append(w.sum(axis=1) @ sd)
+        m2.append(w.sum(axis=0) @ sd)
+    scale = np.exp(np.array(peaks) - max(peaks))
+    total = scale @ mass
+    return scale @ m1 / total, scale @ m2 / total, (scale * mass) @ rhos / total
+
+
+def batch_means_se(x, batches=20):
+    return float(np.std(np.mean(np.reshape(x, (batches, -1)), axis=1), ddof=1) / math.sqrt(batches))
+
+
 class TestCovParamsMH:
-    def test_zero_step_keeps_chain_at_current_point(self, rng):
-        state = joint_state(
-            (0, 0, 1, 2.0, 3.0, 0.1, 0.1, 0.4, -0.2),
-            [1.0, -1.0],
-            [0.5, 0.2],
-            [0.1, 0.0],
-            [0.0, 0.1],
-        )
-        new = update_cov_params_joint(state, rng, step_size=1e-300)
-        assert new.params.sigma0_ind == pytest.approx(2.0, rel=1e-9)
-        assert new.params.rho0 == pytest.approx(0.4, rel=1e-9)
-        assert new.params.rho1 == pytest.approx(-0.2, rel=1e-9)
+    @pytest.mark.parametrize("C", [2, 8])
+    def test_long_run_means_match_grid(self, C):
+        # effect pairs held fixed: the chain of update_cov_params alone must
+        # leave the covariance posterior of each block invariant
+        g = np.random.default_rng(C)
+        b0 = g.multivariate_normal([0.0, 0.0], [[1.0, 0.6], [0.6, 2.0]], C)
+        b1 = g.multivariate_normal([0.0, 0.0], [[1.5, -0.4], [-0.4, 0.8]], C)
+        state = joint_state((0, 0, 1, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0), b0[:, 0], b0[:, 1],
+                            b1[:, 0], b1[:, 1])
+        data = make_joint_dataset([(c, 0, Sector.INDUSTRIAL, 0.0) for c in range(C)], C)
+        s = JointSampler(data, PriorSpec(), state)
+        rng = np.random.default_rng(100 + C)
+        n = 100000
+        out = np.empty((n, 6))
+        for i in range(n):
+            s.update_cov_params(rng)
+            out[i] = (s.sd0[0], s.sd0[1], s.rho[0], s.sd1[0], s.sd1[1], s.rho[1])
+        for k, pairs in enumerate((b0, b1)):
+            expected = grid_block_means(pairs[:, 0], pairs[:, 1])
+            for j, want in enumerate(expected):
+                col = out[:, 3 * k + j]
+                assert np.mean(col) == pytest.approx(want, abs=4 * batch_means_se(col))
 
-    def test_acceptance_ratio_is_target_plus_jacobian(self):
-        assert mh_log_accept(1.25, -0.5) == pytest.approx(0.75, abs=1e-15)
-        # direct density cross-check of one sd proposal
-        from landmix.sampler import _pairs_log_density
+    def test_bartlett_draw_matches_scipy_invwishart(self):
+        from scipy.stats import invwishart
 
-        x1 = np.array([0.4, -1.1])
-        x2 = np.array([0.2, 0.9])
-        cur, prop = 1.5, 1.9
-        delta = _pairs_log_density(x1, x2, prop, 2.0, 0.3, 10.0) - _pairs_log_density(
-            x1, x2, cur, 2.0, 0.3, 10.0
-        )
-        la = mh_log_accept(delta, math.log(prop) - math.log(cur))
-        assert la == pytest.approx(delta + math.log(prop / cur), abs=1e-12)
+        S = np.array([[3.0, 1.2], [1.2, 2.0]])
+        nu, n = 10, 40000
+        rng = np.random.default_rng(7)
+        ours = np.array([_draw_inv_wishart_2x2(S[0, 0], S[0, 1], S[1, 1], nu, rng)
+                         for _ in range(n)])
+        ref = invwishart(df=nu, scale=S).rvs(size=n, random_state=np.random.default_rng(8))
+        ref_sd = np.sqrt(ref[:, [0, 1], [0, 1]])
+        ref = np.column_stack([ref_sd, ref[:, 0, 1] / (ref_sd[:, 0] * ref_sd[:, 1])])
+        ours_cov = np.column_stack([ours[:, 0] ** 2, ours[:, 2] * ours[:, 0] * ours[:, 1],
+                                    ours[:, 1] ** 2])
+        # E[Sigma] = S / (nu - 3)
+        for got, want in zip(ours_cov.T, (S[0, 0], S[0, 1], S[1, 1])):
+            assert np.mean(got) == pytest.approx(want / (nu - 3), abs=4 * np.std(got) / math.sqrt(n))
+        for j in range(3):
+            se = math.sqrt((np.var(ours[:, j]) + np.var(ref[:, j])) / n)
+            assert np.mean(ours[:, j]) == pytest.approx(np.mean(ref[:, j]), abs=4 * se)
 
-    def test_out_of_support_proposal_rejected(self):
-        from landmix.sampler import _pairs_log_density
+    def test_proposal_outside_sd_bound_rejected(self, rng):
+        # effects of size ~1000 put every IW proposal far above sd_bound = 10
+        big = np.array([1000.0, -800.0, 1200.0])
+        state = joint_state((0, 0, 1, 2.0, 3.0, 0.1, 0.2, 0.4, -0.2), big, big[::-1],
+                            big, np.roll(big, 1))
+        data = make_joint_dataset([(c, 0, Sector.INDUSTRIAL, 0.0) for c in range(3)], 3)
+        s = JointSampler(data, PriorSpec(), state)
+        for _ in range(200):
+            s.update_cov_params(rng)
+        assert s.get_state().params == state.params
+        assert s.acceptance() == {"cov0": 0.0, "cov1": 0.0}
 
-        assert _pairs_log_density(np.ones(2), np.ones(2), 11.0, 1.0, 0.0, 10.0) == -math.inf
-        assert _pairs_log_density(np.ones(2), np.ones(2), 1.0, 1.0, 1.0, 10.0) == -math.inf
+    def test_one_country_cannot_update_covariance(self, rng):
+        state = joint_state((0, 0, 1, 2.0, 3.0, 0.1, 0.2, 0.4, -0.2), [1.0], [0.5], [0.1], [0.0])
+        data = make_joint_dataset([(0, t, Sector.INDUSTRIAL, 1.0 + t) for t in range(4)], 1)
+        with pytest.raises(DegenerateDataError, match="at least 2 countries"):
+            JointSampler(data, PriorSpec(), state).update_cov_params(rng)
+        cfg = ChainConfig(iterations=50, burnin=10, thin=1, chains=1, seed=1,
+                          skip_updates=("cov_params",))
+        assert run_chain("joint", data, cfg).acceptance == {}
+
+    def test_acceptance_counted_per_block_over_every_sweep(self):
+        p = JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.05, 0.5, 0.9)
+        data, _ = simulate_dataset("joint", p, 6, 10, seed=4)
+        s = JointSampler(data, PriorSpec(), initial_state("joint", data))
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            s.sweep(rng, frozenset())
+        assert s.proposed == 40
+        assert s.acceptance() == {"cov0": s.accepted[0] / 40, "cov1": s.accepted[1] / 40}
+        cfg = ChainConfig(iterations=40, burnin=30, thin=1, chains=1, seed=3)
+        assert set(run_chain("joint", data, cfg).acceptance) == {"cov0", "cov1"}
 
     def test_rho_recovery_on_simulated_data(self):
         p = JointParams(8.0, 5.0, 0.5, 2.5, 3.5, 0.05, 0.05, 0.6, 0.9)
@@ -564,7 +634,7 @@ class TestStatisticsPath:
             effects(data.draw, C, 5.0), effects(data.draw, C, 5.0),
             effects(data.draw, C, 1.0), effects(data.draw, C, 1.0),
         )
-        sampler = JointSampler(make_joint_dataset(entries, C, horizon), PriorSpec(), state, 0.5)
+        sampler = JointSampler(make_joint_dataset(entries, C, horizon), PriorSpec(), state)
         p, e = state.params, state.effects
         pv, s2 = 100.0, p.sigma**2
         streams = [
