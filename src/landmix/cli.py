@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import replace
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +28,8 @@ from .diagnostics import (
     summary_csv_rows,
     table_param_order,
 )
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DegenerateCovarianceError,
-    DegenerateDataError,
-    LandmixError,
-)
-from .model import JointParams, Sector, TotalParams, params_from_dict, params_to_dict
+from .errors import ConfigError, DataFormatError, DegenerateDataError, LandmixError
+from .model import Sector, params_from_dict, params_to_dict
 from .oracle import SBCConfig, sbc_run
 from .sampler import ChainConfig, ChainDraws, run_chains
 
@@ -79,13 +73,33 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_draws_csv(path: Path, draws: ChainDraws) -> None:
-    names = draws.names
+    """One chain's draw file: a csv-quoted header, then one CRLF line per
+    retained draw of shortest round-trip ``repr`` floats (the bytes the csv
+    module's excel dialect writes, since a float repr never needs quoting)."""
+    matrix = np.column_stack([draws.draws[n] for n in draws.names])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        cols = [draws.draws[n] for n in names]
-        for row in zip(*cols):
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(draws.names)
+        for row in matrix:
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+
+
+def _draws_damage(path, first_line: int, width: int) -> str:
+    """Where and how a draw file's body is damaged: the first line that is
+    not ``width`` numbers, else "no draws" after the last line.  Runs only
+    after the bulk parse has failed; each line is parsed as loadtxt would."""
+    lineno = first_line - 1
+    with open(path, newline="", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.rstrip("\r\n")
+            if lineno < first_line or not text:
+                continue
+            try:
+                n = np.loadtxt([text], delimiter=",", ndmin=2, comments=None).shape[1]
+            except ValueError as exc:
+                return f"{path}:{lineno}: {str(exc).partition(' at row')[0]}"
+            if n != width:
+                return f"{path}:{lineno}: {n} values for {width} columns"
+    return f"{path}:{lineno}: no draws"
 
 
 def read_draws_csv(path, chain_index: int = 0) -> ChainDraws:
@@ -93,21 +107,15 @@ def read_draws_csv(path, chain_index: int = 0) -> ChainDraws:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         names = next(reader, [])
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(names):
-                raise DataFormatError(
-                    f"{path}:{reader.line_num}: {len(row)} values for {len(names)} columns"
-                )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{reader.line_num}: {exc}") from None
-    if not rows:
-        raise DataFormatError(f"{path}:{reader.line_num}: no draws")
-    arr = np.asarray(rows)
+        try:
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not warned about
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+        except ValueError:
+            arr = None
+    if arr is None or arr.shape[0] == 0 or arr.shape[1] != len(names):
+        raise DataFormatError(_draws_damage(path, reader.line_num + 1, len(names)))
     return ChainDraws(
         {name: arr[:, k] for k, name in enumerate(names)}, {}, chain_index
     )
@@ -185,15 +193,9 @@ def _resolve_fit_settings(args) -> dict:
             Path(args.from_manifest),
             ("model", "data", "chains", "iterations", "burnin", "thin", "seed"),
         )
-        settings.update(
-            model=manifest["model"],
-            data=manifest["data"],
-            chains=manifest["chains"],
-            iters=manifest["iterations"],
-            burnin=manifest["burnin"],
-            thin=manifest["thin"],
-            seed=manifest["seed"],
-        )
+        # the manifest names every fit key as the flags do, but for iterations
+        settings.update({key: manifest[key] for key in _FIT_KEYS if key != "iters"})
+        settings["iters"] = manifest["iterations"]
         settings["_expected_sha"] = manifest.get("data_sha256")
     if args.config:
         values = _config_file_values(Path(args.config))
@@ -232,15 +234,16 @@ def cmd_fit(args) -> int:
     chains = run_chains(settings["model"], data, config, parallel=args.parallel)
     for ch in chains:
         _write_draws_csv(out_dir / f"draws_chain{ch.chain_index}.csv", ch)
+    order = table_param_order(settings["model"])
     pooled = pool_chains(chains)
-    summary = summarize(pooled)
+    summary = summarize({name: pooled[name] for name in order})
     (out_dir / "summary.txt").write_text(
         render_summary_table(summary, settings["model"]) + "\n", encoding="utf-8"
     )
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(summary_csv_rows(summary, settings["model"]))
     if config.chains >= 2:
-        report = compute_convergence(chains, table_param_order(settings["model"]))
+        report = compute_convergence(chains, order)
         with open(out_dir / "convergence.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["parameter", "split_rhat", "ess", "flagged"])
@@ -324,10 +327,7 @@ def _export_figure2(fit_dir: Path) -> list[list]:
     pooled = pool_chains(chains)
     summary = summarize(pooled)
     out = [["country", "effect", "q0.025", "mean", "q0.975"]]
-    labels = sorted(
-        {n[3:-1] for n in pooled if n.startswith("b0[")},
-        key=lambda lbl: list(pooled).index(f"b0[{lbl}]"),
-    )
+    labels = [n[3:-1] for n in pooled if n.startswith("b0[")]
     for effect in ("b0", "b1"):
         for label in labels:
             s = summary[f"{effect}[{label}]"]
@@ -399,7 +399,8 @@ def cmd_sbc(args) -> int:
     _write_json(
         out_dir / "summary.json",
         {
-            "pvalues": result.pvalues,
+            # NaN (every replicate excluded) is written as null: strict JSON
+            "pvalues": {p: None if math.isnan(v) else v for p, v in result.pvalues.items()},
             "replicates": result.replicates,
             "excluded": result.excluded,
             "rank_max": result.rank_max,
@@ -417,10 +418,12 @@ def cmd_sbc(args) -> int:
 
 def cmd_summarize(args) -> int:
     manifest, chains = _read_fit_dir(Path(args.fit))
+    order = table_param_order(manifest["model"])
     pooled = pool_chains(chains)
-    print(render_summary_table(summarize(pooled), manifest["model"]))
+    summary = summarize({name: pooled[name] for name in order})
+    print(render_summary_table(summary, manifest["model"]))
     if len(chains) >= 2:
-        report = compute_convergence(chains, table_param_order(manifest["model"]))
+        report = compute_convergence(chains, order)
         print()
         print(f"{'parameter':<12}{'split_rhat':>12}{'ess':>10}")
         for name, entry in report.items():
@@ -496,10 +499,7 @@ def main(argv=None) -> int:
     except (DataFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (DegenerateDataError, DegenerateCovarianceError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except LandmixError as exc:
+    except (LandmixError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

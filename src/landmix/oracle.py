@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.stats import chisquare
@@ -242,6 +241,8 @@ def sbc_run(
     """
     if model_kind != "total":
         raise ConfigError("SBC harness supports the total model only")
+    if replicates < 1:
+        raise ConfigError(f"SBC needs at least 1 replicate, got {replicates}")
     priors = config.chain.priors
     ranks: dict[str, list[int]] = {p: [] for p in _SBC_PARAMS}
     excluded = 0

@@ -1,13 +1,20 @@
 import csv
+import functools
 import json
 import math
 import shutil
+import warnings
 
+import numpy as np
 import pytest
 
-from landmix.cli import main
+from landmix import cli
+from landmix.cli import _write_draws_csv, main, read_draws_csv
 from landmix.data import load_landings
+from landmix.errors import DataFormatError
 from landmix.model import JOINT_PARAM_NAMES, TOTAL_PARAM_NAMES
+from landmix.oracle import SBCConfig
+from landmix.sampler import ChainDraws
 
 
 def run(*argv):
@@ -253,7 +260,43 @@ class TestExitCodes:
         lines[2] = "oops," + lines[2].split(",", 1)[1]
         return "".join(lines)
 
-    @pytest.mark.parametrize("damage, line", [("header_only", 1), ("non_numeric_on_line_3", 3)])
+    @staticmethod
+    def short_row_on_line_4(text):
+        lines = text.splitlines(keepends=True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + "\n"
+        return "".join(lines)
+
+    @staticmethod
+    def blank_line_3_then_short_row_on_line_5(text):
+        # blank lines are skipped but still counted as physical lines
+        lines = text.splitlines(keepends=True)
+        lines.insert(2, "\n")
+        lines[4] = lines[4].rsplit(",", 1)[0] + "\n"
+        return "".join(lines)
+
+    @staticmethod
+    def header_lacks_a_name(text):
+        # every row is one value too wide, so the first draw is blamed
+        header, body = text.split("\n", 1)
+        return header.rsplit(",", 1)[0] + "\n" + body
+
+    @staticmethod
+    def long_row_on_line_2(text):
+        lines = text.splitlines(keepends=True)
+        lines[1] = lines[1].rstrip("\n") + ",1.5\n"
+        return "".join(lines)
+
+    @staticmethod
+    def empty_cell_on_line_3(text):
+        lines = text.splitlines(keepends=True)
+        lines[2] = "," + lines[2].split(",", 1)[1]
+        return "".join(lines)
+
+    @pytest.mark.parametrize("damage, line", [
+        ("header_only", 1), ("non_numeric_on_line_3", 3), ("short_row_on_line_4", 4),
+        ("long_row_on_line_2", 2), ("empty_cell_on_line_3", 3),
+        ("blank_line_3_then_short_row_on_line_5", 5), ("header_lacks_a_name", 2),
+    ])
     def test_damaged_draw_file(self, total_fixture, tmp_path, capsys, damage, line):
         _, fit = total_fixture
         for name in ("manifest.json", "draws_chain0.csv"):
@@ -263,6 +306,16 @@ class TestExitCodes:
         assert run("summarize", "--fit", tmp_path) == 3
         assert f"draws_chain1.csv:{line}:" in capsys.readouterr().err
 
+    def test_header_only_draw_file_does_not_warn(self, total_fixture, tmp_path):
+        _, fit = total_fixture
+        path = tmp_path / "draws_chain0.csv"
+        path.write_text(self.header_only((fit / "draws_chain0.csv").read_text()))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataFormatError, match="draws_chain0.csv:1: no draws"):
+                read_draws_csv(path)
+        assert caught == []
+
     def test_degenerate_data_numeric_exit(self, tmp_path):
         # a single observation leaves the variance update with zero degrees
         # of freedom, which is reported as a numerical failure
@@ -271,6 +324,68 @@ class TestExitCodes:
         assert run("fit", "--model", "total", "--data", tiny, "--chains", "1",
                    "--iters", "50", "--burnin", "10", "--thin", "1",
                    "--out", tmp_path / "x") == 4
+
+
+class TestDrawFiles:
+    NAMES = ("b0[a,b]", 'b0["q"]')
+    VALUES = (-0.0, 5e-324, 1e16, 1 / 3, 1.5e-300)
+
+    def test_writer_matches_csv_module_and_reads_back_bit_identical(self, tmp_path):
+        cols = [np.array(self.VALUES), -np.array(self.VALUES[::-1])]
+        chain = ChainDraws(dict(zip(self.NAMES, cols)), {}, 0)
+        path = tmp_path / "draws_chain0.csv"
+        _write_draws_csv(path, chain)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(self.NAMES)
+            for row in zip(*cols):
+                writer.writerow([repr(float(v)) for v in row])
+        assert path.read_bytes() == reference.read_bytes()
+        back = read_draws_csv(path)
+        assert back.names == self.NAMES
+        for name, col in zip(self.NAMES, cols):
+            assert np.array_equal(back.draws[name], col)
+            assert np.array_equal(np.signbit(back.draws[name]), np.signbit(col))
+
+    def test_lf_crlf_blank_lines_and_no_final_newline_read(self, total_fixture, tmp_path,
+                                                           capsys):
+        _, fit = total_fixture
+        assert run("summarize", "--fit", fit) == 0
+        expected = capsys.readouterr().out
+        shutil.copy(fit / "manifest.json", tmp_path / "manifest.json")
+        crlf = (fit / "draws_chain0.csv").read_bytes()
+        assert crlf.endswith(b"\r\n")
+        # blank body lines: a CRLF file with blank lines after the header and
+        # the first two draws, and an LF file with one blank line and no final
+        # newline
+        (tmp_path / "draws_chain0.csv").write_bytes(crlf.replace(b"\r\n", b"\r\n\r\n", 3))
+        lines = (fit / "draws_chain1.csv").read_bytes().replace(b"\r\n", b"\n").splitlines()
+        lines.insert(5, b"")
+        (tmp_path / "draws_chain1.csv").write_bytes(b"\n".join(lines))
+        assert run("summarize", "--fit", tmp_path) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_country_label_with_comma_end_to_end(self, total_fixture, tmp_path):
+        sim, _ = total_fixture
+        rows = read_csv(sim / "data.csv")
+        first = rows[1][0]
+        for row in rows[1:]:
+            row[0] = "Spain, North" if row[0] == first else row[0]
+        data = tmp_path / "data.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        fit = tmp_path / "fit"
+        assert run("fit", "--model", "total", "--data", data, "--chains", "2",
+                   "--iters", "300", "--burnin", "100", "--thin", "1", "--out", fit) == 0
+        assert read_csv(fit / "draws_chain0.csv")[0][4] == "b0[Spain, North]"
+        assert run("summarize", "--fit", fit) == 0
+        out = tmp_path / "fig2.csv"
+        assert run("export", "--figure", "2", "--fit", fit, "--out", out) == 0
+        exported = read_csv(out)
+        assert [r[:2] for r in exported[1:] if r[0] == "Spain, North"] == [
+            ["Spain, North", "b0"], ["Spain, North", "b1"]]
+        assert len(exported) == 1 + 2 * 6
 
 
 class TestExport:
@@ -354,6 +469,26 @@ class TestSbcAndSummarize:
         assert rows[0] == ["parameter", "replicate", "rank"]
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["pvalues"]) == {"beta0", "sigma", "sigma0", "sigma1"}
+
+    @pytest.mark.parametrize("replicates", ["0", "-3"])
+    def test_sbc_needs_a_replicate(self, tmp_path, capsys, replicates):
+        assert run("sbc", "--replicates", replicates, "--out", tmp_path / "sbc") == 2
+        assert "replicate" in capsys.readouterr().err
+
+    def test_sbc_writes_strict_json_when_every_replicate_excluded(self, tmp_path,
+                                                                  monkeypatch):
+        # a gate below 1 excludes every replicate, leaving NaN p-values
+        monkeypatch.setattr(cli, "SBCConfig", functools.partial(SBCConfig, rhat_gate=0.5))
+        out = tmp_path / "sbc"
+        assert run("sbc", "--replicates", "2", "--countries", "3", "--years", "6",
+                   "--iters", "40", "--burnin", "20", "--out", out) == 4
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary["pvalues"] == dict.fromkeys(("beta0", "sigma", "sigma0", "sigma1"))
+        assert summary["failed"] is True
 
     def test_summarize_reprints_fit(self, total_fixture, capsys):
         _, fit = total_fixture

@@ -143,6 +143,11 @@ class TestSBC:
         with pytest.raises(ConfigError):
             sbc_run("joint", small_sbc(), replicates=1, seed=0)
 
+    @pytest.mark.parametrize("replicates", [0, -3])
+    def test_needs_a_replicate(self, replicates):
+        with pytest.raises(ConfigError, match="at least 1 replicate"):
+            sbc_run("total", small_sbc(), replicates=replicates, seed=0)
+
     def test_skipped_variance_update_detectable(self):
         # with the observation-variance update disabled, sigma never moves off
         # its initial value, so true sigma almost always falls on one side
