@@ -19,7 +19,6 @@ from .errors import (
     DegenerateCovarianceError,
     DegenerateDataError,
     LandmixError,
-    SectorMismatchError,
 )
 from .model import (
     Cov2,
@@ -34,11 +33,7 @@ from .model import (
     TotalEffects,
     TotalParams,
     build_covariance,
-    linear_predictor,
-    log_likelihood,
-    log_posterior_unnorm,
-    log_prior,
-    log_random_effects_density,
+    log_density,
 )
 from .oracle import (
     GridSpec,

@@ -28,7 +28,7 @@ from .diagnostics import (
     summary_csv_rows,
     table_param_order,
 )
-from .errors import ConfigError, DataFormatError, DegenerateDataError, LandmixError
+from .errors import ConfigError, DataFormatError, DegenerateDataError, LandmixError, utf8_text
 from .model import Sector, params_from_dict, params_to_dict
 from .oracle import SBCConfig, sbc_run
 from .sampler import ChainConfig, ChainDraws, run_chains
@@ -85,8 +85,9 @@ def _write_draws_csv(path: Path, draws: ChainDraws) -> None:
 
 def _draws_damage(path, first_line: int, width: int) -> str:
     """Where and how a draw file's body is damaged: the first line that is
-    not ``width`` numbers, else "no draws" after the last line.  Runs only
-    after the bulk parse has failed; each line is parsed as loadtxt would."""
+    not ``width`` finite numbers, else "no draws" after the last line.  Runs
+    only after the bulk parse has failed; each line is parsed as loadtxt
+    would."""
     lineno = first_line - 1
     with open(path, newline="", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -94,28 +95,32 @@ def _draws_damage(path, first_line: int, width: int) -> str:
             if lineno < first_line or not text:
                 continue
             try:
-                n = np.loadtxt([text], delimiter=",", ndmin=2, comments=None).shape[1]
+                row = np.loadtxt([text], delimiter=",", ndmin=2, comments=None)
             except ValueError as exc:
                 return f"{path}:{lineno}: {str(exc).partition(' at row')[0]}"
-            if n != width:
-                return f"{path}:{lineno}: {n} values for {width} columns"
+            if row.shape[1] != width:
+                return f"{path}:{lineno}: {row.shape[1]} values for {width} columns"
+            if not np.isfinite(row).all():
+                return f"{path}:{lineno}: a value is not finite"
     return f"{path}:{lineno}: no draws"
 
 
 def read_draws_csv(path, chain_index: int = 0) -> ChainDraws:
     """Read one chain's draw file; a damaged file raises DataFormatError."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        names = next(reader, [])
-        try:
-            with warnings.catch_warnings():
-                # a header-only file is reported below, not warned about
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-        except ValueError:
-            arr = None
-    if arr is None or arr.shape[0] == 0 or arr.shape[1] != len(names):
-        raise DataFormatError(_draws_damage(path, reader.line_num + 1, len(names)))
+    with utf8_text(path):
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            names = next(reader, [])
+            try:
+                with warnings.catch_warnings():
+                    # a header-only file is reported below, not warned about
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            except ValueError:
+                arr = None
+        if arr is None or arr.shape[0] == 0 or arr.shape[1] != len(names) or \
+                not np.isfinite(arr).all():
+            raise DataFormatError(_draws_damage(path, reader.line_num + 1, len(names)))
     return ChainDraws(
         {name: arr[:, k] for k, name in enumerate(names)}, {}, chain_index
     )
@@ -134,7 +139,8 @@ _MANIFEST_TYPES = {
 
 
 def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    with utf8_text(path):
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(manifest, dict):
         raise ConfigError(f"{path}: manifest is not a JSON object")
     missing = [key for key in required if key not in manifest]
@@ -162,7 +168,9 @@ def _read_fit_dir(fit_dir: Path, required: tuple[str, ...] = ("model", "chains")
 
 def _config_file_values(path: Path) -> dict[str, str]:
     out = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    with utf8_text(path, ConfigError):
+        text = path.read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -219,8 +227,6 @@ def _resolve_fit_settings(args) -> dict:
 
 def cmd_fit(args) -> int:
     settings = _resolve_fit_settings(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     data_path = Path(settings["data"])
     sha = _checked_sha256(data_path, settings.pop("_expected_sha", None))
     data = load_landings(data_path, settings["model"])
@@ -232,6 +238,8 @@ def cmd_fit(args) -> int:
         seed=settings["seed"],
     )
     chains = run_chains(settings["model"], data, config, parallel=args.parallel)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for ch in chains:
         _write_draws_csv(out_dir / f"draws_chain{ch.chain_index}.csv", ch)
     order = table_param_order(settings["model"])
@@ -267,15 +275,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     truth_values = dict(_DEFAULT_TRUTH[args.model])
     if args.truth:
-        truth_values.update(json.loads(Path(args.truth).read_text(encoding="utf-8")))
+        with utf8_text(args.truth):
+            truth_values.update(json.loads(Path(args.truth).read_text(encoding="utf-8")))
     params = params_from_dict(args.model, truth_values)
     data, effects = simulate_dataset(
         args.model, params, args.countries, args.years, seed=args.seed
     )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_landings(data, out_dir / "data.csv", span_start=args.span_start)
     truth = {"model": args.model, "params": params_to_dict(params), "effects": {}}
     for i, label in enumerate(data.labels):
@@ -312,7 +321,7 @@ def cmd_simulate(args) -> int:
 def _export_figure1(args) -> list[list]:
     if not args.data:
         raise ConfigError("--figure 1 requires --data")
-    with open(args.data, newline="", encoding="utf-8") as fh:
+    with utf8_text(args.data), open(args.data, newline="", encoding="utf-8") as fh:
         rows = _parse_rows(fh, (args.span_start, args.span_start + 200))
     out = [["country", "year", "log_tonnes", "sector"]]
     for country, year, sector, tonnes in rows:
@@ -377,8 +386,6 @@ def cmd_export(args) -> int:
 
 
 def cmd_sbc(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     skip = ("obs_variance",) if args.skip_variance_update else ()
     chain = ChainConfig(
         iterations=args.iters,
@@ -390,6 +397,8 @@ def cmd_sbc(args) -> int:
     )
     config = SBCConfig(n_countries=args.countries, horizon=args.years, chain=chain)
     result = sbc_run("total", config, args.replicates, args.seed)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ranks.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "replicate", "rank"])
@@ -496,7 +505,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFormatError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataFormatError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (LandmixError, FloatingPointError) as exc:

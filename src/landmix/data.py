@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, utf8_text
 from .model import (
     Dataset,
     JointEffects,
@@ -81,7 +81,7 @@ def load_landings(path, model_kind: str, span: tuple[int, int] = DEFAULT_SPAN) -
     """
     if model_kind not in ("total", "joint"):
         raise ConfigError(f"unknown model kind {model_kind!r}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with utf8_text(path), open(path, newline="", encoding="utf-8") as fh:
         rows = _parse_rows(fh, span)
 
     labels: list[str] = []

@@ -13,9 +13,9 @@ with array operations, and computes per sector the centred per-country
 statistics ``StreamStats`` on which every full conditional depends.
 
 Priors: N(0, intercept_sd^2) on the fixed intercepts, U(0, sd_bound) on
-every standard deviation, U(-1, 1) on the correlations.  Out-of-support
-states evaluate to -inf rather than raising, so Metropolis rejection can
-handle boundary proposals uniformly.
+every standard deviation, U(-1, 1) on the correlations.  ``log_density``
+evaluates the unnormalised log posterior of either model, term by term,
+from those statistics; out-of-support values give -inf.
 """
 
 from __future__ import annotations
@@ -23,15 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import (
-    DataFormatError,
-    DegenerateCovarianceError,
-    SectorMismatchError,
-)
+from .errors import ConfigError, DataFormatError, DegenerateCovarianceError
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -56,6 +52,15 @@ class PriorSpec:
 
     intercept_sd: float = 10.0
     sd_bound: float = 10.0
+
+    def support(self, name: str) -> tuple[float, float] | None:
+        """The open interval of a parameter's uniform prior; None for an
+        intercept, whose prior is normal."""
+        if name.startswith("rho"):
+            return -1.0, 1.0
+        if name.startswith("sigma"):
+            return 0.0, self.sd_bound
+        return None
 
 
 @dataclass(frozen=True)
@@ -287,114 +292,82 @@ def build_covariance(sd_a: float, sd_b: float, rho: float) -> Cov2:
     return Cov2(sd_a * sd_a, off, sd_b * sd_b)
 
 
-def _is_total(state: ModelState) -> bool:
-    return isinstance(state.params, TotalParams)
+class LogDensity(NamedTuple):
+    """The terms of a state's unnormalised log posterior.  Each is a float,
+    or an array of the broadcast shape of the values it depends on."""
+
+    likelihood: np.ndarray
+    effects: np.ndarray
+    prior: np.ndarray
+
+    @property
+    def posterior(self):
+        """The sum of the terms; -inf wherever the prior is, also where an
+        out-of-support value leaves the other terms undefined."""
+        with np.errstate(invalid="ignore"):
+            total = self.likelihood + self.effects + self.prior
+        return np.where(self.prior > -np.inf, total, -np.inf)[()]
 
 
-def linear_predictor(state: ModelState, country: int, t: float, sector: Sector) -> float:
-    """Model mean for one (country, time, sector) cell."""
-    if _is_total(state):
-        if sector is not Sector.TOTAL:
-            raise SectorMismatchError(f"total model has no {sector.value} stream")
-        p, e = state.params, state.effects
-        return p.beta0 + e.b0[country] + e.b1[country] * t
-    if sector is Sector.INDUSTRIAL:
-        p, e = state.params, state.effects
-        return p.beta0_ind + e.b0_ind[country] + e.b1_ind[country] * t
-    if sector is Sector.ARTISANAL:
-        p, e = state.params, state.effects
-        return p.beta0_art + e.b0_art[country] + e.b1_art[country] * t
-    raise SectorMismatchError("joint model has no total stream")
+def log_density(state: ModelState, data: Dataset, priors: PriorSpec = PriorSpec()) -> LogDensity:
+    """The log likelihood, log random-effects density and log prior of a
+    total- or joint-model state.
 
-
-def _normal_logpdf_sum(resid: np.ndarray, sigma: float) -> float:
-    n = resid.size
-    return -0.5 * n * LOG_2PI - n * math.log(sigma) - 0.5 * float(resid @ resid) / (sigma * sigma)
-
-
-def log_likelihood(state: ModelState, data: Dataset) -> float:
-    """Sum of normal log densities over every observation in the panel."""
-    if _is_total(state):
-        p, e = state.params, state.effects
-        c, t, y = data.arrays(Sector.TOTAL)
-        if y.size != data.n_obs:
-            raise SectorMismatchError("total model requires a total-sector dataset")
-        resid = y - (p.beta0 + e.b0[c] + e.b1[c] * t)
-        return _normal_logpdf_sum(resid, p.sigma)
+    Parameters may be numpy arrays that broadcast against each other, and
+    each effect field may be any per-country sequence, such as a list that
+    mixes floats with arrays: a lattice axis on one country's effect is
+    never stacked with the others'.  The data enter only through
+    ``Dataset.stats``, so the cost is O(C) array operations, not O(N).
+    """
     p, e = state.params, state.effects
-    if Sector.TOTAL in data.sectors_present():
-        raise SectorMismatchError("joint model cannot score total-sector observations")
-    out = 0.0
-    ci, ti, yi = data.arrays(Sector.INDUSTRIAL)
-    if yi.size:
-        out += _normal_logpdf_sum(yi - (p.beta0_ind + e.b0_ind[ci] + e.b1_ind[ci] * ti), p.sigma)
-    ca, ta, ya = data.arrays(Sector.ARTISANAL)
-    if ya.size:
-        out += _normal_logpdf_sum(ya - (p.beta0_art + e.b0_art[ca] + e.b1_art[ca] * ta), p.sigma)
-    return out
+    if isinstance(p, TotalParams):
+        kind = "total"
+        streams = [(Sector.TOTAL, p.beta0, e.b0, e.b1)]
+        # independent intercept and slope effects: a pair with correlation 0
+        blocks = [(e.b0, e.b1, p.sigma0, p.sigma1, 0.0)]
+    else:
+        kind = "joint"
+        streams = [
+            (Sector.INDUSTRIAL, p.beta0_ind, e.b0_ind, e.b1_ind),
+            (Sector.ARTISANAL, p.beta0_art, e.b0_art, e.b1_art),
+        ]
+        blocks = [
+            (e.b0_ind, e.b0_art, p.sigma0_ind, p.sigma0_art, p.rho0),
+            (e.b1_ind, e.b1_art, p.sigma1_ind, p.sigma1_art, p.rho1),
+        ]
+    n_obs = sum(data.stats(sector).n_obs for sector, *_ in streams)
+    if n_obs != data.n_obs:
+        raise ConfigError(f"panel has rows outside the {kind} model's sectors")
+    C = data.n_countries
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rss = 0.0  # Σ (y − mean)², from the centred statistics of each country
+        for sector, beta0, b0, b1 in streams:
+            s = data.stats(sector)
+            for c in np.flatnonzero(s.n):
+                d = s.ybar[c] - beta0 - b0[c] - b1[c] * s.tbar[c]
+                rss = rss + s.syy[c] + b1[c] * (b1[c] * s.stt[c] - 2.0 * s.sty[c]) + s.n[c] * d * d
+        likelihood = -n_obs * (0.5 * LOG_2PI + np.log(p.sigma)) - 0.5 * rss / (p.sigma * p.sigma)
 
+        effects = 0.0  # centred bivariate normal pairs, through their scatter S
+        for x1, x2, sd1, sd2, rho in blocks:
+            s11, s12, s22 = (
+                sum(u[c] * v[c] for c in range(C)) for u, v in ((x1, x1), (x1, x2), (x2, x2))
+            )
+            omr = 1.0 - rho * rho
+            quad = (s11 / (sd1 * sd1) - 2.0 * rho * s12 / (sd1 * sd2) + s22 / (sd2 * sd2)) / omr
+            log_det = 2.0 * (np.log(sd1) + np.log(sd2)) + np.log(omr)
+            effects = effects - C * (LOG_2PI + 0.5 * log_det) - 0.5 * quad
 
-def bivariate_normal_logpdf(x1, x2, cov: Cov2):
-    """Closed-form centered bivariate normal log density (vectorized)."""
-    q11, q12, q22 = cov.inv_entries()
-    quad = q11 * x1 * x1 + 2.0 * q12 * x1 * x2 + q22 * x2 * x2
-    return -LOG_2PI - 0.5 * math.log(cov.det) - 0.5 * quad
-
-
-def log_random_effects_density(state: ModelState) -> float:
-    """Log density of all random effects given the current variance parameters."""
-    if _is_total(state):
-        p, e = state.params, state.effects
-        return _normal_logpdf_sum(e.b0, p.sigma0) + _normal_logpdf_sum(e.b1, p.sigma1)
-    p, e = state.params, state.effects
-    cov0 = build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
-    cov1 = build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)
-    t0 = bivariate_normal_logpdf(e.b0_ind, e.b0_art, cov0)
-    t1 = bivariate_normal_logpdf(e.b1_ind, e.b1_art, cov1)
-    return float(np.sum(t0) + np.sum(t1))
-
-
-def _log_uniform(x: float, lo: float, hi: float) -> float:
-    if not (lo < x < hi):
-        return -math.inf
-    return -math.log(hi - lo)
-
-
-def log_prior(params: Params, priors: PriorSpec = PriorSpec()) -> float:
-    """Joint log prior; -inf outside any support."""
-    sd = priors.intercept_sd
-    bound = priors.sd_bound
-
-    def intercept(b: float) -> float:
-        return -0.5 * LOG_2PI - math.log(sd) - 0.5 * (b / sd) ** 2
-
-    if isinstance(params, TotalParams):
-        out = intercept(params.beta0)
-        for s in (params.sigma, params.sigma0, params.sigma1):
-            out += _log_uniform(s, 0.0, bound)
-        return out
-    out = intercept(params.beta0_ind) + intercept(params.beta0_art)
-    for s in (
-        params.sigma,
-        params.sigma0_ind,
-        params.sigma0_art,
-        params.sigma1_ind,
-        params.sigma1_art,
-    ):
-        out += _log_uniform(s, 0.0, bound)
-    out += _log_uniform(params.rho0, -1.0, 1.0)
-    out += _log_uniform(params.rho1, -1.0, 1.0)
-    return out
-
-
-def log_posterior_unnorm(
-    state: ModelState, data: Dataset, priors: PriorSpec = PriorSpec()
-) -> float:
-    """log likelihood + log random-effects density + log prior; -inf propagates."""
-    lp = log_prior(state.params, priors)
-    if lp == -math.inf:
-        return -math.inf
-    return lp + log_likelihood(state, data) + log_random_effects_density(state)
+        prior = 0.0
+        for name, x in params_to_dict(p).items():
+            support = priors.support(name)
+            if support is None:
+                sd = priors.intercept_sd
+                prior = prior - 0.5 * LOG_2PI - math.log(sd) - 0.5 * (x / sd) ** 2
+            else:
+                lo, hi = support
+                prior = prior + np.where((lo < x) & (x < hi), -math.log(hi - lo), -np.inf)
+    return LogDensity(likelihood, effects, prior)
 
 
 TOTAL_PARAM_NAMES = ("beta0", "sigma", "sigma0", "sigma1")

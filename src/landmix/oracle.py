@@ -1,7 +1,7 @@
 """Independent reference computations used to validate the sampler.
 
 Three routes: exact conjugate posteriors, brute-force grid quadrature of
-the unnormalized posterior on tiny total-model instances, and a
+the unnormalized posterior of either model over a few free axes, and a
 simulation-based calibration (SBC) harness that exercises the full
 prior-to-posterior pipeline.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.stats import chisquare
@@ -19,19 +19,24 @@ from .data import simulate_dataset
 from .diagnostics import _tau_and_ess, split_rhat
 from .errors import ConfigError, DegenerateDataError
 from .model import (
-    LOG_2PI,
     Dataset,
+    JointParams,
     ModelState,
     PriorSpec,
     Sector,
     TotalEffects,
     TotalParams,
+    log_density,
+    params_from_dict,
+    params_to_dict,
 )
 from .sampler import ChainConfig, run_chains
 
 GRID_GUARD = 10_000_000
 
-_EFFECT_AXIS = re.compile(r"^b([01])\[(\d+)\]$")
+_EFFECT_AXIS = re.compile(r"(b[01](?:_[IA])?)\[(\d+)\]")
+# effect-axis tags, in the order of the model's effect fields
+_EFFECT_TAGS = {"total": ("b0", "b1"), "joint": ("b0_I", "b0_A", "b1_I", "b1_A")}
 
 
 def conjugate_posterior_beta0(
@@ -56,6 +61,8 @@ class GridSpec:
     axes: dict[str, tuple[float, float, int]]
 
     def __post_init__(self) -> None:
+        if not self.axes:
+            raise ConfigError("grid needs at least one axis")
         total = 1
         for name, (lo, hi, n) in self.axes.items():
             if not (lo < hi) or n < 2:
@@ -96,78 +103,56 @@ def grid_log_posterior(
     """Evaluate the unnormalized log posterior on the lattice, normalize by
     log-sum-exp, and return the marginal distribution of every free axis.
 
-    Only the total model is supported; the joint model is validated by
-    recovery tests instead.  Free axes may be any of beta0, sigma, sigma0,
-    sigma1 and per-country effects ``b0[i]`` / ``b1[i]``; everything else
-    is fixed at the values in ``fixed``.
+    Free axes may be any parameter of the model (``TOTAL_PARAM_NAMES`` or
+    ``JOINT_PARAM_NAMES``) and per-country effects such as ``b0[i]`` or
+    ``b1_A[i]``; everything else is fixed at the values in ``fixed``.  Sd
+    and correlation axes take cell midpoints, which keeps them strictly
+    inside their prior's support; every other axis includes both ends.
     """
-    if model_kind != "total":
-        raise ConfigError("grid oracle supports the total model only")
-    params = fixed.params
-    if not isinstance(params, TotalParams):
-        raise ConfigError("fixed state must carry total-model parameters")
+    kind = {"total": TotalParams, "joint": JointParams}.get(model_kind, ())
+    if not isinstance(fixed.params, kind):
+        raise ConfigError(f"fixed state must carry {model_kind}-model parameters")
+    params = params_to_dict(fixed.params)
+    tags = _EFFECT_TAGS[model_kind]
+    effects = [list(getattr(fixed.effects, f.name)) for f in fields(fixed.effects)]
     names = list(spec.axes)
-    ndim = len(names)
     axis_vals: dict[str, np.ndarray] = {}
-    grids: dict[str, np.ndarray] = {}
     for k, name in enumerate(names):
         lo, hi, n = spec.axes[name]
-        if name in ("sigma", "sigma0", "sigma1") and not (0 <= lo and hi <= priors.sd_bound):
-            raise ConfigError(f"axis {name!r} bounds outside prior support")
-        if name in ("sigma", "sigma0", "sigma1"):
-            # cell midpoints: keeps the axis strictly inside (0, bound)
-            h = (hi - lo) / n
-            vals = lo + h * (np.arange(n) + 0.5)
-        else:
+        effect = _EFFECT_AXIS.fullmatch(name)
+        if effect and effect[1] in tags and int(effect[2]) < data.n_countries:
+            column, key = effects[tags.index(effect[1])], int(effect[2])
             vals = np.linspace(lo, hi, n)
+        elif name in params:
+            column, key = params, name
+            support = priors.support(name)
+            if support is None:
+                vals = np.linspace(lo, hi, n)
+            elif support[0] <= lo and hi <= support[1]:
+                vals = lo + (hi - lo) / n * (np.arange(n) + 0.5)
+            else:
+                raise ConfigError(f"axis {name!r} bounds outside prior support")
+        else:
+            raise ConfigError(
+                f"no {model_kind}-model axis {name!r} on {data.n_countries} countries"
+            )
         axis_vals[name] = vals
-        shape = [1] * ndim
-        shape[k] = n
-        grids[name] = vals.reshape(shape)
+        column[key] = vals.reshape([n if j == k else 1 for j in range(len(names))])
 
-    C = data.n_countries
-
-    def value(name, default):
-        return grids.get(name, default)
-
-    beta0 = value("beta0", params.beta0)
-    sigma = value("sigma", params.sigma)
-    sigma0 = value("sigma0", params.sigma0)
-    sigma1 = value("sigma1", params.sigma1)
-    b0 = [value(f"b0[{i}]", float(fixed.effects.b0[i])) for i in range(C)]
-    b1 = [value(f"b1[{i}]", float(fixed.effects.b1[i])) for i in range(C)]
-
-    lp = np.zeros([spec.axes[n][2] for n in names])
-    # prior
-    lp = lp - 0.5 * LOG_2PI - math.log(priors.intercept_sd) - 0.5 * (beta0 / priors.intercept_sd) ** 2
-    lp = lp - 3.0 * math.log(priors.sd_bound)
-    # likelihood
-    log_sigma = np.log(sigma)
-    inv2s2 = 0.5 / (sigma * sigma)
-    c, t, y = data.arrays(Sector.TOTAL)
-    if y.size != data.n_obs:
-        raise ConfigError("grid oracle expects total-sector observations")
-    for ci, ti, yi in zip(c.tolist(), t.tolist(), y.tolist()):
-        resid = yi - (beta0 + b0[ci] + b1[ci] * ti)
-        lp = lp - 0.5 * LOG_2PI - log_sigma - resid * resid * inv2s2
-    # random-effects density
-    log_s0 = np.log(sigma0)
-    log_s1 = np.log(sigma1)
-    for i in range(C):
-        lp = lp - 0.5 * LOG_2PI - log_s0 - 0.5 * (b0[i] / sigma0) ** 2
-        lp = lp - 0.5 * LOG_2PI - log_s1 - 0.5 * (b1[i] / sigma1) ** 2
-
-    lmax = float(np.max(lp))
-    w = np.exp(lp - lmax)
+    state = ModelState(params_from_dict(model_kind, params), type(fixed.effects)(*effects))
+    w = log_density(state, data, priors).posterior
+    lmax = float(np.max(w))
+    if not math.isfinite(lmax):
+        raise ConfigError(f"log posterior is {lmax} everywhere on the lattice")
+    w -= lmax
+    np.exp(w, out=w)
     z = float(np.sum(w))
     w /= z
-    log_norm = lmax + math.log(z)
-
-    marginals = {}
-    for k, name in enumerate(names):
-        other = tuple(j for j in range(ndim) if j != k)
-        marginals[name] = np.sum(w, axis=other) if other else w.copy()
-    return GridResult(axis_vals, marginals, log_norm)
+    marginals = {
+        name: np.sum(w, axis=tuple(j for j in range(len(names)) if j != k))
+        for k, name in enumerate(names)
+    }
+    return GridResult(axis_vals, marginals, lmax + math.log(z))
 
 
 # -- simulation-based calibration ---------------------------------------------
@@ -243,6 +228,8 @@ def sbc_run(
         raise ConfigError("SBC harness supports the total model only")
     if replicates < 1:
         raise ConfigError(f"SBC needs at least 1 replicate, got {replicates}")
+    if config.chain.chains < 2:
+        raise ConfigError(f"SBC's R-hat gate needs at least 2 chains, got {config.chain.chains}")
     priors = config.chain.priors
     ranks: dict[str, list[int]] = {p: [] for p in _SBC_PARAMS}
     excluded = 0

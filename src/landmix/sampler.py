@@ -693,6 +693,8 @@ def run_chains(
     Output order is by chain index regardless of completion order, and the
     draws are identical whether chains run sequentially or concurrently.
     """
+    if parallel < 1:
+        raise ConfigError(f"parallel must be at least 1, got {parallel}")
     tasks = [(model_kind, data, config, k, init_state) for k in range(config.chains)]
     if parallel > 1 and config.chains > 1:
         with ProcessPoolExecutor(max_workers=min(parallel, config.chains)) as pool:

@@ -206,6 +206,74 @@ class TestExitCodes:
         mpath.write_text(json.dumps(manifest))
         assert run("fit", "--from-manifest", mpath, "--out", tmp_path / "x") == 3
 
+    @pytest.mark.parametrize("failure", ["missing_data_file", "checksum_mismatch"])
+    def test_failed_fit_leaves_no_output_dir(self, total_fixture, tmp_path, failure):
+        _, fit = total_fixture
+        if failure == "missing_data_file":
+            args = ["--model", "total", "--data", tmp_path / "nope.csv"]
+        else:
+            mpath = self.manifest_with(fit, "data_sha256", "0" * 64, tmp_path)
+            args = ["--from-manifest", mpath]
+        assert run("fit", *args, "--out", tmp_path / "out" / "fit") == 3
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", ["out_is_a_file", "manifest_is_a_directory"])
+    def test_unusable_path(self, total_fixture, tmp_path, capsys, path):
+        sim, _ = total_fixture
+        if path == "out_is_a_file":
+            (tmp_path / "x").touch()
+            argv = ["fit", "--model", "total", "--data", sim / "data.csv", "--chains", "1",
+                    "--iters", "20", "--burnin", "5", "--thin", "1", "--out", tmp_path / "x"]
+        else:
+            (tmp_path / "manifest.json").mkdir()
+            argv = ["summarize", "--fit", tmp_path]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_parallel_below_one(self, total_fixture, tmp_path, capsys, value):
+        sim, _ = total_fixture
+        assert run("fit", "--model", "total", "--data", sim / "data.csv", "--chains", "2",
+                   "--iters", "20", "--burnin", "5", "--thin", "1", "--parallel", value,
+                   "--out", tmp_path / "x") == 2
+        assert "parallel" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @staticmethod
+    def not_utf8(path):
+        # a byte-order mark of UTF-16: bytes 0xff 0xfe never occur in UTF-8
+        path.write_bytes(b"\xff\xfe" + path.read_bytes())
+
+    @pytest.mark.parametrize("kind, code", [
+        ("data", 3), ("figure1_data", 3), ("manifest", 3), ("draws", 3), ("truth", 3),
+        ("config", 2),
+    ])
+    def test_input_not_utf8(self, total_fixture, tmp_path, capsys, kind, code):
+        sim, fit = total_fixture
+        for name in ("data.csv", "truth.json"):
+            shutil.copy(sim / name, tmp_path / name)
+        for name in ("manifest.json", "draws_chain0.csv", "draws_chain1.csv"):
+            shutil.copy(fit / name, tmp_path / name)
+        config = tmp_path / "fit.cfg"
+        config.write_text(f"model = total\ndata = {tmp_path / 'data.csv'}\n")
+        damaged, argv = {
+            "data": ("data.csv", ["fit", "--model", "total", "--data", tmp_path / "data.csv"]),
+            "figure1_data": ("data.csv", ["export", "--figure", "1",
+                                          "--data", tmp_path / "data.csv"]),
+            "manifest": ("manifest.json", ["fit", "--from-manifest", tmp_path / "manifest.json"]),
+            "draws": ("draws_chain1.csv", ["summarize", "--fit", tmp_path]),
+            "truth": ("truth.json", ["simulate", "--model", "total",
+                                     "--truth", tmp_path / "truth.json"]),
+            "config": ("fit.cfg", ["fit", "--config", config]),
+        }[kind]
+        self.not_utf8(tmp_path / damaged)
+        if argv[0] != "summarize":
+            argv += ["--out", tmp_path / "out"]
+        assert run(*argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{damaged}: not UTF-8 text" in err
+
     @staticmethod
     def manifest_without(fit, key, tmp_path):
         manifest = json.loads((fit / "manifest.json").read_text())
@@ -292,10 +360,24 @@ class TestExitCodes:
         lines[2] = "," + lines[2].split(",", 1)[1]
         return "".join(lines)
 
+    @staticmethod
+    def cell_on_line(lineno, cell):
+        """A damage that makes ``cell`` the first value on line ``lineno``."""
+        def damage(text):
+            lines = text.splitlines(keepends=True)
+            lines[lineno - 1] = cell + "," + lines[lineno - 1].split(",", 1)[1]
+            return "".join(lines)
+        return staticmethod(damage)
+
+    nan_on_line_3 = cell_on_line(3, "nan")
+    inf_on_line_4 = cell_on_line(4, "-inf")
+    overflow_on_line_2 = cell_on_line(2, "1e999")
+
     @pytest.mark.parametrize("damage, line", [
         ("header_only", 1), ("non_numeric_on_line_3", 3), ("short_row_on_line_4", 4),
         ("long_row_on_line_2", 2), ("empty_cell_on_line_3", 3),
         ("blank_line_3_then_short_row_on_line_5", 5), ("header_lacks_a_name", 2),
+        ("nan_on_line_3", 3), ("inf_on_line_4", 4), ("overflow_on_line_2", 2),
     ])
     def test_damaged_draw_file(self, total_fixture, tmp_path, capsys, damage, line):
         _, fit = total_fixture
@@ -474,6 +556,13 @@ class TestSbcAndSummarize:
     def test_sbc_needs_a_replicate(self, tmp_path, capsys, replicates):
         assert run("sbc", "--replicates", replicates, "--out", tmp_path / "sbc") == 2
         assert "replicate" in capsys.readouterr().err
+
+    def test_sbc_needs_two_chains(self, tmp_path, capsys):
+        assert run("sbc", "--replicates", "3", "--chains", "1", "--iters", "60",
+                   "--burnin", "30", "--countries", "3", "--years", "6",
+                   "--out", tmp_path / "sbc") == 2
+        assert "at least 2 chains" in capsys.readouterr().err
+        assert not (tmp_path / "sbc").exists()
 
     def test_sbc_writes_strict_json_when_every_replicate_excluded(self, tmp_path,
                                                                   monkeypatch):

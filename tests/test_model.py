@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landmix.errors import DegenerateCovarianceError, SectorMismatchError
+from landmix.errors import ConfigError, DegenerateCovarianceError
 from landmix.model import (
     LOG_2PI,
     Dataset,
+    ModelState,
     PriorSpec,
     Sector,
+    TotalEffects,
     build_covariance,
-    linear_predictor,
-    log_likelihood,
-    log_posterior_unnorm,
-    log_prior,
-    log_random_effects_density,
+    log_density,
+    params_from_dict,
+    params_to_dict,
 )
 
 from conftest import joint_state, make_joint_dataset, make_total_dataset, total_state
@@ -24,69 +24,92 @@ from conftest import joint_state, make_joint_dataset, make_total_dataset, total_
 JOINT_OK = (8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.06, 0.5, 0.9)
 
 
+def countries(state):
+    e = state.effects
+    return len(e.b0 if isinstance(e, TotalEffects) else e.b0_ind)
+
+
+def density(state, data=None, priors=PriorSpec()):
+    """The density terms of ``state``, on an empty panel of its countries
+    unless ``data`` is given."""
+    return log_density(state, data or make_joint_dataset([], countries(state)), priors)
+
+
+def zero_residual(state, country, t, sector, y):
+    """Whether ``y`` is the model mean of one (country, t, sector) cell: with
+    sigma = 1, a one-row panel's log likelihood is -log(2 pi)/2 exactly then."""
+    data = make_joint_dataset([(country, t, sector, y)], countries(state))
+    return density(state, data).likelihood == -0.5 * LOG_2PI
+
+
 class TestLinearPredictor:
     def test_zero_effects_returns_intercept(self):
         state = total_state(8.098, 1.0, 1.0, 1.0, [0.0], [0.0])
-        assert linear_predictor(state, 0, 30, Sector.TOTAL) == pytest.approx(8.098)
+        assert zero_residual(state, 0, 30, Sector.TOTAL, 8.098)
 
     def test_time_zero_drops_slope(self):
         state = total_state(0.0, 1.0, 1.0, 1.0, [1.0], [2.0])
-        assert linear_predictor(state, 0, 0, Sector.TOTAL) == 1.0
+        assert zero_residual(state, 0, 0, Sector.TOTAL, 1.0)
 
     def test_full_combination(self):
         state = total_state(5.0, 1.0, 1.0, 1.0, [-1.0], [0.5])
-        assert linear_predictor(state, 0, 4, Sector.TOTAL) == pytest.approx(6.0)
+        assert zero_residual(state, 0, 4, Sector.TOTAL, 6.0)
+        assert not zero_residual(state, 0, 4, Sector.TOTAL, 6.5)
 
     def test_sector_mismatch_raises(self):
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        with pytest.raises(SectorMismatchError):
-            linear_predictor(state, 0, 0, Sector.INDUSTRIAL)
+        with pytest.raises(ConfigError):
+            density(state, make_joint_dataset([(0, 0, Sector.INDUSTRIAL, 1.0)], 1))
         jstate = joint_state(JOINT_OK, [0.0], [0.0], [0.0], [0.0])
-        with pytest.raises(SectorMismatchError):
-            linear_predictor(jstate, 0, 0, Sector.TOTAL)
+        with pytest.raises(ConfigError):
+            density(jstate, make_total_dataset([(0, 0, 1.0)], 1))
 
     def test_joint_sectors(self):
-        jstate = joint_state(JOINT_OK, [1.0], [2.0], [0.1], [0.2])
-        assert linear_predictor(jstate, 0, 10, Sector.INDUSTRIAL) == pytest.approx(8 + 1 + 1.0)
-        assert linear_predictor(jstate, 0, 10, Sector.ARTISANAL) == pytest.approx(5 + 2 + 2.0)
+        jstate = joint_state((8.0, 5.0, 1.0, *JOINT_OK[3:]), [1.0], [2.0], [0.1], [0.2])
+        assert zero_residual(jstate, 0, 10, Sector.INDUSTRIAL, 8 + 1 + 1.0)
+        assert zero_residual(jstate, 0, 10, Sector.ARTISANAL, 5 + 2 + 2.0)
 
 
 class TestLogLikelihood:
     def test_zero_residual_unit_sigma(self):
         data = make_total_dataset([(0, 0, 3.0)], 1)
         state = total_state(3.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        assert log_likelihood(state, data) == pytest.approx(-0.9189385332046727, abs=1e-9)
+        assert density(state, data).likelihood == pytest.approx(-0.9189385332046727, abs=1e-9)
 
     def test_zero_residual_table_sigma(self):
         data = make_total_dataset([(0, 0, 3.0)], 1)
         state = total_state(3.0, 0.541, 1.0, 1.0, [0.0], [0.0])
         expected = -0.5 * LOG_2PI - math.log(0.541)
-        assert log_likelihood(state, data) == pytest.approx(expected, abs=1e-12)
+        assert density(state, data).likelihood == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(-0.3046, abs=1e-3)
 
     def test_two_unit_residuals(self):
         data = make_total_dataset([(0, 0, 1.0), (0, 1, -1.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        assert log_likelihood(state, data) == pytest.approx(-2.8378770664093453, abs=1e-9)
+        assert density(state, data).likelihood == pytest.approx(-2.8378770664093453, abs=1e-9)
 
     def test_permutation_invariance(self, rng):
         entries = [(c, t, float(rng.normal())) for c in range(3) for t in range(5)]
         state = total_state(0.3, 0.8, 1.0, 1.0, rng.normal(size=3), rng.normal(size=3))
-        a = log_likelihood(state, make_total_dataset(entries, 3))
+        a = density(state, make_total_dataset(entries, 3)).likelihood
         rng.shuffle(entries)
-        b = log_likelihood(state, make_total_dataset(entries, 3))
+        b = density(state, make_total_dataset(entries, 3)).likelihood
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_homoscedasticity(self):
         # moving an observation to another country/sector, residual held
         # fixed, leaves its likelihood contribution unchanged
         state = joint_state(JOINT_OK, [1.0, -1.0], [0.5, 2.0], [0.0] * 2, [0.0] * 2)
+        p, e = state.params, state.effects
         resid = 0.7
         contributions = []
-        for country, sector in [(0, Sector.INDUSTRIAL), (1, Sector.INDUSTRIAL), (1, Sector.ARTISANAL)]:
-            mu = linear_predictor(state, country, 3, sector)
+        for country, sector, mu in [
+            (0, Sector.INDUSTRIAL, p.beta0_ind + e.b0_ind[0]),
+            (1, Sector.INDUSTRIAL, p.beta0_ind + e.b0_ind[1]),
+            (1, Sector.ARTISANAL, p.beta0_art + e.b0_art[1]),
+        ]:
             data = make_joint_dataset([(country, 3, sector, mu + resid)], 2)
-            contributions.append(log_likelihood(state, data))
+            contributions.append(density(state, data).likelihood)
         assert contributions[0] == pytest.approx(contributions[1], rel=1e-12)
         assert contributions[0] == pytest.approx(contributions[2], rel=1e-12)
 
@@ -97,24 +120,24 @@ class TestLogLikelihood:
         both = make_joint_dataset(
             [(0, 0, Sector.INDUSTRIAL, 8.0), (0, 0, Sector.ARTISANAL, 5.0)], 1
         )
-        assert log_likelihood(state, both) == pytest.approx(
-            log_likelihood(state, data_i) + log_likelihood(state, data_a), rel=1e-12
+        assert density(state, both).likelihood == pytest.approx(
+            density(state, data_i).likelihood + density(state, data_a).likelihood, rel=1e-12
         )
 
 
 class TestRandomEffectsDensity:
     def test_total_standard_normal(self):
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        assert log_random_effects_density(state) == pytest.approx(-LOG_2PI, abs=1e-12)
+        assert density(state).effects == pytest.approx(-LOG_2PI, abs=1e-12)
 
     def test_joint_independence_case(self):
         state = joint_state((0, 0, 1, 1, 1, 1, 1, 0.0, 0.0), [0.0], [0.0], [0.0], [0.0])
-        assert log_random_effects_density(state) == pytest.approx(-2 * LOG_2PI, abs=1e-12)
+        assert density(state).effects == pytest.approx(-2 * LOG_2PI, abs=1e-12)
 
     def test_joint_correlated_pair(self):
         state = joint_state((0, 0, 1, 1, 1, 1, 1, 0.5, 0.0), [1.0], [1.0], [0.0], [0.0])
         expected = -2 * LOG_2PI - 0.5 * math.log(0.75) - 2.0 / 3.0
-        got = log_random_effects_density(state)
+        got = density(state).effects
         assert got == pytest.approx(expected, abs=1e-12)
         assert got == pytest.approx(-4.1986, abs=1e-3)
         # independent numeric quadratic-form evaluation
@@ -131,23 +154,24 @@ class TestRandomEffectsDensity:
             float(np.sum(-0.5 * LOG_2PI - math.log(s) - 0.5 * (x / s) ** 2))
             for s, x in zip(sds, b)
         )
-        assert log_random_effects_density(state) == pytest.approx(expected, abs=1e-10)
+        assert density(state).effects == pytest.approx(expected, abs=1e-10)
 
 
 class TestLogPrior:
     def test_total_closed_form(self):
-        p = total_state(0.0, 5.0, 5.0, 5.0, [0.0], [0.0]).params
+        state = total_state(0.0, 5.0, 5.0, 5.0, [0.0], [0.0])
         expected = -math.log(10 * math.sqrt(2 * math.pi)) - 3 * math.log(10)
-        assert log_prior(p) == pytest.approx(expected, abs=1e-12)
+        assert density(state).prior == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(-10.130, abs=1e-3)
 
     def test_sd_outside_support(self):
-        p = total_state(0.0, 11.0, 5.0, 5.0, [0.0], [0.0]).params
-        assert log_prior(p) == -math.inf
+        state = total_state(0.0, 11.0, 5.0, 5.0, [0.0], [0.0])
+        assert density(state).prior == -math.inf
 
     def test_rho_outside_support(self):
-        p = joint_state((0, 0, 1, 1, 1, 1, 1, 1.2, 0.0), [0.0], [0.0], [0.0], [0.0]).params
-        assert log_prior(p) == -math.inf
+        state = joint_state((0, 0, 1, 1, 1, 1, 1, 1.2, 0.0), [0.0], [0.0], [0.0], [0.0])
+        assert density(state).prior == -math.inf
+        assert density(state).posterior == -math.inf
 
 
 class TestBuildCovariance:
@@ -202,20 +226,16 @@ class TestLogPosterior:
     def test_out_of_support_propagates(self):
         data = make_total_dataset([(0, 0, 1.0)], 1)
         state = total_state(0.0, 11.0, 1.0, 1.0, [0.0], [0.0])
-        assert log_posterior_unnorm(state, data) == -math.inf
+        assert density(state, data).posterior == -math.inf
 
     @settings(max_examples=50, deadline=None)
     @given(state=total_states())
     def test_is_sum_of_components(self, state):
         C = len(state.effects.b0)
         data = make_total_dataset([(c, t, 0.5 * c + 0.1 * t) for c in range(C) for t in range(3)], C)
-        total = log_posterior_unnorm(state, data)
-        parts = (
-            log_likelihood(state, data)
-            + log_random_effects_density(state)
-            + log_prior(state.params)
-        )
-        assert total == pytest.approx(parts, rel=1e-12, abs=1e-12)
+        terms = density(state, data)
+        parts = terms.likelihood + terms.effects + terms.prior
+        assert terms.posterior == pytest.approx(parts, rel=1e-12, abs=1e-12)
 
     def test_term_by_term_oracle(self):
         # independent re-implementation summing scalar normal densities
@@ -234,17 +254,17 @@ class TestLogPosterior:
             expected += norm_logpdf(state.effects.b0[c], 0.0, 1.4)
             expected += norm_logpdf(state.effects.b1[c], 0.0, 0.3)
         expected += norm_logpdf(0.7, 0.0, 10.0) + 3 * math.log(1.0 / 10.0)
-        assert log_posterior_unnorm(state, data) == pytest.approx(expected, rel=1e-12)
+        assert density(state, data).posterior == pytest.approx(expected, rel=1e-12)
 
 
 class TestPriorSpecOverride:
     def test_tighter_bound_shrinks_support(self):
         priors = PriorSpec(intercept_sd=2.0, sd_bound=3.0)
-        p = total_state(0.0, 5.0, 1.0, 1.0, [0.0], [0.0]).params
-        assert log_prior(p, priors) == -math.inf
-        p_ok = total_state(0.0, 2.0, 1.0, 1.0, [0.0], [0.0]).params
+        state = total_state(0.0, 5.0, 1.0, 1.0, [0.0], [0.0])
+        assert density(state, priors=priors).prior == -math.inf
+        state_ok = total_state(0.0, 2.0, 1.0, 1.0, [0.0], [0.0])
         expected = -0.5 * LOG_2PI - math.log(2.0) - 3 * math.log(3.0)
-        assert log_prior(p_ok, priors) == pytest.approx(expected, abs=1e-12)
+        assert density(state_ok, priors=priors).prior == pytest.approx(expected, abs=1e-12)
 
 
 class TestStreamStats:
@@ -264,3 +284,93 @@ class TestStreamStats:
         direct = float(np.sum((y - a_state[c] - b_state[c] * t) ** 2))
         got = data.stats(Sector.TOTAL).residual_ss(a_state, b_state)
         assert got == pytest.approx(direct, rel=1e-10)
+
+
+def offset_panel(model, rng, C=8, T=45):
+    """A panel and a nearby state whose log-tonnes sit near 1e6, with one
+    year missing per country and, in the joint model, two one-sector
+    countries."""
+    if model == "total":
+        state = total_state(1e6, 0.5, 3.0, 0.05, rng.normal(0, 3, C), rng.normal(0, 0.05, C))
+        e = state.effects
+        means = {Sector.TOTAL: lambda c, t: 1e6 + e.b0[c] + e.b1[c] * t}
+    else:
+        state = joint_state((1e6, 1e6 - 3.0, 0.5, 2.6, 3.8, 0.05, 0.05, 0.67, 0.9),
+                            *rng.normal(0, [[3.0], [3.0], [0.05], [0.05]], (4, C)))
+        e = state.effects
+        means = {Sector.INDUSTRIAL: lambda c, t: 1e6 + e.b0_ind[c] + e.b1_ind[c] * t,
+                 Sector.ARTISANAL: lambda c, t: 1e6 - 3.0 + e.b0_art[c] + e.b1_art[c] * t}
+    rows = []
+    for c in range(C):
+        for k, (sector, mean) in enumerate(means.items()):
+            if model == "joint" and c == k:
+                continue  # country 0 has no industrial rows, country 1 no artisanal
+            rows += [(c, t, sector, mean(c, t) + rng.normal(0, 0.5)) for t in range(T) if t != c]
+    # the state's parameters and effects move off the values that drew the data
+    values = {n: v + rng.normal(0, 0.01) for n, v in params_to_dict(state.params).items()}
+    moved = ModelState(params_from_dict(model, values), type(state.effects)(
+        *(x + rng.normal(0, 0.01, C) for x in vars(state.effects).values())))
+    return moved, make_joint_dataset(rows, C, horizon=T), rows
+
+
+class TestLogDensity:
+    @pytest.mark.parametrize("model", ["total", "joint"])
+    def test_matches_direct_sum_far_from_zero(self, model):
+        rng = np.random.default_rng(5)
+        state, data, rows = offset_panel(model, rng)
+        priors = PriorSpec(intercept_sd=1e6)
+        p, e = params_to_dict(state.params), state.effects
+
+        def norm_logpdf(x, mu, sd):
+            return -0.5 * math.log(2 * math.pi) - math.log(sd) - 0.5 * ((x - mu) / sd) ** 2
+
+        if model == "total":
+            mean = {Sector.TOTAL: lambda c, t: p["beta0"] + e.b0[c] + e.b1[c] * t}
+            pairs = [((e.b0, e.b1), p["sigma0"], p["sigma1"], 0.0)]
+        else:
+            mean = {Sector.INDUSTRIAL: lambda c, t: p["beta0_I"] + e.b0_ind[c] + e.b1_ind[c] * t,
+                    Sector.ARTISANAL: lambda c, t: p["beta0_A"] + e.b0_art[c] + e.b1_art[c] * t}
+            pairs = [((e.b0_ind, e.b0_art), p["sigma0_I"], p["sigma0_A"], p["rho0"]),
+                     ((e.b1_ind, e.b1_art), p["sigma1_I"], p["sigma1_A"], p["rho1"])]
+        likelihood = sum(norm_logpdf(y, mean[s](c, t), p["sigma"]) for c, t, s, y in rows)
+        effects = 0.0
+        for (x1, x2), sd1, sd2, rho in pairs:
+            cov = np.array([[sd1 * sd1, rho * sd1 * sd2], [rho * sd1 * sd2, sd2 * sd2]])
+            for x in np.column_stack([x1, x2]):
+                quad = x @ np.linalg.solve(cov, x)
+                effects += -LOG_2PI - 0.5 * math.log(np.linalg.det(cov)) - 0.5 * quad
+        prior = sum(
+            norm_logpdf(v, 0.0, 1e6) if n.startswith("beta0")
+            else -math.log(2.0 if n.startswith("rho") else 10.0)
+            for n, v in p.items()
+        )
+        got = log_density(state, data, priors)
+        assert got.likelihood == pytest.approx(likelihood, rel=1e-10)
+        assert got.effects == pytest.approx(effects, rel=1e-10)
+        assert got.prior == pytest.approx(prior, rel=1e-10)
+        assert got.posterior == pytest.approx(likelihood + effects + prior, rel=1e-10)
+
+    @pytest.mark.parametrize("model", ["total", "joint"])
+    def test_broadcast_values_match_pointwise(self, model):
+        # three lattice axes: an intercept, country 1's slope effect, and the
+        # observation sd (total) or the slope correlation (joint)
+        state, data, _ = offset_panel(model, np.random.default_rng(8), C=3, T=6)
+        intercept, field, third = (
+            ("beta0", "b1", "sigma") if model == "total" else ("beta0_I", "b1_art", "rho1")
+        )
+        a, b, x = 1e6 + np.linspace(-1, 1, 5), np.linspace(-0.2, 0.2, 4), np.linspace(0.2, 0.8, 3)
+
+        def at(a, b, x):
+            values = {**params_to_dict(state.params), intercept: a, third: x}
+            column = list(getattr(state.effects, field))
+            column[1] = b
+            effects = type(state.effects)(**{**vars(state.effects), field: column})
+            return log_density(ModelState(params_from_dict(model, values), effects), data)
+
+        got = at(a[:, None, None], b[None, :, None], x[None, None, :])
+        assert got.posterior.shape == (5, 4, 3)
+        for i, j, k in np.ndindex(5, 4, 3):
+            want = at(a[i], b[j], x[k])
+            for term in ("likelihood", "effects", "prior", "posterior"):
+                cell = np.broadcast_to(getattr(got, term), (5, 4, 3))[i, j, k]
+                assert cell == pytest.approx(getattr(want, term), rel=1e-12)

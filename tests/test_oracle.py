@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from landmix.errors import ConfigError
-from landmix.model import PriorSpec, TotalEffects, TotalParams
+from landmix.model import Sector, TotalEffects
 from landmix.oracle import (
     GridSpec,
     SBCConfig,
@@ -14,7 +14,7 @@ from landmix.oracle import (
 )
 from landmix.sampler import ChainConfig
 
-from conftest import make_total_dataset, total_state
+from conftest import joint_state, make_joint_dataset, make_total_dataset, total_state
 
 
 class TestConjugateOracle:
@@ -98,6 +98,8 @@ class TestGridOracle:
             GridSpec({"beta0": (1.0, 1.0, 10)})
         with pytest.raises(ConfigError):
             GridSpec({"beta0": (0.0, 1.0, 1)})
+        with pytest.raises(ConfigError, match="at least one axis"):
+            GridSpec({})
 
     def test_sd_axis_outside_support_rejected(self):
         data = make_total_dataset([(0, 0, 1.0)], 1)
@@ -106,12 +108,71 @@ class TestGridOracle:
             grid_log_posterior(
                 "total", data, GridSpec({"sigma": (0.0, 12.0, 16)}), fixed
             )
+        # a fixed value outside the support leaves no posterior mass anywhere
+        outside = total_state(0.0, 1.0, 11.0, 1.0, [0.0], [0.0])
+        with pytest.raises(ConfigError, match="-inf everywhere"):
+            grid_log_posterior("total", data, GridSpec({"beta0": (-1.0, 1.0, 8)}), outside)
 
     def test_joint_model_unsupported(self):
+        # the joint model has no stream for total-sector rows
         data = make_total_dataset([(0, 0, 1.0)], 1)
-        fixed = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        with pytest.raises(ConfigError):
-            grid_log_posterior("joint", data, GridSpec({"beta0": (-1, 1, 8)}), fixed)
+        fixed = joint_state((0, 0, 1, 1, 1, 1, 1, 0, 0), [0.0], [0.0], [0.0], [0.0])
+        with pytest.raises(ConfigError, match="outside the joint model's sectors"):
+            grid_log_posterior("joint", data, GridSpec({"beta0_I": (-1, 1, 8)}), fixed)
+
+    @pytest.mark.parametrize(
+        "model, axis",
+        [
+            ("total", "b0[7]"),
+            ("total", "b1[2]"),
+            ("total", "sigma_0"),
+            ("total", "rho0"),
+            ("total", "b0_I[0]"),
+            ("total", " beta0"),
+            ("joint", "beta0"),
+            ("joint", "b0[0]"),
+            ("joint", "b1_A[2]"),
+            ("joint", "b0_I[0]\n"),
+        ],
+    )
+    def test_unknown_axis_rejected(self, model, axis):
+        # on a 2-country panel: unknown names, the other model's names and
+        # effect indices past the last country are configuration errors
+        if model == "total":
+            data = make_total_dataset([(0, 0, 1.0), (1, 0, 2.0)], 2)
+            fixed = total_state(0.0, 1.0, 1.0, 1.0, [0.0, 0.0], [0.0, 0.0])
+        else:
+            data = make_joint_dataset([(0, 0, Sector.INDUSTRIAL, 1.0)], 2)
+            fixed = joint_state((0, 0, 1, 1, 1, 1, 1, 0, 0), *[[0.0, 0.0]] * 4)
+        with pytest.raises(ConfigError, match="axis"):
+            grid_log_posterior(model, data, GridSpec({axis: (-1.0, 1.0, 8)}), fixed)
+
+    def test_joint_intercept_matches_conjugate(self):
+        # beta0_A alone is free: its posterior is the conjugate normal of the
+        # artisanal residuals, whatever the industrial stream holds
+        entries = [(0, 0, Sector.ARTISANAL, 5.2), (0, 3, Sector.ARTISANAL, 5.9),
+                   (1, 1, Sector.ARTISANAL, 3.1), (1, 2, Sector.INDUSTRIAL, 40.0)]
+        data = make_joint_dataset(entries, 2)
+        fixed = joint_state((8.0, 5.0, 0.6, 2.0, 3.0, 0.1, 0.1, 0.5, 0.5),
+                            [0.1, -0.3], [0.4, -1.2], [0.0, 0.0], [0.05, 0.02])
+        resid = [y - fixed.effects.b0_art[c] - fixed.effects.b1_art[c] * t
+                 for c, t, s, y in entries if s is Sector.ARTISANAL]
+        prec = 1.0 / 100.0 + len(resid) / 0.36
+        mean, sd = sum(resid) / 0.36 / prec, prec ** -0.5
+        res = grid_log_posterior(
+            "joint", data, GridSpec({"beta0_A": (mean - 8 * sd, mean + 8 * sd, 4001)}), fixed
+        )
+        assert res.mean("beta0_A") == pytest.approx(mean, rel=1e-9)
+        assert res.quantile("beta0_A", 0.975) - res.quantile("beta0_A", 0.025) == \
+            pytest.approx(2 * 1.959964 * sd, rel=5e-3)
+
+    def test_joint_correlation_axis_at_midpoints(self):
+        data = make_joint_dataset([], 2)
+        fixed = joint_state((0, 0, 1, 1, 1, 1, 1, 0, 0), *[[0.0, 0.0]] * 4)
+        res = grid_log_posterior("joint", data, GridSpec({"rho1": (-1.0, 1.0, 4)}), fixed)
+        assert np.allclose(res.axes["rho1"], [-0.75, -0.25, 0.25, 0.75])
+        with pytest.raises(ConfigError, match="support"):
+            grid_log_posterior("joint", data, GridSpec({"rho1": (-1.5, 1.0, 4)}), fixed)
 
 
 def small_sbc(chain=None):
@@ -142,6 +203,12 @@ class TestSBC:
     def test_joint_unsupported(self):
         with pytest.raises(ConfigError):
             sbc_run("joint", small_sbc(), replicates=1, seed=0)
+
+    def test_needs_two_chains(self):
+        # one chain has no split R-hat, so the gate could exclude nothing
+        chain = ChainConfig(iterations=600, burnin=200, thin=1, chains=1, seed=0)
+        with pytest.raises(ConfigError, match="at least 2 chains"):
+            sbc_run("total", small_sbc(chain), replicates=1, seed=0)
 
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_needs_a_replicate(self, replicates):

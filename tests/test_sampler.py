@@ -28,6 +28,7 @@ from landmix.sampler import (
     sample_trunc_invgamma_var,
 )
 from landmix.data import simulate_dataset
+from landmix.oracle import GridSpec, grid_log_posterior
 
 from conftest import joint_state, make_joint_dataset, make_total_dataset, total_state
 
@@ -309,30 +310,6 @@ class TestTruncatedInverseGamma:
             s.update_re_sd(0, rng)
 
 
-def grid_block_means(x1, x2, n=400, n_rho=200, bound=10.0):
-    """Posterior means of (sd_1, sd_2, rho) for centred pairs under the uniform
-    box prior, by midpoint quadrature of |Sigma|^(-C/2) exp(-tr(S Sigma^-1)/2),
-    one rho slice at a time."""
-    C = len(x1)
-    s11, s12, s22 = x1 @ x1, x1 @ x2, x2 @ x2
-    sd = (np.arange(n) + 0.5) * bound / n
-    rhos = -1.0 + (np.arange(n_rho) + 0.5) * 2.0 / n_rho
-    sd_1, sd_2 = sd[:, None], sd[None, :]
-    peaks, mass, m1, m2 = [], [], [], []
-    for rho in rhos:
-        omr = 1.0 - rho * rho
-        quad = (s11 / sd_1**2 - 2.0 * rho * s12 / (sd_1 * sd_2) + s22 / sd_2**2) / omr
-        logp = -0.5 * C * np.log(sd_1**2 * sd_2**2 * omr) - 0.5 * quad
-        peaks.append(logp.max())
-        w = np.exp(logp - peaks[-1])
-        mass.append(w.sum())
-        m1.append(w.sum(axis=1) @ sd)
-        m2.append(w.sum(axis=0) @ sd)
-    scale = np.exp(np.array(peaks) - max(peaks))
-    total = scale @ mass
-    return scale @ m1 / total, scale @ m2 / total, (scale * mass) @ rhos / total
-
-
 def batch_means_se(x, batches=20):
     return float(np.std(np.mean(np.reshape(x, (batches, -1)), axis=1), ddof=1) / math.sqrt(batches))
 
@@ -355,11 +332,14 @@ class TestCovParamsMH:
         for i in range(n):
             s.update_cov_params(rng)
             out[i] = (s.sd0[0], s.sd0[1], s.rho[0], s.sd1[0], s.sd1[1], s.rho[1])
-        for k, pairs in enumerate((b0, b1)):
-            expected = grid_block_means(pairs[:, 0], pairs[:, 1])
-            for j, want in enumerate(expected):
+        for k in range(2):
+            # the joint grid oracle over block k's (sd, sd, rho), the rest fixed
+            axes = {f"sigma{k}_I": (0.0, 10.0, 200), f"sigma{k}_A": (0.0, 10.0, 200),
+                    f"rho{k}": (-1.0, 1.0, 200)}
+            grid = grid_log_posterior("joint", data, GridSpec(axes), state)
+            for j, name in enumerate(axes):
                 col = out[:, 3 * k + j]
-                assert np.mean(col) == pytest.approx(want, abs=4 * batch_means_se(col))
+                assert np.mean(col) == pytest.approx(grid.mean(name), abs=4 * batch_means_se(col))
 
     def test_bartlett_draw_matches_scipy_invwishart(self):
         from scipy.stats import invwishart
@@ -463,6 +443,13 @@ class TestChainRunner:
         for a, b in zip(seq, par):
             for name in a.names:
                 assert np.array_equal(a.draws[name], b.draws[name])
+
+    @pytest.mark.parametrize("parallel", [0, -2])
+    def test_parallel_below_one_rejected(self, parallel):
+        data, _ = simulate_dataset("total", TotalParams(5.0, 0.5, 1.0, 0.05), 3, 8, seed=0)
+        cfg = ChainConfig(iterations=20, burnin=5, thin=1, chains=2, seed=1)
+        with pytest.raises(ConfigError, match="parallel"):
+            run_chains("total", data, cfg, parallel=parallel)
 
     def test_draws_stay_inside_prior_support(self):
         p = JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.05, 0.5, 0.9)
