@@ -76,10 +76,9 @@ def _write_draws_csv(path: Path, draws: ChainDraws) -> None:
     """One chain's draw file: a csv-quoted header, then one CRLF line per
     retained draw of shortest round-trip ``repr`` floats (the bytes the csv
     module's excel dialect writes, since a float repr never needs quoting)."""
-    matrix = np.column_stack([draws.draws[n] for n in draws.names])
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(draws.names)
-        for row in matrix:
+        for row in draws.matrix:
             fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
@@ -121,9 +120,7 @@ def read_draws_csv(path, chain_index: int = 0) -> ChainDraws:
         if arr is None or arr.shape[0] == 0 or arr.shape[1] != len(names) or \
                 not np.isfinite(arr).all():
             raise DataFormatError(_draws_damage(path, reader.line_num + 1, len(names)))
-    return ChainDraws(
-        {name: arr[:, k] for k, name in enumerate(names)}, {}, chain_index
-    )
+    return ChainDraws(tuple(names), arr, {}, chain_index)
 
 
 _MANIFEST_TYPES = {

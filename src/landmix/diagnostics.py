@@ -43,7 +43,8 @@ def pool_chains(chains: Sequence[ChainDraws]) -> dict[str, np.ndarray]:
     for ch in chains[1:]:
         if ch.names != names:
             raise DegenerateDataError("chains disagree on parameter names")
-    return {name: np.concatenate([ch.draws[name] for ch in chains]) for name in names}
+    matrix = np.concatenate([ch.matrix for ch in chains])
+    return {name: matrix[:, k] for k, name in enumerate(names)}
 
 
 def summarize(draws: Mapping[str, np.ndarray]) -> dict[str, ParamSummary]:

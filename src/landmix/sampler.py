@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,24 +100,29 @@ class ChainConfig:
 
 @dataclass
 class ChainDraws:
-    """Retained draws keyed by parameter name, plus MH acceptance rates."""
+    """Retained draws as one (n, P) matrix with a column per name, plus MH
+    acceptance rates."""
 
-    draws: dict[str, np.ndarray]
+    names: tuple[str, ...]
+    matrix: np.ndarray
     acceptance: dict[str, float]
     chain_index: int
 
     def __post_init__(self) -> None:
-        lengths = {len(v) for v in self.draws.values()}
-        if len(lengths) > 1:
-            raise ConfigError("unequal draw lengths across parameters")
+        if self.matrix.ndim != 2 or self.matrix.shape[1] != len(self.names):
+            raise ConfigError(
+                f"draw matrix of shape {self.matrix.shape} for {len(self.names)} names"
+            )
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.draws)
+    @cached_property
+    def draws(self) -> dict[str, np.ndarray]:
+        """Each name's column, as a view of the matrix.  Built on first use,
+        so a chain pickled back from a worker carries the matrix alone."""
+        return {name: self.matrix[:, k] for k, name in enumerate(self.names)}
 
     @property
     def n_draws(self) -> int:
-        return len(next(iter(self.draws.values())))
+        return self.matrix.shape[0]
 
 
 def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
@@ -673,8 +679,7 @@ def run_chain(
         if it >= config.burnin and (it - config.burnin) % config.thin == 0 and j < n_ret:
             out[j] = sampler.values()
             j += 1
-    draws = {name: np.ascontiguousarray(out[:, k]) for k, name in enumerate(names)}
-    return ChainDraws(draws, sampler.acceptance(), chain_index)
+    return ChainDraws(tuple(names), out, sampler.acceptance(), chain_index)
 
 
 def _run_chain_task(args):

@@ -414,7 +414,7 @@ class TestDrawFiles:
 
     def test_writer_matches_csv_module_and_reads_back_bit_identical(self, tmp_path):
         cols = [np.array(self.VALUES), -np.array(self.VALUES[::-1])]
-        chain = ChainDraws(dict(zip(self.NAMES, cols)), {}, 0)
+        chain = ChainDraws(self.NAMES, np.column_stack(cols), {}, 0)
         path = tmp_path / "draws_chain0.csv"
         _write_draws_csv(path, chain)
         reference = tmp_path / "reference.csv"

@@ -122,8 +122,8 @@ class TestEss:
 def fake_chains(arrays_by_name, indices=(0, 1)):
     out = []
     for k in indices:
-        draws = {n: np.asarray(a[k], dtype=float) for n, a in arrays_by_name.items()}
-        out.append(ChainDraws(draws=draws, acceptance={}, chain_index=k))
+        matrix = np.column_stack([np.asarray(a[k], dtype=float) for a in arrays_by_name.values()])
+        out.append(ChainDraws(tuple(arrays_by_name), matrix, acceptance={}, chain_index=k))
     return out
 
 
