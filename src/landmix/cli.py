@@ -72,6 +72,14 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
+def _check_out_dir(out: Path) -> None:
+    """Fail before any sampling when ``out`` cannot become a directory: it,
+    or its nearest existing ancestor, must be one."""
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
+
+
 def _write_draws_csv(path: Path, draws: ChainDraws) -> None:
     """One chain's draw file: a csv-quoted header, then one CRLF line per
     retained draw of shortest round-trip ``repr`` floats (the bytes the csv
@@ -234,8 +242,9 @@ def cmd_fit(args) -> int:
         chains=settings["chains"],
         seed=settings["seed"],
     )
-    chains = run_chains(settings["model"], data, config, parallel=args.parallel)
     out_dir = Path(args.out)
+    _check_out_dir(out_dir)
+    chains = run_chains(settings["model"], data, config, parallel=args.parallel)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ch in chains:
         _write_draws_csv(out_dir / f"draws_chain{ch.chain_index}.csv", ch)
@@ -393,8 +402,9 @@ def cmd_sbc(args) -> int:
         skip_updates=skip,
     )
     config = SBCConfig(n_countries=args.countries, horizon=args.years, chain=chain)
-    result = sbc_run("total", config, args.replicates, args.seed)
     out_dir = Path(args.out)
+    _check_out_dir(out_dir)
+    result = sbc_run("total", config, args.replicates, args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "ranks.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

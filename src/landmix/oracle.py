@@ -230,6 +230,12 @@ def sbc_run(
         raise ConfigError(f"SBC needs at least 1 replicate, got {replicates}")
     if config.chain.chains < 2:
         raise ConfigError(f"SBC's R-hat gate needs at least 2 chains, got {config.chain.chains}")
+    pooled_draws = config.chain.chains * config.chain.n_retained
+    if pooled_draws < config.rank_draws:
+        raise ConfigError(
+            f"SBC ranks each truth among {config.rank_draws} draws, but the chains "
+            f"retain only {pooled_draws} in all"
+        )
     priors = config.chain.priors
     ranks: dict[str, list[int]] = {p: [] for p in _SBC_PARAMS}
     excluded = 0

@@ -2,9 +2,12 @@
 
 One sweep updates, in fixed order: fixed intercepts, random effects,
 observation variance, random-effect scale parameters.  Conjugate blocks
-are drawn exactly.  Each 2x2 covariance block of the joint model (two sds
-and a correlation) takes one independence Metropolis-Hastings step whose
-proposal is the inverse-Wishart shape of its conditional: with scatter
+are drawn exactly.  So are the variances, whose conditionals are
+inverse-gamma laws truncated at the squared sd bound: each draw takes one
+standard gamma and one uniform, with no rejection loop.  Each 2x2
+covariance block of the joint model (two sds and a correlation) takes one
+independence Metropolis-Hastings step whose proposal is the
+inverse-Wishart shape of its conditional: with scatter
 S = sum_c x_c x_c^T of the C effect pairs, propose Sigma' ~ IW(S, nu),
 nu = max(C - 1, 2).  The U(0, b)^2 x U(-1, 1) prior on (sd_a, sd_b, rho)
 has density (1 - rho^2) / |Sigma| in Sigma coordinates, so the log
@@ -35,6 +38,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.special import gammaincc, gammainccinv
 
 from .errors import ConfigError, DegenerateDataError
 from .model import (
@@ -145,50 +149,33 @@ def conj_normal(prior_var: float, lik_prec: float, lik_lin: float) -> tuple[floa
 
 
 def sample_trunc_invgamma_var(
-    shape: float,
-    rate: float,
-    upper_var: float,
-    rng: np.random.Generator,
-    current_var: float | None = None,
-    max_reject: int = 1000,
+    shape: float, rate: float, upper_var: float, rng: np.random.Generator
 ) -> float:
-    """Draw a variance from IG(shape, rate) truncated to (0, upper_var).
+    """Draw a variance exactly from IG(shape, rate) truncated to (0, upper_var).
 
-    Rejection sampling on the untruncated draw; after max_reject failures
-    fall back to a slice-sampling move on the sd scale (which keeps the
-    truncated conditional invariant given the current value).
+    Every call draws one standard gamma g and then one uniform u.  The
+    untruncated draw rate / g is kept when it lies below the bound;
+    otherwise g is replaced by the inverse-CDF draw of Gamma(shape)
+    truncated to (rate / upper_var, inf), taken at 1 - u.  Both branches
+    give the truncated law: P(accept and A) + P(reject) P_trunc(A) =
+    P_trunc(A).
     """
     if shape <= 0:
         raise DegenerateDataError(f"improper variance conditional (shape {shape})")
     if rate <= 0:
         raise DegenerateDataError("zero residual sum of squares: degenerate conditional")
-    for _ in range(max_reject):
-        x = rng.gamma(shape, 1.0 / rate)
-        if x > 0:
-            v = 1.0 / x
-            if v < upper_var:
-                return v
-    upper_sd = math.sqrt(upper_var)
-    cur = math.sqrt(current_var) if current_var is not None else math.sqrt(
-        min(rate / (shape + 1.0), 0.25 * upper_var)
-    )
-    cur = min(max(cur, 1e-12), upper_sd * (1 - 1e-12))
-    power = 2.0 * shape + 1.0
-
-    def logf(s: float) -> float:
-        return -power * math.log(s) - rate / (s * s)
-
-    height = logf(cur) - rng.exponential()
-    lo, hi = 0.0, upper_sd
-    for _ in range(1000):
-        prop = rng.uniform(lo, hi)
-        if logf(prop) >= height:
-            return prop * prop
-        if prop < cur:
-            lo = prop
-        else:
-            hi = prop
-    return cur * cur
+    g = rng.standard_gamma(shape)
+    u = rng.random()
+    if not rate < upper_var * g:
+        mass = gammaincc(shape, rate / upper_var)  # P(rate / g < upper_var)
+        if mass == 0.0:
+            raise DegenerateDataError(
+                f"no mass below the sd bound: IG({shape}, {rate}) truncated at {upper_var}"
+            )
+        g = gammainccinv(shape, (1.0 - u) * mass)
+    v = rate / g
+    # the exact draw lies below the bound; only rounding can bring it up to it
+    return v if v < upper_var else math.nextafter(upper_var, 0.0)
 
 
 def _draw_correlated_pairs(prior_cov, prec_add_1, prec_add_2, lin_1, lin_2, rng):
@@ -310,23 +297,16 @@ class TotalSampler:
         if self.n_obs > 1 and ss <= 0.0:
             raise DegenerateDataError("zero residual sum of squares with N > 1")
         v = sample_trunc_invgamma_var(
-            (self.n_obs - 1) / 2.0,
-            ss / 2.0,
-            self.priors.sd_bound**2,
-            rng,
-            current_var=self.sigma**2,
+            (self.n_obs - 1) / 2.0, ss / 2.0, self.priors.sd_bound**2, rng
         )
         self.sigma = math.sqrt(v)
 
     def update_re_sd(self, which: int, rng) -> None:
         b = self.b0 if which == 0 else self.b1
-        cur = self.sigma0 if which == 0 else self.sigma1
         ss = float(b @ b)
         if self.C > 1 and ss == 0.0:
             raise DegenerateDataError("all random effects are zero: degenerate conditional")
-        v = sample_trunc_invgamma_var(
-            (self.C - 1) / 2.0, ss / 2.0, self.priors.sd_bound**2, rng, current_var=cur**2
-        )
+        v = sample_trunc_invgamma_var((self.C - 1) / 2.0, ss / 2.0, self.priors.sd_bound**2, rng)
         if which == 0:
             self.sigma0 = math.sqrt(v)
         else:
@@ -502,9 +482,7 @@ class JointSampler:
         n = self.n_obs_i + self.n_obs_a
         if n > 1 and ss <= 0.0:
             raise DegenerateDataError("zero residual sum of squares with N > 1")
-        v = sample_trunc_invgamma_var(
-            (n - 1) / 2.0, ss / 2.0, self.priors.sd_bound**2, rng, current_var=self.sigma**2
-        )
+        v = sample_trunc_invgamma_var((n - 1) / 2.0, ss / 2.0, self.priors.sd_bound**2, rng)
         self.sigma = math.sqrt(v)
 
     def update_cov_params(self, rng) -> None:

@@ -231,6 +231,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["fit", "sbc"])
+    def test_unusable_out_fails_before_sampling(self, total_fixture, tmp_path, capsys,
+                                                monkeypatch, command):
+        def never(*args, **kwargs):
+            raise AssertionError("sampled before checking --out")
+
+        monkeypatch.setattr(cli, "run_chains", never)
+        monkeypatch.setattr(cli, "sbc_run", never)
+        sim, _ = total_fixture
+        (tmp_path / "afile").touch()
+        if command == "fit":
+            argv = ["fit", "--model", "total", "--data", sim / "data.csv",
+                    "--out", tmp_path / "afile"]
+        else:
+            argv = ["sbc", "--replicates", "1", "--out", tmp_path / "afile" / "sbc"]
+        assert run(*argv) == 3
+        assert "afile is not a directory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_parallel_below_one(self, total_fixture, tmp_path, capsys, value):
         sim, _ = total_fixture
@@ -407,6 +425,18 @@ class TestExitCodes:
                    "--iters", "50", "--burnin", "10", "--thin", "1",
                    "--out", tmp_path / "x") == 4
 
+    def test_no_mass_below_the_sd_bound_numeric_exit(self, tmp_path, capsys):
+        # log tonnes swinging by ±690 give a residual sd about 70 times the
+        # bound of 10: the truncated variance conditional has no mass left
+        data = tmp_path / "wild.csv"
+        rows = [f"{c},{1970 + t},total,{'1e-300' if t % 2 else '1e300'}"
+                for c in "AB" for t in range(20)]
+        data.write_text("country,year,sector,tonnes\n" + "\n".join(rows) + "\n")
+        assert run("fit", "--model", "total", "--data", data, "--chains", "1",
+                   "--iters", "20", "--burnin", "5", "--thin", "1",
+                   "--out", tmp_path / "x") == 4
+        assert "no mass below the sd bound" in capsys.readouterr().err
+
 
 class TestDrawFiles:
     NAMES = ("b0[a,b]", 'b0["q"]')
@@ -542,7 +572,7 @@ class TestSbcAndSummarize:
     def test_sbc_writes_report(self, tmp_path, capsys):
         out = tmp_path / "sbc"
         assert run("sbc", "--replicates", "4", "--countries", "3", "--years", "6",
-                   "--iters", "400", "--burnin", "150", "--seed", "2",
+                   "--iters", "400", "--burnin", "150", "--seed", "0",
                    "--out", out) == 0
         printed = capsys.readouterr().out
         for name in ("beta0", "sigma", "sigma0", "sigma1"):
@@ -564,13 +594,21 @@ class TestSbcAndSummarize:
         assert "at least 2 chains" in capsys.readouterr().err
         assert not (tmp_path / "sbc").exists()
 
+    def test_sbc_needs_rank_draws_distinct_draws(self, tmp_path, capsys):
+        # 2 chains x 10 retained draws < the 49 draws each truth is ranked among
+        assert run("sbc", "--replicates", "2", "--iters", "20", "--burnin", "10",
+                   "--out", tmp_path / "sbc") == 2
+        err = capsys.readouterr().err
+        assert "49" in err and "20" in err
+        assert not (tmp_path / "sbc").exists()
+
     def test_sbc_writes_strict_json_when_every_replicate_excluded(self, tmp_path,
                                                                   monkeypatch):
         # a gate below 1 excludes every replicate, leaving NaN p-values
         monkeypatch.setattr(cli, "SBCConfig", functools.partial(SBCConfig, rhat_gate=0.5))
         out = tmp_path / "sbc"
         assert run("sbc", "--replicates", "2", "--countries", "3", "--years", "6",
-                   "--iters", "40", "--burnin", "20", "--out", out) == 4
+                   "--iters", "60", "--burnin", "30", "--out", out) == 4
 
         def reject(constant):
             raise ValueError(f"non-standard JSON constant {constant}")

@@ -210,6 +210,12 @@ class TestSBC:
         with pytest.raises(ConfigError, match="at least 2 chains"):
             sbc_run("total", small_sbc(chain), replicates=1, seed=0)
 
+    def test_needs_rank_draws_distinct_draws(self):
+        # 2 chains of 5 retained draws cannot give 19 distinct draws to rank among
+        chain = ChainConfig(iterations=15, burnin=10, thin=1, chains=2, seed=0)
+        with pytest.raises(ConfigError, match=r"among 19 draws.* only 10 "):
+            sbc_run("total", small_sbc(chain), replicates=1, seed=0)
+
     @pytest.mark.parametrize("replicates", [0, -3])
     def test_needs_a_replicate(self, replicates):
         with pytest.raises(ConfigError, match="at least 1 replicate"):
@@ -233,7 +239,7 @@ class TestSBC:
 
     def test_every_replicate_excluded_gives_nan_pvalues(self):
         # a gate below 1 excludes every replicate: no ranks remain to bin
-        chain = ChainConfig(iterations=40, burnin=20, thin=1, chains=2)
+        chain = ChainConfig(iterations=60, burnin=30, thin=1, chains=2)
         config = SBCConfig(4, 10, chain, rhat_gate=0.5)
         res = sbc_run("total", config, replicates=3, seed=0)
         assert res.excluded == 3

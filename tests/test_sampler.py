@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from landmix.errors import ConfigError, DegenerateDataError
 from landmix.model import (
@@ -278,6 +279,48 @@ class TestTruncatedInverseGamma:
             sample_trunc_invgamma_var(0.0, 1.0, 100.0, rng)  # N=1
         with pytest.raises(DegenerateDataError):
             sample_trunc_invgamma_var(1.5, 0.0, 100.0, rng)  # SS=0
+
+    @pytest.mark.parametrize("shape, rate", [(1.5, 150.0), (19.5, 3000.0)])
+    def test_heavy_truncation_matches_grid_oracle(self, rng, shape, rate):
+        # most of the untruncated mass lies above the bound, so most draws
+        # come from the inverse-CDF branch
+        upper = 100.0
+        draws = np.array(
+            [sample_trunc_invgamma_var(shape, rate, upper, rng) for _ in range(40000)]
+        )
+        assert np.all((draws > 0.0) & (draws < upper))
+        _, dens, v = self.truncated_moments(shape, rate, upper)
+        cdf = np.cumsum(dens) * (v[1] - v[0])
+        for q in (0.1, 0.5, 0.9):
+            point = float(np.interp(q, cdf, v))
+            assert np.mean(draws <= point) == pytest.approx(q, abs=0.01)
+
+    @pytest.mark.parametrize("rate", [1.0, 3000.0], ids=["accept", "inverse_cdf"])
+    def test_one_gamma_then_one_uniform(self, rate):
+        # a twin generator that draws standard_gamma(shape), then random(),
+        # keeps step with every call; a kept draw is rate / g, and a replaced
+        # one is the truncated law's quantile at 1 - u
+        shape, upper = 19.5, 100.0
+        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        replaced = 0
+        for _ in range(200):
+            v = sample_trunc_invgamma_var(shape, rate, upper, rng)
+            g, u = twin.standard_gamma(shape), twin.random()
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert 0.0 < v < upper
+            if rate < upper * g:
+                assert v == rate / g
+            else:
+                replaced += 1
+                cdf = special.gammaincc(shape, rate / v) / special.gammaincc(shape, rate / upper)
+                assert cdf == pytest.approx(1.0 - u, abs=1e-9)
+        assert replaced == (0 if rate == 1.0 else pytest.approx(200, abs=20))
+
+    def test_no_mass_below_the_bound_raises(self, rng):
+        # a residual sd of 100 against a bound of 10 leaves a tail mass that
+        # underflows to 0
+        with pytest.raises(DegenerateDataError, match="no mass below the sd bound"):
+            sample_trunc_invgamma_var(1.5, 1e6, 100.0, rng)
 
     def test_update_obs_variance_degenerate_data(self, rng):
         data = make_total_dataset([(0, 0, 1.0), (0, 1, 1.0)], 1)

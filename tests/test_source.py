@@ -38,3 +38,47 @@ def test_checker_flags_unused_imports():
 def test_no_unused_imports(module):
     # __init__.py is exempt: its imports are the package's re-exports
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """The private (``_``-prefixed) module-level functions, classes and
+    constants that no module of ``sources`` (name -> text) reads."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets = [t.id for t in nodes if isinstance(t, ast.Name)]
+            else:
+                targets = []
+            for name in targets:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = f"{module}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in read)
+
+
+def test_checker_flags_unread_private_names():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n_SEEN: int = 0\n__version__ = '1'\n"
+            "def _helper():\n    return _LIMIT\n"
+            "def _orphan():\n    pass\n"
+            "class _Gone:\n    pass\n"
+            "def public():\n    _local = 1\n    return _local\n"
+        ),
+        "b": "from a import _helper\nimport a\nx = _helper() + a._SEEN\n",
+    }
+    assert unread_private_names(sources) == ["_Gone (a:8)", "_orphan (a:6)"]
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
