@@ -314,7 +314,7 @@ class TestTruncatedInverseGamma:
                 replaced += 1
                 cdf = special.gammaincc(shape, rate / v) / special.gammaincc(shape, rate / upper)
                 assert cdf == pytest.approx(1.0 - u, abs=1e-9)
-        assert replaced == (0 if rate == 1.0 else pytest.approx(200, abs=20))
+        assert (replaced > 0) == (rate == 3000.0)  # both branches are exercised
 
     def test_no_mass_below_the_bound_raises(self, rng):
         # a residual sd of 100 against a bound of 10 leaves a tail mass that
