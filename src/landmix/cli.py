@@ -26,10 +26,9 @@ from .diagnostics import (
     render_summary_table,
     summarize,
     summary_csv_rows,
-    table_param_order,
 )
 from .errors import ConfigError, DataFormatError, DegenerateDataError, LandmixError, utf8_text
-from .model import Sector, params_from_dict, params_to_dict
+from .model import MODELS, Sector, effects_to_dict, model_spec, params_from_dict, params_to_dict
 from .oracle import SBCConfig, sbc_run
 from .sampler import ChainConfig, ChainDraws, run_chains
 
@@ -37,6 +36,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+_KINDS = " or ".join(map(repr, MODELS))
 
 _DEFAULT_TRUTH = {
     "total": {"beta0": 8.0, "sigma": 0.5, "sigma0": 4.0, "sigma1": 0.05},
@@ -156,8 +157,8 @@ def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
         # bool is an int subclass, but true/false is no count
         if not isinstance(value, kind) or isinstance(value, bool):
             raise ConfigError(f"{path}: manifest key {key!r} must be {kind.__name__}")
-    if "model" in required and manifest["model"] not in ("total", "joint"):
-        raise ConfigError(f"{path}: manifest key 'model' must be 'total' or 'joint'")
+    if "model" in required and manifest["model"] not in MODELS:
+        raise ConfigError(f"{path}: manifest key 'model' must be {_KINDS}")
     if "chains" in required and manifest["chains"] < 1:
         raise ConfigError(f"{path}: manifest key 'chains' must be at least 1")
     return manifest
@@ -223,8 +224,8 @@ def _resolve_fit_settings(args) -> dict:
         flag = getattr(args, "iters" if key == "iters" else key, None)
         if flag is not None:
             settings[key] = flag
-    if settings.get("model") not in ("total", "joint"):
-        raise ConfigError("--model must be 'total' or 'joint'")
+    if settings.get("model") not in MODELS:
+        raise ConfigError(f"--model must be {_KINDS}")
     if not settings.get("data"):
         raise ConfigError("no data path given (flag, config file, or manifest)")
     return settings
@@ -248,7 +249,7 @@ def cmd_fit(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for ch in chains:
         _write_draws_csv(out_dir / f"draws_chain{ch.chain_index}.csv", ch)
-    order = table_param_order(settings["model"])
+    order = model_spec(settings["model"]).param_names
     pooled = pool_chains(chains)
     summary = summarize({name: pooled[name] for name in order})
     (out_dir / "summary.txt").write_text(
@@ -280,11 +281,32 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _read_truth(path: Path, model_kind: str) -> dict:
+    """A ``--truth`` file's values: a JSON object of the model's parameters,
+    each a finite number, an sd positive and a correlation inside (-1, 1)."""
+    with utf8_text(path):
+        values = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path}: truth file is not a JSON object")
+    names = model_spec(model_kind).param_names
+    for key, x in values.items():
+        if key not in names:
+            raise ConfigError(f"{path}: truth key {key!r} is not a {model_kind}-model parameter")
+        try:
+            finite = not isinstance(x, bool) and math.isfinite(x)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ConfigError(f"{path}: truth key {key!r} must be a finite number")
+        if key.startswith("sigma") and x <= 0 or key.startswith("rho") and abs(x) >= 1:
+            raise ConfigError(f"{path}: truth key {key!r} = {x} is out of range")
+    return values
+
+
 def cmd_simulate(args) -> int:
     truth_values = dict(_DEFAULT_TRUTH[args.model])
     if args.truth:
-        with utf8_text(args.truth):
-            truth_values.update(json.loads(Path(args.truth).read_text(encoding="utf-8")))
+        truth_values.update(_read_truth(Path(args.truth), args.model))
     params = params_from_dict(args.model, truth_values)
     data, effects = simulate_dataset(
         args.model, params, args.countries, args.years, seed=args.seed
@@ -292,20 +314,15 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_landings(data, out_dir / "data.csv", span_start=args.span_start)
-    truth = {"model": args.model, "params": params_to_dict(params), "effects": {}}
-    for i, label in enumerate(data.labels):
-        if args.model == "total":
-            truth["effects"][label] = {
-                "b0": float(effects.b0[i]),
-                "b1": float(effects.b1[i]),
-            }
-        else:
-            truth["effects"][label] = {
-                "b0_I": float(effects.b0_ind[i]),
-                "b0_A": float(effects.b0_art[i]),
-                "b1_I": float(effects.b1_ind[i]),
-                "b1_A": float(effects.b1_art[i]),
-            }
+    columns = effects_to_dict(effects).items()
+    truth = {
+        "model": args.model,
+        "params": params_to_dict(params),
+        "effects": {
+            label: {tag: float(column[i]) for tag, column in columns}
+            for i, label in enumerate(data.labels)
+        },
+    }
     _write_json(out_dir / "truth.json", truth)
     _write_json(
         out_dir / "manifest.json",
@@ -434,7 +451,7 @@ def cmd_sbc(args) -> int:
 
 def cmd_summarize(args) -> int:
     manifest, chains = _read_fit_dir(Path(args.fit))
-    order = table_param_order(manifest["model"])
+    order = model_spec(manifest["model"]).param_names
     pooled = pool_chains(chains)
     summary = summarize({name: pooled[name] for name in order})
     print(render_summary_table(summary, manifest["model"]))
@@ -455,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fit = sub.add_parser("fit", help="fit a model and write draws + summaries")
-    fit.add_argument("--model", choices=["total", "joint"])
+    fit.add_argument("--model", choices=list(MODELS))
     fit.add_argument("--data")
     fit.add_argument("--chains", type=int)
     fit.add_argument("--iters", type=int)
@@ -469,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     sim = sub.add_parser("simulate", help="simulate a synthetic landings panel")
-    sim.add_argument("--model", choices=["total", "joint"], required=True)
+    sim.add_argument("--model", choices=list(MODELS), required=True)
     sim.add_argument("--countries", type=int, default=12)
     sim.add_argument("--years", type=int, default=45)
     sim.add_argument("--seed", type=int, default=0)

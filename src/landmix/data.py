@@ -18,15 +18,14 @@ import numpy as np
 
 from .errors import ConfigError, DataFormatError, utf8_text
 from .model import (
+    SECTORS,
     Dataset,
     JointEffects,
-    JointParams,
-    SECTORS,
     Params,
     Sector,
     TotalEffects,
-    TotalParams,
     build_covariance,
+    model_spec,
 )
 
 log = logging.getLogger(__name__)
@@ -79,8 +78,7 @@ def load_landings(path, model_kind: str, span: tuple[int, int] = DEFAULT_SPAN) -
     otherwise totals are formed by summing sector tonnage per
     (country, year) before the log transform.
     """
-    if model_kind not in ("total", "joint"):
-        raise ConfigError(f"unknown model kind {model_kind!r}")
+    model_spec(model_kind)  # ConfigError for an unknown kind
     with utf8_text(path), open(path, newline="", encoding="utf-8") as fh:
         rows = _parse_rows(fh, span)
 
@@ -150,6 +148,9 @@ def simulate_dataset(
     Returns (dataset, effects) where effects holds the simulated
     per-country ground truth.  Deterministic under seed.
     """
+    spec = model_spec(model_kind)
+    if not isinstance(true_params, spec.params):
+        raise ConfigError(f"{model_kind} model expects {spec.params.__name__}")
     if n_countries < 1 or horizon < 1:
         raise ConfigError("need at least one country and one time point")
     rng = np.random.default_rng(seed)
@@ -160,10 +161,8 @@ def simulate_dataset(
         raise ConfigError("label count does not match country count")
     t = np.arange(horizon, dtype=float)
 
+    p = true_params
     if model_kind == "total":
-        if not isinstance(true_params, TotalParams):
-            raise ConfigError("total model expects TotalParams")
-        p = true_params
         if min(p.sigma, p.sigma0, p.sigma1) <= 0:
             raise ConfigError("standard deviations must be positive")
         b0 = rng.normal(0.0, p.sigma0, n_countries)
@@ -172,10 +171,7 @@ def simulate_dataset(
         sectors = np.full(n_countries, Sector.TOTAL.code)
         level, slope = p.beta0 + b0, b1
         effects: TotalEffects | JointEffects = TotalEffects(b0, b1)
-    elif model_kind == "joint":
-        if not isinstance(true_params, JointParams):
-            raise ConfigError("joint model expects JointParams")
-        p = true_params
+    else:
         cov0 = build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
         cov1 = build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)
         pairs0 = rng.multivariate_normal([0.0, 0.0], cov0.as_array(), size=n_countries)
@@ -201,8 +197,6 @@ def simulate_dataset(
             ind, p.beta0_ind + effects.b0_ind[series], p.beta0_art + effects.b0_art[series]
         )
         slope = np.where(ind, effects.b1_ind[series], effects.b1_art[series])
-    else:
-        raise ConfigError(f"unknown model kind {model_kind!r}")
 
     # one series of `horizon` rows per (country, sector) cell, drawn in cell order
     y = level[:, None] + slope[:, None] * t + rng.normal(0.0, p.sigma, (len(series), horizon))

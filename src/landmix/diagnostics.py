@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateDataError
-from .model import JOINT_PARAM_NAMES, TOTAL_PARAM_NAMES
+from .model import model_spec
 from .sampler import ChainDraws
 
 RHAT_FLAG = 1.01
@@ -174,17 +174,9 @@ def compute_convergence(
 # -- table rendering ----------------------------------------------------------
 
 
-def table_param_order(model_kind: str) -> tuple[str, ...]:
-    if model_kind == "total":
-        return TOTAL_PARAM_NAMES
-    if model_kind == "joint":
-        return JOINT_PARAM_NAMES
-    raise ValueError(f"unknown model kind {model_kind!r}")
-
-
 def render_summary_table(summary: Mapping[str, ParamSummary], model_kind: str) -> str:
     """Aligned plain-text posterior summary in the standard row order."""
-    names = table_param_order(model_kind)
+    names = model_spec(model_kind).param_names
     width = max(len(n) for n in names) + 2
     lines = [f"{'parameter':<{width}}{'mean':>9}{'sd':>9}{'q0.025':>9}{'q0.975':>9}"]
     for name in names:
@@ -198,6 +190,6 @@ def render_summary_table(summary: Mapping[str, ParamSummary], model_kind: str) -
 def summary_csv_rows(summary: Mapping[str, ParamSummary], model_kind: str):
     """CSV rows (parameter, mean, sd, q0.025, q0.975) in table order."""
     yield ["parameter", "mean", "sd", "q0.025", "q0.975"]
-    for name in table_param_order(model_kind):
+    for name in model_spec(model_kind).param_names:
         s = summary[name]
         yield [name, repr(s.mean), repr(s.sd), repr(s.q025), repr(s.q975)]

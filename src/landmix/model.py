@@ -226,9 +226,6 @@ class TotalEffects:
     b0: np.ndarray
     b1: np.ndarray
 
-    def copy(self) -> "TotalEffects":
-        return TotalEffects(self.b0.copy(), self.b1.copy())
-
 
 @dataclass
 class JointEffects:
@@ -239,14 +236,66 @@ class JointEffects:
     b1_ind: np.ndarray
     b1_art: np.ndarray
 
-    def copy(self) -> "JointEffects":
-        return JointEffects(
-            self.b0_ind.copy(), self.b0_art.copy(), self.b1_ind.copy(), self.b1_art.copy()
-        )
-
 
 Params = Union[TotalParams, JointParams]
 Effects = Union[TotalEffects, JointEffects]
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """What tells one model apart from the other: its parameter and effects
+    classes, the public names of the parameters and the tags of the effects,
+    each in the field order of its class."""
+
+    params: type
+    effects: type
+    param_names: tuple[str, ...]
+    effect_tags: tuple[str, ...]
+
+
+MODELS = {
+    "total": ModelSpec(TotalParams, TotalEffects, ("beta0", "sigma", "sigma0", "sigma1"),
+                       ("b0", "b1")),
+    "joint": ModelSpec(JointParams, JointEffects,
+                       ("beta0_I", "beta0_A", "sigma", "sigma0_I", "sigma0_A", "sigma1_I",
+                        "sigma1_A", "rho0", "rho1"),
+                       ("b0_I", "b0_A", "b1_I", "b1_A")),
+}
+TOTAL_PARAM_NAMES = MODELS["total"].param_names
+JOINT_PARAM_NAMES = MODELS["joint"].param_names
+
+
+def model_spec(model_kind: str) -> ModelSpec:
+    """The table entry of a model kind; ConfigError for an unknown kind."""
+    if model_kind not in MODELS:
+        raise ConfigError(f"unknown model kind {model_kind!r}")
+    return MODELS[model_kind]
+
+
+def draw_names(model_kind: str, labels) -> tuple[str, ...]:
+    """The columns of a draw file: the parameters, then each effect tag's
+    column per country label."""
+    spec = model_spec(model_kind)
+    effects = (f"{tag}[{label}]" for tag in spec.effect_tags for label in labels)
+    return spec.param_names + tuple(effects)
+
+
+def params_to_dict(params: Params) -> dict[str, float]:
+    spec = next(s for s in MODELS.values() if isinstance(params, s.params))
+    return dict(zip(spec.param_names, vars(params).values()))
+
+
+def effects_to_dict(effects: Effects) -> dict[str, np.ndarray]:
+    spec = next(s for s in MODELS.values() if isinstance(effects, s.effects))
+    return dict(zip(spec.effect_tags, vars(effects).values()))
+
+
+def params_from_dict(model_kind: str, d: dict[str, float]) -> Params:
+    spec = model_spec(model_kind)
+    missing = [name for name in spec.param_names if name not in d]
+    if missing:
+        raise ConfigError(f"{model_kind}-model parameters lack {', '.join(map(repr, missing))}")
+    return spec.params(*(d[name] for name in spec.param_names))
 
 
 @dataclass
@@ -369,55 +418,3 @@ def log_density(state: ModelState, data: Dataset, priors: PriorSpec = PriorSpec(
                 prior = prior + np.where((lo < x) & (x < hi), -math.log(hi - lo), -np.inf)
     return LogDensity(likelihood, effects, prior)
 
-
-TOTAL_PARAM_NAMES = ("beta0", "sigma", "sigma0", "sigma1")
-JOINT_PARAM_NAMES = (
-    "beta0_I",
-    "beta0_A",
-    "sigma",
-    "sigma0_I",
-    "sigma0_A",
-    "sigma1_I",
-    "sigma1_A",
-    "rho0",
-    "rho1",
-)
-
-
-def params_to_dict(params: Params) -> dict[str, float]:
-    if isinstance(params, TotalParams):
-        return {
-            "beta0": params.beta0,
-            "sigma": params.sigma,
-            "sigma0": params.sigma0,
-            "sigma1": params.sigma1,
-        }
-    return {
-        "beta0_I": params.beta0_ind,
-        "beta0_A": params.beta0_art,
-        "sigma": params.sigma,
-        "sigma0_I": params.sigma0_ind,
-        "sigma0_A": params.sigma0_art,
-        "sigma1_I": params.sigma1_ind,
-        "sigma1_A": params.sigma1_art,
-        "rho0": params.rho0,
-        "rho1": params.rho1,
-    }
-
-
-def params_from_dict(model_kind: str, d: dict[str, float]) -> Params:
-    if model_kind == "total":
-        return TotalParams(d["beta0"], d["sigma"], d["sigma0"], d["sigma1"])
-    if model_kind == "joint":
-        return JointParams(
-            d["beta0_I"],
-            d["beta0_A"],
-            d["sigma"],
-            d["sigma0_I"],
-            d["sigma0_A"],
-            d["sigma1_I"],
-            d["sigma1_A"],
-            d["rho0"],
-            d["rho1"],
-        )
-    raise ValueError(f"unknown model kind {model_kind!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import chisquare
@@ -19,14 +19,16 @@ from .data import simulate_dataset
 from .diagnostics import _tau_and_ess, split_rhat
 from .errors import ConfigError, DegenerateDataError
 from .model import (
+    TOTAL_PARAM_NAMES,
     Dataset,
-    JointParams,
     ModelState,
     PriorSpec,
     Sector,
     TotalEffects,
     TotalParams,
+    effects_to_dict,
     log_density,
+    model_spec,
     params_from_dict,
     params_to_dict,
 )
@@ -35,8 +37,6 @@ from .sampler import ChainConfig, run_chains
 GRID_GUARD = 10_000_000
 
 _EFFECT_AXIS = re.compile(r"(b[01](?:_[IA])?)\[(\d+)\]")
-# effect-axis tags, in the order of the model's effect fields
-_EFFECT_TAGS = {"total": ("b0", "b1"), "joint": ("b0_I", "b0_A", "b1_I", "b1_A")}
 
 
 def conjugate_posterior_beta0(
@@ -109,19 +109,18 @@ def grid_log_posterior(
     and correlation axes take cell midpoints, which keeps them strictly
     inside their prior's support; every other axis includes both ends.
     """
-    kind = {"total": TotalParams, "joint": JointParams}.get(model_kind, ())
-    if not isinstance(fixed.params, kind):
+    model = model_spec(model_kind)
+    if not isinstance(fixed.params, model.params):
         raise ConfigError(f"fixed state must carry {model_kind}-model parameters")
     params = params_to_dict(fixed.params)
-    tags = _EFFECT_TAGS[model_kind]
-    effects = [list(getattr(fixed.effects, f.name)) for f in fields(fixed.effects)]
+    effects = {tag: list(column) for tag, column in effects_to_dict(fixed.effects).items()}
     names = list(spec.axes)
     axis_vals: dict[str, np.ndarray] = {}
     for k, name in enumerate(names):
         lo, hi, n = spec.axes[name]
         effect = _EFFECT_AXIS.fullmatch(name)
-        if effect and effect[1] in tags and int(effect[2]) < data.n_countries:
-            column, key = effects[tags.index(effect[1])], int(effect[2])
+        if effect and effect[1] in effects and int(effect[2]) < data.n_countries:
+            column, key = effects[effect[1]], int(effect[2])
             vals = np.linspace(lo, hi, n)
         elif name in params:
             column, key = params, name
@@ -139,7 +138,7 @@ def grid_log_posterior(
         axis_vals[name] = vals
         column[key] = vals.reshape([n if j == k else 1 for j in range(len(names))])
 
-    state = ModelState(params_from_dict(model_kind, params), type(fixed.effects)(*effects))
+    state = ModelState(params_from_dict(model_kind, params), model.effects(*effects.values()))
     w = log_density(state, data, priors).posterior
     lmax = float(np.max(w))
     if not math.isfinite(lmax):
@@ -185,9 +184,6 @@ class SBCResult:
     excluded: int
     rank_max: int
     failed: bool
-
-
-_SBC_PARAMS = ("beta0", "sigma", "sigma0", "sigma1")
 
 
 def _safe_rhat(seqs) -> float:
@@ -237,7 +233,7 @@ def sbc_run(
             f"retain only {pooled_draws} in all"
         )
     priors = config.chain.priors
-    ranks: dict[str, list[int]] = {p: [] for p in _SBC_PARAMS}
+    ranks: dict[str, list[int]] = {p: [] for p in TOTAL_PARAM_NAMES}
     excluded = 0
     for r in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
@@ -253,21 +249,15 @@ def sbc_run(
         chain_cfg = replace(config.chain, seed=int(rng.integers(2**62)))
         chains = run_chains("total", data, chain_cfg)
         worst = max(
-            _safe_rhat([ch.draws[p] for ch in chains]) for p in _SBC_PARAMS
+            _safe_rhat([ch.draws[p] for ch in chains]) for p in TOTAL_PARAM_NAMES
         )
         if worst > config.rhat_gate:
             excluded += 1
             continue
-        truth_map = {
-            "beta0": truth.beta0,
-            "sigma": truth.sigma,
-            "sigma0": truth.sigma0,
-            "sigma1": truth.sigma1,
-        }
-        for p in _SBC_PARAMS:
+        for p, value in params_to_dict(truth).items():
             pooled = np.concatenate([ch.draws[p] for ch in chains])
             sel = _thin_to(pooled, config.rank_draws)
-            ranks[p].append(int(np.sum(sel < truth_map[p])))
+            ranks[p].append(int(np.sum(sel < value)))
 
     pvalues = {}
     n_bins = config.rank_bins

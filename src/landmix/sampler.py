@@ -53,6 +53,7 @@ from .model import (
     TotalEffects,
     TotalParams,
     build_covariance,
+    draw_names,
 )
 
 _SKIP_KEYS = {
@@ -83,6 +84,8 @@ class ChainConfig:
             raise ConfigError("iterations, thin and chains must be positive")
         if not (0 <= self.burnin < self.iterations):
             raise ConfigError("burnin must satisfy 0 <= burnin < iterations")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         bad = set(self.skip_updates) - _SKIP_KEYS
         if bad:
             raise ConfigError(f"unknown skip keys {sorted(bad)}")
@@ -235,7 +238,6 @@ class TotalSampler:
         self.C = data.n_countries
         self.sum_t2 = self.s.stt + self.s.n * self.s.tbar**2
         self.n_tbar = self.s.n * self.s.tbar
-        self.labels = data.labels
         self.set_state(state)
 
     def set_state(self, state: ModelState) -> None:
@@ -248,11 +250,12 @@ class TotalSampler:
         self.b0 = np.asarray(state.effects.b0, dtype=float).copy()
         self.b1 = np.asarray(state.effects.b1, dtype=float).copy()
 
+    def _fields(self):  # parameters and effects in the order of model.MODELS
+        return (self.beta0, self.sigma, self.sigma0, self.sigma1), (self.b0, self.b1)
+
     def get_state(self) -> ModelState:
-        return ModelState(
-            TotalParams(self.beta0, self.sigma, self.sigma0, self.sigma1),
-            TotalEffects(self.b0.copy(), self.b1.copy()),
-        )
+        params, effects = self._fields()
+        return ModelState(TotalParams(*params), TotalEffects(*(e.copy() for e in effects)))
 
     # conditional-parameter helpers (exact formulas, also used by tests)
 
@@ -327,16 +330,9 @@ class TotalSampler:
         if "re_sd1" not in skipped:
             self.update_re_sd(1, rng)
 
-    def param_names(self) -> list[str]:
-        names = ["beta0", "sigma", "sigma0", "sigma1"]
-        names += [f"b0[{lbl}]" for lbl in self.labels]
-        names += [f"b1[{lbl}]" for lbl in self.labels]
-        return names
-
     def values(self) -> np.ndarray:
-        return np.concatenate(
-            ([self.beta0, self.sigma, self.sigma0, self.sigma1], self.b0, self.b1)
-        )
+        params, effects = self._fields()
+        return np.concatenate((params, *effects))
 
     def acceptance(self) -> dict[str, float]:
         return {}
@@ -350,7 +346,6 @@ class JointSampler:
             raise DegenerateDataError("joint model cannot use total-sector observations")
         self.priors = priors
         self.C = data.n_countries
-        self.labels = data.labels
         self.si = data.stats(Sector.INDUSTRIAL)
         self.sa = data.stats(Sector.ARTISANAL)
         self.n_obs_i = self.si.n_obs
@@ -379,23 +374,13 @@ class JointSampler:
         self.b1_i = np.asarray(e.b1_ind, dtype=float).copy()
         self.b1_a = np.asarray(e.b1_art, dtype=float).copy()
 
+    def _fields(self):  # parameters and effects in the order of model.MODELS
+        params = (self.beta_i, self.beta_a, self.sigma, *self.sd0, *self.sd1, *self.rho)
+        return params, (self.b0_i, self.b0_a, self.b1_i, self.b1_a)
+
     def get_state(self) -> ModelState:
-        return ModelState(
-            JointParams(
-                self.beta_i,
-                self.beta_a,
-                self.sigma,
-                self.sd0[0],
-                self.sd0[1],
-                self.sd1[0],
-                self.sd1[1],
-                self.rho[0],
-                self.rho[1],
-            ),
-            JointEffects(
-                self.b0_i.copy(), self.b0_a.copy(), self.b1_i.copy(), self.b1_a.copy()
-            ),
-        )
+        params, effects = self._fields()
+        return ModelState(JointParams(*params), JointEffects(*(e.copy() for e in effects)))
 
     def _cov(self, which: int) -> Cov2:
         sds = self.sd0 if which == 0 else self.sd1
@@ -526,34 +511,9 @@ class JointSampler:
         if "cov_params" not in skipped:
             self.update_cov_params(rng)
 
-    def param_names(self) -> list[str]:
-        names = list(
-            ("beta0_I", "beta0_A", "sigma", "sigma0_I", "sigma0_A", "sigma1_I", "sigma1_A", "rho0", "rho1")
-        )
-        for tag in ("b0_I", "b0_A", "b1_I", "b1_A"):
-            names += [f"{tag}[{lbl}]" for lbl in self.labels]
-        return names
-
     def values(self) -> np.ndarray:
-        return np.concatenate(
-            (
-                [
-                    self.beta_i,
-                    self.beta_a,
-                    self.sigma,
-                    self.sd0[0],
-                    self.sd0[1],
-                    self.sd1[0],
-                    self.sd1[1],
-                    self.rho[0],
-                    self.rho[1],
-                ],
-                self.b0_i,
-                self.b0_a,
-                self.b1_i,
-                self.b1_a,
-            )
-        )
+        params, effects = self._fields()
+        return np.concatenate((params, *effects))
 
     def acceptance(self) -> dict[str, float]:
         if not self.proposed:
@@ -628,12 +588,7 @@ def initial_state(model_kind: str, data: Dataset, priors: PriorSpec = PriorSpec(
 # -- chain runners -----------------------------------------------------------
 
 
-def _make_sampler(model_kind: str, data: Dataset, config: ChainConfig, state: ModelState):
-    if model_kind == "total":
-        return TotalSampler(data, config.priors, state)
-    if model_kind == "joint":
-        return JointSampler(data, config.priors, state)
-    raise ConfigError(f"unknown model kind {model_kind!r}")
+_SAMPLERS = {"total": TotalSampler, "joint": JointSampler}
 
 
 def run_chain(
@@ -644,12 +599,12 @@ def run_chain(
     init_state: ModelState | None = None,
 ) -> ChainDraws:
     """Run one chain; fully deterministic given (config.seed, chain_index)."""
+    names = draw_names(model_kind, data.labels)  # ConfigError for an unknown kind
     rng = chain_rng(config.seed, chain_index)
     state = init_state if init_state is not None else initial_state(model_kind, data, config.priors)
-    sampler = _make_sampler(model_kind, data, config, state)
+    sampler = _SAMPLERS[model_kind](data, config.priors, state)
     skipped = config.skipped()
     n_ret = config.n_retained
-    names = sampler.param_names()
     out = np.empty((n_ret, len(names)))
     j = 0
     for it in range(config.iterations):
@@ -657,7 +612,7 @@ def run_chain(
         if it >= config.burnin and (it - config.burnin) % config.thin == 0 and j < n_ret:
             out[j] = sampler.values()
             j += 1
-    return ChainDraws(tuple(names), out, sampler.acceptance(), chain_index)
+    return ChainDraws(names, out, sampler.acceptance(), chain_index)
 
 
 def _run_chain_task(args):

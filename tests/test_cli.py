@@ -78,6 +78,15 @@ class TestSimulate:
         truth = json.loads((out / "truth.json").read_text())
         assert truth["params"]["beta0"] == 2.5
 
+    def test_partial_joint_truth_keeps_the_other_defaults(self, tmp_path):
+        tf = tmp_path / "truth.json"
+        tf.write_text(json.dumps({"rho0": -0.3, "sigma": 2}))
+        out = tmp_path / "sim"
+        assert run("simulate", "--model", "joint", "--countries", "2", "--years", "4",
+                   "--truth", tf, "--out", out) == 0
+        params = json.loads((out / "truth.json").read_text())["params"]
+        assert params == {**cli._DEFAULT_TRUTH["joint"], "rho0": -0.3, "sigma": 2}
+
 
 class TestFit:
     def test_outputs_and_summary_rows(self, total_fixture):
@@ -248,6 +257,33 @@ class TestExitCodes:
             argv = ["sbc", "--replicates", "1", "--out", tmp_path / "afile" / "sbc"]
         assert run(*argv) == 3
         assert "afile is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, text, named", [
+        ("total", '[1, 2]', "not a JSON object"),
+        ("total", '"sigma"', "not a JSON object"),
+        ("total", '{"sigmaa": 3}', "'sigmaa'"),
+        ("total", '{"rho0": 0.5}', "'rho0'"),  # a key of the other model
+        ("joint", '{"beta0": 8.0}', "'beta0'"),
+        ("total", '{"sigma": "abc"}', "'sigma'"),
+        ("total", '{"sigma": null}', "'sigma'"),
+        ("total", '{"sigma": true}', "'sigma'"),
+        ("total", '{"beta0": [1]}', "'beta0'"),
+        ("total", '{"sigma": NaN}', "'sigma'"),
+        ("total", '{"sigma1": 1e999}', "'sigma1'"),
+        ("total", '{"beta0": 1' + "0" * 400 + "}", "'beta0'"),
+        ("total", '{"sigma0": 0}', "'sigma0'"),
+        ("joint", '{"sigma1_A": -0.1}', "'sigma1_A'"),
+        ("joint", '{"rho0": 1.0}', "'rho0'"),
+        ("joint", '{"rho1": -1}', "'rho1'"),
+    ])
+    def test_bad_truth_file(self, tmp_path, capsys, model, text, named):
+        tf = tmp_path / "truth.json"
+        tf.write_text(text)
+        assert run("simulate", "--model", model, "--countries", "3", "--years", "4",
+                   "--truth", tf, "--out", tmp_path / "sim") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "sim").exists()
 
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_parallel_below_one(self, total_fixture, tmp_path, capsys, value):
@@ -570,17 +606,22 @@ class TestExport:
 
 class TestSbcAndSummarize:
     def test_sbc_writes_report(self, tmp_path, capsys):
+        # at these settings about a tenth of replicates miss the R-hat gate,
+        # and one miss in four fails the run: the exit code must follow
+        # summary.json, whichever way this draw stream falls
         out = tmp_path / "sbc"
-        assert run("sbc", "--replicates", "4", "--countries", "3", "--years", "6",
-                   "--iters", "400", "--burnin", "150", "--seed", "0",
-                   "--out", out) == 0
+        code = run("sbc", "--replicates", "4", "--countries", "3", "--years", "6",
+                   "--iters", "400", "--burnin", "150", "--seed", "0", "--out", out)
         printed = capsys.readouterr().out
         for name in ("beta0", "sigma", "sigma0", "sigma1"):
             assert f"{name}: p = " in printed
-        rows = read_csv(out / "ranks.csv")
-        assert rows[0] == ["parameter", "replicate", "rank"]
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary["pvalues"]) == {"beta0", "sigma", "sigma0", "sigma1"}
+        assert summary["replicates"] == 4
+        assert code == (4 if summary["failed"] else 0)
+        rows = read_csv(out / "ranks.csv")
+        assert rows[0] == ["parameter", "replicate", "rank"]
+        assert len(rows) - 1 == 4 * (summary["replicates"] - summary["excluded"])
 
     @pytest.mark.parametrize("replicates", ["0", "-3"])
     def test_sbc_needs_a_replicate(self, tmp_path, capsys, replicates):

@@ -8,13 +8,18 @@ from hypothesis import strategies as st
 from landmix.errors import ConfigError, DegenerateCovarianceError
 from landmix.model import (
     LOG_2PI,
+    MODELS,
     Dataset,
+    JointParams,
     ModelState,
     PriorSpec,
     Sector,
     TotalEffects,
+    TotalParams,
     build_covariance,
+    draw_names,
     log_density,
+    model_spec,
     params_from_dict,
     params_to_dict,
 )
@@ -374,3 +379,33 @@ class TestLogDensity:
             for term in ("likelihood", "effects", "prior", "posterior"):
                 cell = np.broadcast_to(getattr(got, term), (5, 4, 3))[i, j, k]
                 assert cell == pytest.approx(getattr(want, term), rel=1e-12)
+
+
+class TestModelTable:
+    @pytest.mark.parametrize("kind, params", [
+        ("total", TotalParams(8.0, 0.5, 4.0, 0.05)), ("joint", JointParams(*JOINT_OK)),
+    ])
+    def test_params_round_trip(self, kind, params):
+        as_dict = params_to_dict(params)
+        assert tuple(as_dict) == MODELS[kind].param_names
+        assert params_from_dict(kind, as_dict) == params
+
+    def test_params_from_dict_missing_key(self):
+        values = params_to_dict(JointParams(*JOINT_OK))
+        del values["rho1"]
+        with pytest.raises(ConfigError, match="'rho1'"):
+            params_from_dict("joint", values)
+
+    @pytest.mark.parametrize("lookup", [
+        lambda kind: params_from_dict(kind, {}), model_spec, lambda kind: draw_names(kind, ()),
+    ])
+    def test_unknown_kind(self, lookup):
+        with pytest.raises(ConfigError, match="unknown model kind 'both'"):
+            lookup("both")
+
+    def test_draw_names(self):
+        assert draw_names("total", ("A", "B")) == (
+            "beta0", "sigma", "sigma0", "sigma1", "b0[A]", "b0[B]", "b1[A]", "b1[B]"
+        )
+        names = draw_names("joint", ("A",))
+        assert names[9:] == ("b0_I[A]", "b0_A[A]", "b1_I[A]", "b1_A[A]")

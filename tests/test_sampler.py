@@ -8,12 +8,14 @@ from scipy import special
 
 from landmix.errors import ConfigError, DegenerateDataError
 from landmix.model import (
+    MODELS,
     JointParams,
     ModelState,
     PriorSpec,
     Sector,
     TotalParams,
     build_covariance,
+    draw_names,
 )
 from landmix.sampler import (
     ChainConfig,
@@ -512,6 +514,8 @@ class TestChainRunner:
             ChainConfig(iterations=10, burnin=10)
         with pytest.raises(ConfigError):
             ChainConfig(iterations=10, burnin=0, thin=1, skip_updates=("nonsense",))
+        with pytest.raises(ConfigError, match="seed"):
+            ChainConfig(iterations=10, burnin=0, seed=-1)
 
     def test_frozen_effects_intercept_matches_conjugate(self, rng):
         # iterate the plain update with everything else frozen
@@ -526,6 +530,30 @@ class TestChainRunner:
         se = 0.995037 / math.sqrt(len(draws))
         assert np.mean(draws) == pytest.approx(9.90099, abs=3 * se)
         assert np.std(draws, ddof=1) == pytest.approx(0.995037, rel=0.05)
+
+    @pytest.mark.parametrize("kind, sampler_class, truth", [
+        ("total", TotalSampler, TotalParams(5.0, 0.5, 1.0, 0.05)),
+        ("joint", JointSampler, JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.05, 0.5, 0.9)),
+    ])
+    def test_values_follow_the_model_table(self, rng, kind, sampler_class, truth):
+        # the one place where a sampler spells its fields against model.MODELS
+        spec = MODELS[kind]
+        data, _ = simulate_dataset(kind, truth, 3, 6, seed=0)
+        sampler = sampler_class(data, PriorSpec(), initial_state(kind, data))
+        params = rng.uniform(0.1, 0.9, len(spec.param_names))
+        effects = rng.normal(size=(len(spec.effect_tags), data.n_countries))
+        sampler.set_state(ModelState(spec.params(*params), spec.effects(*effects)))
+        values = sampler.values()
+        names = draw_names(kind, data.labels)
+        assert len(values) == len(names)
+        assert np.array_equal(values, np.concatenate([params, effects.ravel()]))
+        by_name = dict(zip(names, values))
+        assert [by_name[name] for name in spec.param_names] == list(params)
+        for tag, column in zip(spec.effect_tags, effects):
+            assert [by_name[f"{tag}[{label}]"] for label in data.labels] == list(column)
+        state = sampler.get_state()
+        assert state.params == spec.params(*params)
+        assert np.array_equal(np.array(list(vars(state.effects).values())), effects)
 
     def test_initial_state_inside_support(self):
         p = TotalParams(8.0, 0.5, 4.0, 0.05)

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from landmix.model import MODELS
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "landmix"
 
 
@@ -82,3 +84,31 @@ def test_checker_flags_unread_private_names():
 def test_no_unread_private_names():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def kind_lists(source: str, kinds=frozenset(MODELS)) -> list[str]:
+    """The tuple, list and set literals that name two or more model kinds,
+    by line: a list of the kinds belongs in ``model.MODELS`` alone."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            named = {e.value for e in node.elts if isinstance(e, ast.Constant)} & kinds
+            if len(named) >= 2:
+                lines.append(node.lineno)
+    return [f"line {n}" for n in sorted(lines)]
+
+
+def test_checker_flags_lists_of_model_kinds():
+    source = (
+        'a = ("total", "joint")\nif k in ["joint", 3, "total"]:\n    pass\n'
+        'c = {"total", "joint"}\nd = {"total": 1, "joint": 2}\ne = ("total", "total")\n'
+        'f("total", "joint")\n'
+    )
+    assert kind_lists(source) == ["line 1", "line 2", "line 4"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "model.py")
+)
+def test_model_kinds_listed_in_model_py_only(module):
+    assert kind_lists((SRC / module).read_text(encoding="utf-8")) == []
