@@ -39,6 +39,9 @@ EXIT_NUMERIC = 4
 
 _KINDS = " or ".join(map(repr, MODELS))
 
+# the largest log tonnage whose tonnage is a finite float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 _DEFAULT_TRUTH = {
     "total": {"beta0": 8.0, "sigma": 0.5, "sigma0": 4.0, "sigma1": 0.05},
     "joint": {
@@ -144,9 +147,20 @@ _MANIFEST_TYPES = {
 }
 
 
-def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
+def _read_json(path: Path):
+    """A manifest's or ``--truth`` file's JSON value; text that is not JSON
+    raises DataFormatError naming the file."""
     with utf8_text(path):
-        manifest = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an integer past the int-string limit, or nesting too deep
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
+def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
+    manifest = _read_json(path)
     if not isinstance(manifest, dict):
         raise ConfigError(f"{path}: manifest is not a JSON object")
     missing = [key for key in required if key not in manifest]
@@ -284,8 +298,7 @@ def cmd_fit(args) -> int:
 def _read_truth(path: Path, model_kind: str) -> dict:
     """A ``--truth`` file's values: a JSON object of the model's parameters,
     each a finite number, an sd positive and a correlation inside (-1, 1)."""
-    with utf8_text(path):
-        values = json.loads(path.read_text(encoding="utf-8"))
+    values = _read_json(path)
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: truth file is not a JSON object")
     names = model_spec(model_kind).param_names
@@ -311,6 +324,11 @@ def cmd_simulate(args) -> int:
     data, effects = simulate_dataset(
         args.model, params, args.countries, args.years, seed=args.seed
     )
+    if np.max(data.y) > _LOG_FLOAT_MAX:
+        raise ConfigError(
+            "the truth puts simulated landings beyond the float range "
+            f"(log tonnes above {_LOG_FLOAT_MAX:.2f})"
+        )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_landings(data, out_dir / "data.csv", span_start=args.span_start)
@@ -529,7 +547,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFormatError, OSError, json.JSONDecodeError) as exc:
+    except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (LandmixError, FloatingPointError) as exc:

@@ -153,6 +153,8 @@ def simulate_dataset(
         raise ConfigError(f"{model_kind} model expects {spec.params.__name__}")
     if n_countries < 1 or horizon < 1:
         raise ConfigError("need at least one country and one time point")
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     if labels is None:
         labels = _default_labels(n_countries)

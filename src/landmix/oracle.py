@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.stats import chisquare
+from scipy.special import chdtrc
 
 from .data import simulate_dataset
 from .diagnostics import _tau_and_ess, split_rhat
@@ -206,6 +206,12 @@ def _thin_to(pooled: np.ndarray, k: int) -> np.ndarray:
     return thinned[idx]
 
 
+def _uniform_pvalue(counts: np.ndarray) -> float:
+    """``scipy.stats.chisquare(counts).pvalue``, or NaN when every bin is empty."""
+    e = counts.mean()
+    return float(chdtrc(len(counts) - 1, ((counts - e) ** 2 / e).sum())) if e else math.nan
+
+
 def sbc_run(
     model_kind: str,
     config: SBCConfig,
@@ -224,6 +230,8 @@ def sbc_run(
         raise ConfigError("SBC harness supports the total model only")
     if replicates < 1:
         raise ConfigError(f"SBC needs at least 1 replicate, got {replicates}")
+    if seed < 0:
+        raise ConfigError(f"SBC seed must be non-negative, got {seed}")
     if config.chain.chains < 2:
         raise ConfigError(f"SBC's R-hat gate needs at least 2 chains, got {config.chain.chains}")
     pooled_draws = config.chain.chains * config.chain.n_retained
@@ -259,13 +267,12 @@ def sbc_run(
             sel = _thin_to(pooled, config.rank_draws)
             ranks[p].append(int(np.sum(sel < value)))
 
-    pvalues = {}
-    n_bins = config.rank_bins
-    per_bin = (config.rank_draws + 1) // n_bins
+    per_bin = (config.rank_draws + 1) // config.rank_bins
     rank_arrays = {p: np.asarray(v, dtype=int) for p, v in ranks.items()}
-    for p, arr in rank_arrays.items():
-        counts = np.bincount(arr // per_bin, minlength=n_bins)
-        pvalues[p] = float(chisquare(counts).pvalue) if arr.size else float("nan")
+    pvalues = {
+        p: _uniform_pvalue(np.bincount(arr // per_bin, minlength=config.rank_bins))
+        for p, arr in rank_arrays.items()
+    }
     failed = excluded > config.max_exclude_frac * replicates
     return SBCResult(
         rank_arrays,

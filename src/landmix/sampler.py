@@ -33,7 +33,6 @@ Chains are deterministic given (seed, chain_index): chain c uses
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -635,6 +634,7 @@ def run_chains(
         raise ConfigError(f"parallel must be at least 1, got {parallel}")
     tasks = [(model_kind, data, config, k, init_state) for k in range(config.chains)]
     if parallel > 1 and config.chains > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=min(parallel, config.chains)) as pool:
             return list(pool.map(_run_chain_task, tasks))
     return [_run_chain_task(t) for t in tasks]

@@ -285,6 +285,46 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--model", "total", "--countries", "3", "--years", "4"],
+        ["sbc", "--replicates", "1"],
+    ])
+    def test_negative_seed(self, tmp_path, capsys, command):
+        assert run(*command, "--seed", "-1", "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err and "-1" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_truth_beyond_float_range(self, tmp_path, capsys):
+        # log tonnes near 1000 overflow exp: refused before --out, with no warning
+        tf = tmp_path / "truth.json"
+        tf.write_text('{"beta0": 1000}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--model", "total", "--countries", "3", "--years", "5",
+                       "--truth", tf, "--out", tmp_path / "sim") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
+        assert not (tmp_path / "sim").exists()
+
+    @pytest.mark.parametrize("text", [
+        '{"sigma": 1' + "0" * 5000 + "}",  # past Python's 4300-digit int-string limit
+        '{"sigma": ',
+        "[" * 100_000,
+    ], ids=["5001_digit_integer", "truncated", "nested_too_deep"])
+    @pytest.mark.parametrize("kind", ["truth", "manifest"])
+    def test_json_that_does_not_parse(self, tmp_path, capsys, kind, text):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(text)
+        argv = {
+            "truth": ["simulate", "--model", "total", "--truth", path],
+            "manifest": ["fit", "--from-manifest", path],
+        }[kind]
+        assert run(*argv, "--out", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_parallel_below_one(self, total_fixture, tmp_path, capsys, value):
         sim, _ = total_fixture

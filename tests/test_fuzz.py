@@ -35,11 +35,13 @@ def byte_mutation(data: bytes, rng: random.Random) -> tuple[str, bytes]:
 
 def json_mutations(obj: dict):
     """(description, text) for each swap of one value for a string, null, a
-    bool or a list, each dropped key and each renamed key, and two documents
-    that are not objects."""
+    bool, a list or an integer past Python's 4300-digit int-string limit, each
+    dropped key and each renamed key, and two documents that are not objects."""
     for key in obj:
         for value in ("x", None, True, [1, 2]):
             yield f"{key} = {value!r}", json.dumps({**obj, key: value})
+        huge = json.dumps({**obj, key: "<huge>"}).replace('"<huge>"', "9" * 5001)
+        yield f"{key} = a 5001-digit integer", huge
         yield f"drop {key}", json.dumps({k: v for k, v in obj.items() if k != key})
         renamed = {(k + "_" if k == key else k): v for k, v in obj.items()}
         yield f"rename {key}", json.dumps(renamed)

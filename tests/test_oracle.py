@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from landmix.errors import ConfigError
 from landmix.model import Sector, TotalEffects
 from landmix.oracle import (
     GridSpec,
     SBCConfig,
+    _uniform_pvalue,
     conjugate_posterior_beta0,
     grid_log_posterior,
     sbc_run,
@@ -236,6 +238,26 @@ class TestSBC:
         ranks = res.ranks["sigma"]
         extremes = np.sum((ranks == 0) | (ranks == res.rank_max))
         assert extremes >= ranks.size * 0.7
+
+    def test_pvalues_are_scipy_chisquare(self):
+        cfg = small_sbc()
+        res = sbc_run("total", cfg, replicates=6, seed=100)
+        per_bin = (cfg.rank_draws + 1) // cfg.rank_bins
+        for p, ranks in res.ranks.items():
+            counts = np.bincount(ranks // per_bin, minlength=cfg.rank_bins)
+            assert res.pvalues[p] == chisquare(counts).pvalue
+
+    @pytest.mark.parametrize("counts", [
+        [5] * 10,  # uniform: statistic 0, p-value 1
+        [50] + [0] * 9,  # all in one bin
+        [0] * 9 + [1],
+        [3, 0, 1, 7, 2, 2, 0, 4, 1, 5],
+        [1, 2],
+        [200, 190, 210, 205],
+    ])
+    def test_uniform_pvalue_matches_scipy(self, counts):
+        counts = np.array(counts)
+        assert _uniform_pvalue(counts) == chisquare(counts).pvalue
 
     def test_every_replicate_excluded_gives_nan_pvalues(self):
         # a gate below 1 excludes every replicate: no ranks remain to bin

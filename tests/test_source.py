@@ -1,6 +1,10 @@
-"""Static checks on the package source, with the standard library only."""
+"""Checks on the package source and its import graph, with the standard
+library only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +116,14 @@ def test_checker_flags_lists_of_model_kinds():
 )
 def test_model_kinds_listed_in_model_py_only(module):
     assert kind_lists((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def test_cli_import_leaves_heavy_modules_out():
+    # every landmix command pays this import: scipy.stats alone would add
+    # ~440 modules, and the process pool is only for --parallel above 1
+    heavy = ["scipy.stats", "multiprocessing", "concurrent.futures.process"]
+    code = f"import sys, landmix.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == []
