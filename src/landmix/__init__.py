@@ -21,7 +21,6 @@ from .errors import (
     LandmixError,
 )
 from .model import (
-    Cov2,
     Dataset,
     JointEffects,
     JointParams,

@@ -297,7 +297,8 @@ def cmd_fit(args) -> int:
 
 def _read_truth(path: Path, model_kind: str) -> dict:
     """A ``--truth`` file's values: a JSON object of the model's parameters,
-    each a finite number, an sd positive and a correlation inside (-1, 1)."""
+    each a finite number, a correlation inside (-1, 1) and an sd positive and
+    below log(float max), past which the simulated landings would overflow."""
     values = _read_json(path)
     if not isinstance(values, dict):
         raise ConfigError(f"{path}: truth file is not a JSON object")
@@ -313,6 +314,11 @@ def _read_truth(path: Path, model_kind: str) -> dict:
             raise ConfigError(f"{path}: truth key {key!r} must be a finite number")
         if key.startswith("sigma") and x <= 0 or key.startswith("rho") and abs(x) >= 1:
             raise ConfigError(f"{path}: truth key {key!r} = {x} is out of range")
+        if key.startswith("sigma") and x >= _LOG_FLOAT_MAX:
+            raise ConfigError(
+                f"{path}: truth key {key!r} = {x} puts simulated landings beyond the float "
+                f"range (an sd of log tonnes must stay below {_LOG_FLOAT_MAX:.2f})"
+            )
     return values
 
 

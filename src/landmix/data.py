@@ -176,8 +176,8 @@ def simulate_dataset(
     else:
         cov0 = build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
         cov1 = build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)
-        pairs0 = rng.multivariate_normal([0.0, 0.0], cov0.as_array(), size=n_countries)
-        pairs1 = rng.multivariate_normal([0.0, 0.0], cov1.as_array(), size=n_countries)
+        pairs0 = rng.multivariate_normal([0.0, 0.0], cov0, size=n_countries)
+        pairs1 = rng.multivariate_normal([0.0, 0.0], cov1, size=n_countries)
         effects = JointEffects(pairs0[:, 0], pairs0[:, 1], pairs1[:, 0], pairs1[:, 1])
         if p.sigma <= 0:
             raise ConfigError("sigma must be positive")

@@ -142,14 +142,18 @@ def _tau_and_ess(chains: Sequence[np.ndarray]) -> tuple[float, float]:
     return tau, m * n / tau
 
 
-def ess(chains: Sequence[np.ndarray]) -> float:
-    """Effective sample size; capped at the total retained draw count
-    unless anti-correlation (tau < 1) is detected."""
+def _capped_ess(chains: Sequence[np.ndarray]) -> tuple[float, bool]:
+    """(ESS, anti-correlated): the raw ESS, capped at the total retained draw
+    count unless anti-correlation (tau < 1) is detected."""
     tau, raw = _tau_and_ess(chains)
-    total = sum(len(c) for c in chains)
     if tau < 1.0:
-        return raw
-    return min(raw, float(total))
+        return raw, True
+    return min(raw, float(sum(len(c) for c in chains))), False
+
+
+def ess(chains: Sequence[np.ndarray]) -> float:
+    """Effective sample size, by the rule of ``_capped_ess``."""
+    return _capped_ess(chains)[0]
 
 
 def compute_convergence(
@@ -160,14 +164,8 @@ def compute_convergence(
     out = {}
     for name in names:
         seqs = [ch.draws[name] for ch in chains]
-        tau, raw = _tau_and_ess(seqs)
-        total = sum(len(s) for s in seqs)
-        anticorr = tau < 1.0
-        out[name] = ConvergenceEntry(
-            rhat=split_rhat(seqs),
-            ess=raw if anticorr else min(raw, float(total)),
-            anticorrelated=anticorr,
-        )
+        value, anticorr = _capped_ess(seqs)
+        out[name] = ConvergenceEntry(rhat=split_rhat(seqs), ess=value, anticorrelated=anticorr)
     return out
 
 

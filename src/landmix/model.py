@@ -304,41 +304,15 @@ class ModelState:
     effects: Effects
 
 
-@dataclass(frozen=True)
-class Cov2:
-    """A 2x2 positive-definite symmetric matrix in variance units."""
-
-    a11: float
-    a12: float
-    a22: float
-
-    def __post_init__(self) -> None:
-        if self.a11 <= 0 or self.a22 <= 0 or self.det <= 0:
-            raise DegenerateCovarianceError(
-                f"covariance [[{self.a11},{self.a12}],[{self.a12},{self.a22}]] not positive definite"
-            )
-
-    @property
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a12
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a12, self.a22]])
-
-    def inv_entries(self) -> tuple[float, float, float]:
-        """(q11, q12, q22) of the inverse matrix."""
-        d = self.det
-        return self.a22 / d, -self.a12 / d, self.a11 / d
-
-
-def build_covariance(sd_a: float, sd_b: float, rho: float) -> Cov2:
-    """Covariance of a correlated pair from its two sds and correlation."""
-    if sd_a <= 0 or sd_b <= 0 or abs(rho) >= 1:
+def build_covariance(sd_a: float, sd_b: float, rho: float) -> np.ndarray:
+    """The 2x2 covariance matrix of a correlated pair from its two sds and
+    correlation; DegenerateCovarianceError unless it is positive definite."""
+    a11, a12, a22 = sd_a * sd_a, rho * sd_a * sd_b, sd_b * sd_b
+    if not (sd_a > 0 and sd_b > 0 and abs(rho) < 1 and a11 * a22 - a12 * a12 > 0):
         raise DegenerateCovarianceError(
             f"invalid covariance parameters sd_a={sd_a}, sd_b={sd_b}, rho={rho}"
         )
-    off = rho * sd_a * sd_b
-    return Cov2(sd_a * sd_a, off, sd_b * sd_b)
+    return np.array([[a11, a12], [a12, a22]])
 
 
 class LogDensity(NamedTuple):

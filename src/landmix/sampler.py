@@ -18,8 +18,14 @@ with an sd at or above the bound is rejected.  Nothing is tuned.
 The fixed-intercept update is partially collapsed: it integrates the
 random intercepts out of the conditional (they are redrawn immediately
 afterwards), which removes the slow intercept/random-effect random walk
-of the naive scalar Gibbs scheme.  The plain scalar conditional is kept
-for frozen-effects runs and validation.
+of the naive scalar Gibbs scheme.  The total model keeps the plain scalar
+conditional for runs with frozen effects.  Every bivariate-normal
+conditional of the joint model (the intercept pair and each country's
+intercept and slope effect pairs) is drawn by one kernel, ``_draw_gauss2``.
+
+A run may skip an update only where the model names it in its
+``skip_keys``: those are the frozen blocks of the oracles and the negative
+controls of the calibration checks.
 
 Every conditional reads the data only through the per-country sufficient
 statistics of each stream (``Dataset.stats``: n, t̄, ȳ, Stt, Sty, Syy),
@@ -34,14 +40,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
 
-from .errors import ConfigError, DegenerateDataError
+from .errors import ConfigError, DegenerateCovarianceError, DegenerateDataError
 from .model import (
-    Cov2,
     Dataset,
     JointEffects,
     JointParams,
@@ -53,19 +58,8 @@ from .model import (
     TotalParams,
     build_covariance,
     draw_names,
+    params_to_dict,
 )
-
-_SKIP_KEYS = {
-    "intercepts",
-    "random_effects",
-    "re_intercepts",
-    "re_slopes",
-    "obs_variance",
-    "re_sds",
-    "re_sd0",
-    "re_sd1",
-    "cov_params",
-}
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class ChainConfig:
             raise ConfigError("burnin must satisfy 0 <= burnin < iterations")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        bad = set(self.skip_updates) - _SKIP_KEYS
+        bad = set(self.skip_updates).difference(*(s.skip_keys for s in _SAMPLERS.values()))
         if bad:
             raise ConfigError(f"unknown skip keys {sorted(bad)}")
         if self.n_retained < 1:
@@ -94,14 +88,6 @@ class ChainConfig:
     @property
     def n_retained(self) -> int:
         return (self.iterations - self.burnin) // self.thin
-
-    def skipped(self) -> frozenset[str]:
-        out = set(self.skip_updates)
-        if "random_effects" in out:
-            out |= {"re_intercepts", "re_slopes"}
-        if "re_sds" in out:
-            out |= {"re_sd0", "re_sd1"}
-        return frozenset(out)
 
 
 @dataclass
@@ -180,24 +166,17 @@ def sample_trunc_invgamma_var(
     return v if v < upper_var else math.nextafter(upper_var, 0.0)
 
 
-def _draw_correlated_pairs(prior_cov, prec_add_1, prec_add_2, lin_1, lin_2, rng):
-    """Vectorized bivariate-normal full-conditional draws for effect pairs."""
-    q11, q12, q22 = prior_cov.inv_entries()
-    a = q11 + prec_add_1
-    d = q22 + prec_add_2
-    det = a * d - q12 * q12
-    c11 = d / det
-    c12 = -q12 / det
-    c22 = a / det
-    m1 = c11 * lin_1 + c12 * lin_2
-    m2 = c12 * lin_1 + c22 * lin_2
-    l11 = np.sqrt(c11)
+def _draw_gauss2(p11, p12, p22, h1, h2, z):
+    """A draw (x1, x2) from the bivariate normal with precision
+    [[p11, p12], [p12, p22]] and linear term (h1, h2), so mean P^-1 h,
+    given the standard normals z.  The entries are floats or arrays of one
+    shape, with z of shape (2,) or (2,) + that shape."""
+    det = p11 * p22 - p12 * p12
+    c11, c12, c22 = p22 / det, -p12 / det, p11 / det
+    l11 = np.sqrt(c11)  # lower Cholesky factor of the covariance P^-1
     l21 = c12 / l11
     l22 = np.sqrt(c22 - l21 * l21)
-    z = rng.standard_normal((2, np.shape(a)[0] if np.ndim(a) else 1))
-    x1 = m1 + l11 * z[0]
-    x2 = m2 + l21 * z[0] + l22 * z[1]
-    return x1, x2
+    return c11 * h1 + c12 * h2 + l11 * z[0], c12 * h1 + c22 * h2 + l21 * z[0] + l22 * z[1]
 
 
 def _draw_inv_wishart_2x2(s11, s12, s22, nu, rng) -> tuple[float, float, float]:
@@ -227,6 +206,10 @@ def _draw_inv_wishart_2x2(s11, s12, s22, nu, rng) -> tuple[float, float, float]:
 
 class TotalSampler:
     """Mutable sampling state for the total-landings model."""
+
+    # frozen effects (criterion 1) or slopes (criterion 2), the variance
+    # control of the calibration check, and frozen scale parameters
+    skip_keys = frozenset({"random_effects", "re_slopes", "obs_variance", "re_sds", "re_sd1"})
 
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
         self.s = data.stats(Sector.TOTAL)
@@ -315,19 +298,18 @@ class TotalSampler:
             self.sigma1 = math.sqrt(v)
 
     def sweep(self, rng, skipped: frozenset[str]) -> None:
-        collapsed = "re_intercepts" not in skipped
-        if "intercepts" not in skipped:
-            self.update_intercept(rng, collapsed)
-        if "re_intercepts" not in skipped:
+        effects = "random_effects" not in skipped
+        self.update_intercept(rng, collapsed=effects)
+        if effects:
             self.update_random_intercepts(rng)
-        if "re_slopes" not in skipped:
-            self.update_random_slopes(rng)
+            if "re_slopes" not in skipped:
+                self.update_random_slopes(rng)
         if "obs_variance" not in skipped:
             self.update_obs_variance(rng)
-        if "re_sd0" not in skipped:
+        if "re_sds" not in skipped:
             self.update_re_sd(0, rng)
-        if "re_sd1" not in skipped:
-            self.update_re_sd(1, rng)
+            if "re_sd1" not in skipped:
+                self.update_re_sd(1, rng)
 
     def values(self) -> np.ndarray:
         params, effects = self._fields()
@@ -339,6 +321,9 @@ class TotalSampler:
 
 class JointSampler:
     """Mutable sampling state for the shared-parameter joint model."""
+
+    # the negative controls of a calibration check
+    skip_keys = frozenset({"obs_variance", "cov_params"})
 
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
         if Sector.TOTAL in data.sectors_present():
@@ -359,8 +344,16 @@ class JointSampler:
         self.set_state(state)
 
     def set_state(self, state: ModelState) -> None:
+        """Take ``state``, checked once here: the updates trust every later
+        state, which they keep inside the prior support."""
         p = state.params
         assert isinstance(p, JointParams)
+        for name, x in params_to_dict(p).items():
+            support = self.priors.support(name)
+            if support and not support[0] < x < support[1]:
+                raise DegenerateCovarianceError(f"starting {name} = {x} is outside {support}")
+        build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
+        build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)
         self.beta_i = p.beta0_ind
         self.beta_a = p.beta0_art
         self.sigma = p.sigma
@@ -381,26 +374,17 @@ class JointSampler:
         params, effects = self._fields()
         return ModelState(JointParams(*params), JointEffects(*(e.copy() for e in effects)))
 
-    def _cov(self, which: int) -> Cov2:
-        sds = self.sd0 if which == 0 else self.sd1
-        return build_covariance(sds[0], sds[1], self.rho[which])
+    def _prior_cov(self, block: int) -> tuple[float, float, float]:
+        """(a11, a12, a22) of a block's effect-pair covariance, as
+        ``model.build_covariance`` computes them."""
+        sds = self.sd0 if block == 0 else self.sd1
+        return sds[0] * sds[0], self.rho[block] * sds[0] * sds[1], sds[1] * sds[1]
 
-    def intercept_conditional_plain(self) -> tuple[tuple[float, float], tuple[float, float]]:
-        """Per-sector scalar conditionals (mean, var) with effects held fixed."""
-        pv = self.priors.intercept_sd**2
-        s2 = self.sigma * self.sigma
-        si, sa = self.si, self.sa
-        ri = float(si.n @ (si.ybar - self.b0_i - self.b1_i * si.tbar))
-        ra = float(sa.n @ (sa.ybar - self.b0_a - self.b1_a * sa.tbar))
-        return (
-            conj_normal(pv, self.n_obs_i / s2, ri / s2),
-            conj_normal(pv, self.n_obs_a / s2, ra / s2),
-        )
-
-    def update_intercepts_plain(self, rng) -> None:
-        (mi, vi), (ma, va) = self.intercept_conditional_plain()
-        self.beta_i = mi + math.sqrt(vi) * rng.standard_normal()
-        self.beta_a = ma + math.sqrt(va) * rng.standard_normal()
+    def _prior_prec(self, block: int) -> tuple[float, float, float]:
+        """(q11, q12, q22) of the inverse of the block's covariance."""
+        a11, a12, a22 = self._prior_cov(block)
+        det = a11 * a22 - a12 * a12
+        return a22 / det, -a12 / det, a11 / det
 
     def update_intercepts_collapsed(self, rng) -> None:
         """Draw (beta_I, beta_A) jointly with the intercept pairs integrated out.
@@ -412,51 +396,46 @@ class JointSampler:
         country without rows adds nothing.
         """
         s2 = self.sigma * self.sigma
-        cov0 = self._cov(0)
+        a11, a12, a22 = self._prior_cov(0)
         si, sa = self.si, self.sa
-        ui = si.n * cov0.a11 + s2
-        ua = sa.n * cov0.a22 + s2
-        det = ui * ua - self.n_both * (cov0.a12 * cov0.a12)
+        ui = si.n * a11 + s2
+        ua = sa.n * a22 + s2
+        det = ui * ua - self.n_both * (a12 * a12)
         q11 = si.n * ua / det
         q22 = sa.n * ui / det
-        q12 = -cov0.a12 * self.n_both / det
+        q12 = -a12 * self.n_both / det
         zi = si.ybar - self.b1_i * si.tbar
         za = sa.ybar - self.b1_a * sa.tbar
         prior_prec = 1.0 / self.priors.intercept_sd**2
-        p11 = prior_prec + float(q11.sum())
-        p12 = float(q12.sum())
-        p22 = prior_prec + float(q22.sum())
-        h1 = float(q11 @ zi + q12 @ za)
-        h2 = float(q12 @ zi + q22 @ za)
-        det = p11 * p22 - p12 * p12
-        c11, c12, c22 = p22 / det, -p12 / det, p11 / det
-        m1 = c11 * h1 + c12 * h2
-        m2 = c12 * h1 + c22 * h2
-        l11 = math.sqrt(c11)
-        l21 = c12 / l11
-        l22 = math.sqrt(c22 - l21 * l21)
-        z1, z2 = rng.standard_normal(2)
-        self.beta_i = m1 + l11 * z1
-        self.beta_a = m2 + l21 * z1 + l22 * z2
+        self.beta_i, self.beta_a = _draw_gauss2(
+            prior_prec + float(q11.sum()),
+            float(q12.sum()),
+            prior_prec + float(q22.sum()),
+            float(q11 @ zi + q12 @ za),
+            float(q12 @ zi + q22 @ za),
+            rng.standard_normal(2),
+        )
 
     def update_random_effects(self, rng) -> None:
         s2 = self.sigma * self.sigma
         si, sa = self.si, self.sa
-        self.b0_i, self.b0_a = _draw_correlated_pairs(
-            self._cov(0),
-            si.n / s2,
-            sa.n / s2,
+        q11, q12, q22 = self._prior_prec(0)
+        self.b0_i, self.b0_a = _draw_gauss2(
+            q11 + si.n / s2,
+            q12,
+            q22 + sa.n / s2,
             si.n * (si.ybar - self.beta_i - self.b1_i * si.tbar) / s2,
             sa.n * (sa.ybar - self.beta_a - self.b1_a * sa.tbar) / s2,
-            rng,
+            rng.standard_normal((2, self.C)),
         )
-        self.b1_i, self.b1_a = _draw_correlated_pairs(
-            self._cov(1),
-            self.sum_t2_i / s2,
-            self.sum_t2_a / s2,
+        q11, q12, q22 = self._prior_prec(1)
+        self.b1_i, self.b1_a = _draw_gauss2(
+            q11 + self.sum_t2_i / s2,
+            q12,
+            q22 + self.sum_t2_a / s2,
             (si.sty + self.n_tbar_i * (si.ybar - self.beta_i - self.b0_i)) / s2,
             (sa.sty + self.n_tbar_a * (sa.ybar - self.beta_a - self.b0_a)) / s2,
-            rng,
+            rng.standard_normal((2, self.C)),
         )
 
     def update_obs_variance(self, rng) -> None:
@@ -495,16 +474,8 @@ class JointSampler:
                 self.accepted[block] += 1
 
     def sweep(self, rng, skipped: frozenset[str]) -> None:
-        collapsed = "re_intercepts" not in skipped
-        if "intercepts" not in skipped:
-            if collapsed:
-                self.update_intercepts_collapsed(rng)
-            else:
-                self.update_intercepts_plain(rng)
-        if "re_intercepts" not in skipped or "re_slopes" not in skipped:
-            # intercept and slope pairs are drawn as blocks; skipping one
-            # half of the pair structure is not supported for the joint model
-            self.update_random_effects(rng)
+        self.update_intercepts_collapsed(rng)
+        self.update_random_effects(rng)
         if "obs_variance" not in skipped:
             self.update_obs_variance(rng)
         if "cov_params" not in skipped:
@@ -599,10 +570,13 @@ def run_chain(
 ) -> ChainDraws:
     """Run one chain; fully deterministic given (config.seed, chain_index)."""
     names = draw_names(model_kind, data.labels)  # ConfigError for an unknown kind
+    skipped = frozenset(config.skip_updates)
+    bad = sorted(skipped - _SAMPLERS[model_kind].skip_keys)
+    if bad:
+        raise ConfigError(f"the {model_kind} model has no skip key {', '.join(map(repr, bad))}")
     rng = chain_rng(config.seed, chain_index)
     state = init_state if init_state is not None else initial_state(model_kind, data, config.priors)
     sampler = _SAMPLERS[model_kind](data, config.priors, state)
-    skipped = config.skipped()
     n_ret = config.n_retained
     out = np.empty((n_ret, len(names)))
     j = 0
@@ -612,10 +586,6 @@ def run_chain(
             out[j] = sampler.values()
             j += 1
     return ChainDraws(names, out, sampler.acceptance(), chain_index)
-
-
-def _run_chain_task(args):
-    return run_chain(*args)
 
 
 def run_chains(
@@ -632,9 +602,9 @@ def run_chains(
     """
     if parallel < 1:
         raise ConfigError(f"parallel must be at least 1, got {parallel}")
-    tasks = [(model_kind, data, config, k, init_state) for k in range(config.chains)]
+    chain = partial(run_chain, model_kind, data, config, init_state=init_state)
     if parallel > 1 and config.chains > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
         with ProcessPoolExecutor(max_workers=min(parallel, config.chains)) as pool:
-            return list(pool.map(_run_chain_task, tasks))
-    return [_run_chain_task(t) for t in tasks]
+            return list(pool.map(chain, range(config.chains)))
+    return [chain(k) for k in range(config.chains)]

@@ -307,6 +307,24 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("model, text, key", [
+        ("total", '{"sigma1": 1e308}', "sigma1"),
+        ("joint", '{"sigma0_I": 1e300}', "sigma0_I"),
+        ("total", '{"sigma": 709.79}', "sigma"),
+    ])
+    def test_truth_sd_beyond_float_range(self, tmp_path, capsys, model, text, key):
+        # an sd of log tonnes past log(float max) overflows the simulation itself
+        tf = tmp_path / "truth.json"
+        tf.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("simulate", "--model", model, "--countries", "3", "--years", "5",
+                       "--truth", tf, "--out", tmp_path / "sim") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tf}: truth key '{key}'") and err.count("\n") == 1
+        assert "float range" in err
+        assert not (tmp_path / "sim").exists()
+
     @pytest.mark.parametrize("text", [
         '{"sigma": 1' + "0" * 5000 + "}",  # past Python's 4300-digit int-string limit
         '{"sigma": ',

@@ -182,20 +182,22 @@ class TestLogPrior:
 class TestBuildCovariance:
     def test_identity(self):
         cov = build_covariance(1.0, 1.0, 0.0)
-        assert np.allclose(cov.as_array(), np.eye(2))
+        assert np.allclose(cov, np.eye(2))
 
     def test_table_values(self):
         cov = build_covariance(2.648, 3.823, 0.673)
-        assert cov.a11 == pytest.approx(2.648**2, rel=1e-12)
-        assert cov.a12 == pytest.approx(0.673 * 2.648 * 3.823, rel=1e-12)
-        assert cov.a22 == pytest.approx(3.823**2, rel=1e-12)
-        assert np.allclose(cov.as_array(), [[7.0119, 6.8130], [6.8130, 14.6153]], atol=5e-4)
+        assert cov[0, 0] == pytest.approx(2.648**2, rel=1e-12)
+        assert cov[0, 1] == cov[1, 0] == pytest.approx(0.673 * 2.648 * 3.823, rel=1e-12)
+        assert cov[1, 1] == pytest.approx(3.823**2, rel=1e-12)
+        assert np.allclose(cov, [[7.0119, 6.8130], [6.8130, 14.6153]], atol=5e-4)
 
     def test_singular_rejected(self):
         with pytest.raises(DegenerateCovarianceError):
             build_covariance(1.0, 1.0, 1.0)
         with pytest.raises(DegenerateCovarianceError):
             build_covariance(-1.0, 1.0, 0.0)
+        with pytest.raises(DegenerateCovarianceError):  # a variance that underflows to 0
+            build_covariance(1e-200, 1.0, 0.0)
 
     @given(
         a=st.floats(0.01, 9.9),
@@ -204,13 +206,14 @@ class TestBuildCovariance:
     )
     def test_determinant_identity(self, a, b, rho):
         cov = build_covariance(a, b, rho)
+        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
         expected = a * a * b * b * (1 - rho * rho)
-        assert cov.det == pytest.approx(expected, rel=1e-12)
-        assert cov.det > 0
+        assert det == pytest.approx(expected, rel=1e-12)
+        assert det > 0
 
     def test_zero_rho_diagonal(self):
         cov = build_covariance(2.0, 3.0, 0.0)
-        assert cov.a12 == 0.0
+        assert cov[0, 1] == cov[1, 0] == 0.0
 
 
 @st.composite

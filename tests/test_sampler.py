@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from landmix.errors import ConfigError, DegenerateDataError
+from landmix.errors import ConfigError, DegenerateCovarianceError, DegenerateDataError
 from landmix.model import (
     MODELS,
     JointParams,
@@ -21,7 +22,7 @@ from landmix.sampler import (
     ChainConfig,
     JointSampler,
     TotalSampler,
-    _draw_correlated_pairs,
+    _draw_gauss2,
     _draw_inv_wishart_2x2,
     chain_rng,
     conj_normal,
@@ -195,13 +196,12 @@ class TestJointPairConditional:
         assert c12[0] / c11[0] == pytest.approx(slope, rel=1e-12)
         # given b_I, b_A keeps the prior's residual spread sd_A^2 (1 - rho^2)
         assert c22[0] - c12[0] ** 2 / c11[0] == pytest.approx(sd_a**2 * (1 - rho**2), rel=1e-12)
-        # the bare draw, with industrial information only: precision 5, linear term 3
-        cov = build_covariance(sd_i, sd_a, rho)
-        info = ([5.0], [0.0], [3.0], [0.0])
-        m_i, m_a = _draw_correlated_pairs(cov, *np.array(info), FixedNormal([[0.0], [0.0]]))
-        x_i, x_a = _draw_correlated_pairs(cov, *np.array(info), FixedNormal([[1.0], [0.0]]))
-        assert m_a[0] == pytest.approx(slope * m_i[0], rel=1e-12)
-        assert (x_a - m_a)[0] == pytest.approx(slope * (x_i - m_i)[0], rel=1e-12)
+        # the bare kernel, with industrial information only: precision 5, linear term 3
+        q = np.linalg.inv(build_covariance(sd_i, sd_a, rho))
+        m_i, m_a = _draw_gauss2(q[0, 0] + 5.0, q[0, 1], q[1, 1], 3.0, 0.0, np.zeros(2))
+        x_i, x_a = _draw_gauss2(q[0, 0] + 5.0, q[0, 1], q[1, 1], 3.0, 0.0, np.array([1.0, 0.0]))
+        assert m_a == pytest.approx(slope * m_i, rel=1e-12)
+        assert x_a - m_a == pytest.approx(slope * (x_i - m_i), rel=1e-12)
 
     def test_zero_correlation_factorizes(self, rng):
         data = make_joint_dataset(
@@ -447,6 +447,30 @@ class TestCovParamsMH:
         assert abs(float(np.mean(draws.draws["rho1"])) - 0.9) < 0.15
 
 
+SAMPLERS = {"total": TotalSampler, "joint": JointSampler}
+# the updates each model lets a run skip: frozen blocks of the oracles and
+# the negative controls of the calibration checks
+SKIP_KEYS = {
+    "total": ("random_effects", "re_slopes", "obs_variance", "re_sds", "re_sd1"),
+    "joint": ("obs_variance", "cov_params"),
+}
+SKIP_TRUTHS = {
+    "total": TotalParams(5.0, 0.5, 1.0, 0.05),
+    "joint": JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.05, 0.5, 0.9),
+}
+
+
+def skip_run(kind, skip):
+    """A short chain on a 4x8 panel, started with effects away from 0 so that
+    a run with frozen effects keeps proper scale conditionals."""
+    data, _ = simulate_dataset(kind, SKIP_TRUTHS[kind], 4, 8, seed=0)
+    spec = MODELS[kind]
+    effects = spec.effects(*(np.linspace(-1.0, 1.0, 4) for _ in spec.effect_tags))
+    init = ModelState(initial_state(kind, data).params, effects)
+    cfg = ChainConfig(iterations=30, burnin=0, thin=1, chains=1, seed=5, skip_updates=skip)
+    return run_chain(kind, data, cfg, init_state=init)
+
+
 class TestChainRunner:
     def test_determinism_bit_identical(self):
         p = TotalParams(5.0, 0.5, 1.0, 0.05)
@@ -516,6 +540,35 @@ class TestChainRunner:
             ChainConfig(iterations=10, burnin=0, thin=1, skip_updates=("nonsense",))
         with pytest.raises(ConfigError, match="seed"):
             ChainConfig(iterations=10, burnin=0, seed=-1)
+
+    @pytest.mark.parametrize("kind, key", [(kind, key) for kind, keys in SKIP_KEYS.items()
+                                           for key in keys])
+    def test_every_skip_key_changes_the_draws(self, kind, key):
+        assert SAMPLERS[kind].skip_keys == set(SKIP_KEYS[kind])
+        assert not np.array_equal(skip_run(kind, (key,)).matrix, skip_run(kind, ()).matrix)
+
+    @pytest.mark.parametrize("kind, key", [("joint", "re_sds"), ("joint", "re_slopes"),
+                                           ("joint", "random_effects"), ("total", "cov_params")])
+    def test_skip_key_the_model_lacks_rejected(self, kind, key):
+        with pytest.raises(ConfigError, match=f"{kind} model has no skip key '{key}'"):
+            skip_run(kind, (key,))
+
+    @pytest.mark.parametrize("key", ["intercepts", "re_intercepts", "re_sd0"])
+    def test_skip_key_of_no_model_rejected(self, key):
+        with pytest.raises(ConfigError, match="unknown skip keys"):
+            ChainConfig(iterations=10, burnin=0, thin=1, skip_updates=(key,))
+
+    @pytest.mark.parametrize("field, value", [("rho0", 1.0), ("rho1", -1.5), ("sigma1_art", 10.0),
+                                              ("sigma", 0.0), ("sigma0_ind", 1e-200)])
+    def test_invalid_joint_start_rejected(self, field, value):
+        # checked once when the sampler takes the state, not on every sweep
+        p = JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.05, 0.5, 0.9)
+        data, _ = simulate_dataset("joint", p, 3, 6, seed=0)
+        start = initial_state("joint", data)
+        init = ModelState(replace(start.params, **{field: value}), start.effects)
+        cfg = ChainConfig(iterations=10, burnin=0, thin=1, chains=1, seed=1)
+        with pytest.raises(DegenerateCovarianceError):
+            run_chain("joint", data, cfg, init_state=init)
 
     def test_frozen_effects_intercept_matches_conjugate(self, rng):
         # iterate the plain update with everything else frozen
@@ -613,7 +666,7 @@ def columns(entries, sector):
 
 def pair_conditional(prior_cov, prec_add, lin):
     """Per-country (mean, cov) of an effect pair by 2x2 matrix inversion."""
-    prior_prec = np.linalg.inv(prior_cov.as_array())
+    prior_prec = np.linalg.inv(prior_cov)
     covs = np.linalg.inv(prior_prec + prec_add[:, None, :] * np.eye(2))
     return np.einsum("cij,cj->ci", covs, lin), covs
 
@@ -700,16 +753,9 @@ class TestStatisticsPath:
             (columns(entries, Sector.ARTISANAL), p.beta0_art, e.b0_art, e.b1_art),
         ]
 
-        for (mean, var), ((c, t, y), _, b0, b1) in zip(
-            sampler.intercept_conditional_plain(), streams
-        ):
-            prec = 1.0 / pv + len(y) / s2
-            assert_close(var, 1.0 / prec)
-            assert_close(mean, np.sum(y - b0[c] - b1[c] * t) / s2 / prec, math.sqrt(var))
-
         # the collapsed conditional, country by country: each country adds the
         # precision of its mean pair over the sectors it has rows in
-        cov0 = build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0).as_array()
+        cov0 = build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
         prec, lin = np.eye(2) / pv, np.zeros(2)
         for k in range(C):
             zbar, n, has = np.zeros(2), np.zeros(2), []
