@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .data import DEFAULT_SPAN, load_landings, simulate_dataset, write_landings
+from .data import FIRST_YEAR, load_landings, simulate_dataset, write_landings
 from .diagnostics import (
     ConvergenceEntry,
     ParamSummary,

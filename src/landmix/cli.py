@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import DEFAULT_SPAN, _parse_rows, load_landings, simulate_dataset, write_landings
+from .data import _parse_rows, load_landings, simulate_dataset, write_landings
 from .diagnostics import (
     compute_convergence,
     pool_chains,
@@ -135,16 +135,14 @@ def read_draws_csv(path, chain_index: int = 0) -> ChainDraws:
     return ChainDraws(tuple(names), arr, {}, chain_index)
 
 
-_MANIFEST_TYPES = {
-    "model": str,
-    "data": str,
-    "data_sha256": str,
-    "chains": int,
-    "iterations": int,
-    "burnin": int,
-    "thin": int,
-    "seed": int,
-}
+# the ChainConfig fields a fit sets; ChainConfig holds their defaults
+_CHAIN_KEYS = ("chains", "iterations", "burnin", "thin", "seed")
+# each fit setting and its type, by its manifest name
+_FIT_SETTINGS = {"model": str, "data": str, **dict.fromkeys(_CHAIN_KEYS, int)}
+# a config file names each setting by its flag
+_CONFIG_KEYS = {"iters" if key == "iterations" else key: key for key in _FIT_SETTINGS}
+
+_MANIFEST_TYPES = {**_FIT_SETTINGS, "data_sha256": str}
 
 
 def _read_json(path: Path):
@@ -179,10 +177,18 @@ def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
 
 
 def _read_fit_dir(fit_dir: Path, required: tuple[str, ...] = ("model", "chains")):
+    """A fit directory's manifest and chains; each draw header must name
+    every parameter of the manifest's model."""
     manifest = _read_manifest(fit_dir / "manifest.json", required)
+    names = model_spec(manifest["model"]).param_names
     chains = []
     for k in range(manifest["chains"]):
-        chains.append(read_draws_csv(fit_dir / f"draws_chain{k}.csv", k))
+        path = fit_dir / f"draws_chain{k}.csv"
+        chain = read_draws_csv(path, k)
+        missing = [name for name in names if name not in chain.names]
+        if missing:
+            raise DataFormatError(f"{path}: header lacks parameter {missing[0]!r}")
+        chains.append(chain)
     return manifest, chains
 
 
@@ -201,41 +207,24 @@ def _config_file_values(path: Path) -> dict[str, str]:
     return out
 
 
-_FIT_KEYS = {
-    "model": str,
-    "data": str,
-    "chains": int,
-    "iters": int,
-    "burnin": int,
-    "thin": int,
-    "seed": int,
-}
-
-_FIT_DEFAULTS = {"chains": 4, "iters": 20000, "burnin": 10000, "thin": 5, "seed": 0}
-
-
 def _resolve_fit_settings(args) -> dict:
-    settings = dict(_FIT_DEFAULTS)
+    """The fit settings the manifest, then the config file, then the flags
+    give; a chain setting none of them gives takes ChainConfig's default."""
+    settings = {}
     if args.from_manifest:
-        manifest = _read_manifest(
-            Path(args.from_manifest),
-            ("model", "data", "chains", "iterations", "burnin", "thin", "seed"),
-        )
-        # the manifest names every fit key as the flags do, but for iterations
-        settings.update({key: manifest[key] for key in _FIT_KEYS if key != "iters"})
-        settings["iters"] = manifest["iterations"]
-        settings["_expected_sha"] = manifest.get("data_sha256")
+        manifest = _read_manifest(Path(args.from_manifest), tuple(_FIT_SETTINGS))
+        settings = {key: manifest.get(key) for key in _MANIFEST_TYPES}
     if args.config:
-        values = _config_file_values(Path(args.config))
-        for key, raw in values.items():
-            if key not in _FIT_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
+        for name, raw in _config_file_values(Path(args.config)).items():
+            key = _CONFIG_KEYS.get(name)
+            if key is None:
+                raise ConfigError(f"unknown config key {name!r}")
             try:
-                settings[key] = _FIT_KEYS[key](raw)
+                settings[key] = _FIT_SETTINGS[key](raw)
             except ValueError as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-    for key in _FIT_KEYS:
-        flag = getattr(args, "iters" if key == "iters" else key, None)
+                raise ConfigError(f"config key {name!r}: {exc}") from exc
+    for key in _FIT_SETTINGS:
+        flag = getattr(args, key)
         if flag is not None:
             settings[key] = flag
     if settings.get("model") not in MODELS:
@@ -245,34 +234,33 @@ def _resolve_fit_settings(args) -> dict:
     return settings
 
 
+def _report(model: str, chains: list[ChainDraws]):
+    """The summary table, the summary and, for 2 or more chains, the
+    convergence report of a fit's model parameters."""
+    order = model_spec(model).param_names
+    pooled = pool_chains(chains)
+    summary = summarize({name: pooled[name] for name in order})
+    report = compute_convergence(chains, order) if len(chains) >= 2 else None
+    return render_summary_table(summary, model), summary, report
+
+
 def cmd_fit(args) -> int:
     settings = _resolve_fit_settings(args)
-    data_path = Path(settings["data"])
-    sha = _checked_sha256(data_path, settings.pop("_expected_sha", None))
-    data = load_landings(data_path, settings["model"])
-    config = ChainConfig(
-        iterations=settings["iters"],
-        burnin=settings["burnin"],
-        thin=settings["thin"],
-        chains=settings["chains"],
-        seed=settings["seed"],
-    )
+    model, data_path = settings["model"], Path(settings["data"])
+    sha = _checked_sha256(data_path, settings.get("data_sha256"))
+    data = load_landings(data_path, model)
+    config = ChainConfig(**{key: settings[key] for key in _CHAIN_KEYS if key in settings})
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
-    chains = run_chains(settings["model"], data, config, parallel=args.parallel)
+    chains = run_chains(model, data, config, parallel=args.parallel)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ch in chains:
         _write_draws_csv(out_dir / f"draws_chain{ch.chain_index}.csv", ch)
-    order = model_spec(settings["model"]).param_names
-    pooled = pool_chains(chains)
-    summary = summarize({name: pooled[name] for name in order})
-    (out_dir / "summary.txt").write_text(
-        render_summary_table(summary, settings["model"]) + "\n", encoding="utf-8"
-    )
+    table, summary, report = _report(model, chains)
+    (out_dir / "summary.txt").write_text(table + "\n", encoding="utf-8")
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(summary_csv_rows(summary, settings["model"]))
-    if config.chains >= 2:
-        report = compute_convergence(chains, order)
+        csv.writer(fh).writerows(summary_csv_rows(summary, model))
+    if report is not None:
         with open(out_dir / "convergence.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["parameter", "split_rhat", "ess", "flagged"])
@@ -281,17 +269,13 @@ def cmd_fit(args) -> int:
     manifest = {
         "command": "fit",
         "version": __version__,
-        "model": settings["model"],
+        "model": model,
         "data": str(data_path),
         "data_sha256": sha,
-        "iterations": config.iterations,
-        "burnin": config.burnin,
-        "thin": config.thin,
-        "chains": config.chains,
-        "seed": config.seed,
+        **{key: getattr(config, key) for key in _CHAIN_KEYS},
     }
     _write_json(out_dir / "manifest.json", manifest)
-    print(render_summary_table(summary, settings["model"]))
+    print(table)
     return EXIT_OK
 
 
@@ -337,7 +321,7 @@ def cmd_simulate(args) -> int:
         )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_landings(data, out_dir / "data.csv", span_start=args.span_start)
+    write_landings(data, out_dir / "data.csv")
     columns = effects_to_dict(effects).items()
     truth = {
         "model": args.model,
@@ -357,7 +341,6 @@ def cmd_simulate(args) -> int:
             "countries": args.countries,
             "years": args.years,
             "seed": args.seed,
-            "span_start": args.span_start,
             "truth": truth["params"],
         },
     )
@@ -369,7 +352,7 @@ def _export_figure1(args) -> list[list]:
     if not args.data:
         raise ConfigError("--figure 1 requires --data")
     with utf8_text(args.data), open(args.data, newline="", encoding="utf-8") as fh:
-        rows = _parse_rows(fh, (args.span_start, args.span_start + 200))
+        rows = _parse_rows(fh)
     out = [["country", "year", "log_tonnes", "sector"]]
     for country, year, sector, tonnes in rows:
         out.append([country, year, repr(math.log(tonnes)), sector.value])
@@ -418,14 +401,10 @@ def _export_figure3(fit_dir: Path) -> list[list]:
 def cmd_export(args) -> int:
     if args.figure == 1:
         rows = _export_figure1(args)
-    elif args.figure == 2:
-        if not args.fit:
-            raise ConfigError("--figure 2 requires --fit")
-        rows = _export_figure2(Path(args.fit))
+    elif not args.fit:
+        raise ConfigError(f"--figure {args.figure} requires --fit")
     else:
-        if not args.fit:
-            raise ConfigError("--figure 3 requires --fit")
-        rows = _export_figure3(Path(args.fit))
+        rows = (_export_figure2 if args.figure == 2 else _export_figure3)(Path(args.fit))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
     print(f"wrote {args.out}")
@@ -439,7 +418,6 @@ def cmd_sbc(args) -> int:
         burnin=args.burnin,
         thin=1,
         chains=args.chains,
-        seed=0,
         skip_updates=skip,
     )
     config = SBCConfig(n_countries=args.countries, horizon=args.years, chain=chain)
@@ -475,12 +453,9 @@ def cmd_sbc(args) -> int:
 
 def cmd_summarize(args) -> int:
     manifest, chains = _read_fit_dir(Path(args.fit))
-    order = model_spec(manifest["model"]).param_names
-    pooled = pool_chains(chains)
-    summary = summarize({name: pooled[name] for name in order})
-    print(render_summary_table(summary, manifest["model"]))
-    if len(chains) >= 2:
-        report = compute_convergence(chains, order)
+    table, _, report = _report(manifest["model"], chains)
+    print(table)
+    if report is not None:
         print()
         print(f"{'parameter':<12}{'split_rhat':>12}{'ess':>10}")
         for name, entry in report.items():
@@ -499,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--model", choices=list(MODELS))
     fit.add_argument("--data")
     fit.add_argument("--chains", type=int)
-    fit.add_argument("--iters", type=int)
+    fit.add_argument("--iters", dest="iterations", type=int)
     fit.add_argument("--burnin", type=int)
     fit.add_argument("--thin", type=int)
     fit.add_argument("--seed", type=int)
@@ -515,7 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--years", type=int, default=45)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--truth", help="JSON file of true parameter values")
-    sim.add_argument("--span-start", dest="span_start", type=int, default=DEFAULT_SPAN[0])
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
@@ -523,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--figure", type=int, choices=[1, 2, 3], required=True)
     exp.add_argument("--data", help="landings CSV (figure 1)")
     exp.add_argument("--fit", help="fit output directory (figures 2-3)")
-    exp.add_argument("--span-start", dest="span_start", type=int, default=DEFAULT_SPAN[0])
     exp.add_argument("--out", required=True)
     exp.set_defaults(func=cmd_export)
 

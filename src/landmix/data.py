@@ -1,10 +1,10 @@
 """Landings CSV ingestion, serialization and the generative simulator.
 
 Input schema: ``country,year,sector,tonnes`` with sector in
-{industrial, artisanal, total}.  Years are mapped to integer time indices
-relative to the start of the configured span (default 1970-2014) and
-tonnage is log-transformed.  Zero-tonnage rows are dropped with a warning
-since their logarithm is undefined.
+{industrial, artisanal, total}.  A year maps to the time index
+t = year - 1970 (years 1970-9999); a panel's horizon is its largest t
+plus one, read from the data.  Tonnage is log-transformed.  Zero-tonnage
+rows are dropped with a warning since their logarithm is undefined.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from .model import (
 
 log = logging.getLogger(__name__)
 
-DEFAULT_SPAN = (1970, 2014)
+FIRST_YEAR = 1970
 
 _SECTORS = {s.value: s for s in Sector}
 
 
-def _parse_rows(lines: Iterable[str], span: tuple[int, int]):
+def _parse_rows(lines: Iterable[str]):
     reader = csv.reader(lines)
     header = next(reader, None)
     if header is None or [h.strip().lower() for h in header] != ["country", "year", "sector", "tonnes"]:
@@ -56,8 +56,9 @@ def _parse_rows(lines: Iterable[str], span: tuple[int, int]):
         sector = _SECTORS.get(sector_s.lower())
         if sector is None:
             raise DataFormatError(f"line {lineno}: unknown sector {sector_s!r}")
-        if not (span[0] <= year <= span[1]):
-            raise DataFormatError(f"line {lineno}: year {year} outside span {span[0]}-{span[1]}")
+        # the upper bound keeps t far inside np.intp
+        if not (FIRST_YEAR <= year <= 9999):
+            raise DataFormatError(f"line {lineno}: year {year} outside {FIRST_YEAR}-9999")
         if tonnes < 0 or not math.isfinite(tonnes):
             raise DataFormatError(f"line {lineno}: invalid tonnage {tonnes_s!r}")
         key = (country, year, sector)
@@ -71,7 +72,7 @@ def _parse_rows(lines: Iterable[str], span: tuple[int, int]):
     return rows
 
 
-def load_landings(path, model_kind: str, span: tuple[int, int] = DEFAULT_SPAN) -> Dataset:
+def load_landings(path, model_kind: str) -> Dataset:
     """Load a landings CSV into a model-ready dataset.
 
     For the total model, explicit ``total`` rows are used when present;
@@ -80,7 +81,7 @@ def load_landings(path, model_kind: str, span: tuple[int, int] = DEFAULT_SPAN) -
     """
     model_spec(model_kind)  # ConfigError for an unknown kind
     with utf8_text(path), open(path, newline="", encoding="utf-8") as fh:
-        rows = _parse_rows(fh, span)
+        rows = _parse_rows(fh)
 
     labels: list[str] = []
     index: dict[str, int] = {}
@@ -90,10 +91,10 @@ def load_landings(path, model_kind: str, span: tuple[int, int] = DEFAULT_SPAN) -
             labels.append(country)
     if not labels:
         raise DataFormatError("no usable rows in input")
-    horizon = span[1] - span[0] + 1
 
     country = np.array([index[r[0]] for r in rows], dtype=np.intp)
-    t = np.array([r[1] for r in rows], dtype=np.intp) - span[0]
+    t = np.array([r[1] for r in rows], dtype=np.intp) - FIRST_YEAR
+    horizon = int(t.max()) + 1
     sector = np.array([r[2].code for r in rows], dtype=np.intp)
     tonnes = np.array([r[3] for r in rows], dtype=float)
     if model_kind == "joint":
@@ -112,22 +113,16 @@ def load_landings(path, model_kind: str, span: tuple[int, int] = DEFAULT_SPAN) -
     return Dataset(country[order], t[order], sector[order], y[order], tuple(labels), horizon)
 
 
-def dataset_to_rows(data: Dataset, span_start: int = DEFAULT_SPAN[0]):
-    """Landings-CSV rows (country, year, sector, tonnes) for a dataset."""
+def write_landings(data: Dataset, path) -> None:
+    """Write a dataset as a landings CSV, each year FIRST_YEAR + t."""
     labels = [data.labels[c] for c in data.country]
     sectors = [SECTORS[k].value for k in data.sector]
-    years = (span_start + data.t).tolist()
-    return zip(labels, years, sectors, np.exp(data.y).tolist())
-
-
-def write_landings(data: Dataset, path, span_start: int = DEFAULT_SPAN[0]) -> None:
+    years = (FIRST_YEAR + data.t).tolist()
+    tonnes = map(repr, np.exp(data.y).tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["country", "year", "sector", "tonnes"])
-        writer.writerows(
-            [country, year, sector, repr(tonnes)]
-            for country, year, sector, tonnes in dataset_to_rows(data, span_start)
-        )
+        writer.writerows(zip(labels, years, sectors, tonnes))
 
 
 def _default_labels(n: int) -> tuple[str, ...]:

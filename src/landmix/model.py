@@ -167,10 +167,10 @@ class Dataset:
     def sectors_present(self) -> frozenset[Sector]:
         return frozenset(SECTORS[k] for k in np.unique(self.sector))
 
-    def arrays(self, sector: Sector | None = None):
-        """(country, t, y) as numpy arrays, optionally filtered by sector."""
+    def arrays(self, sector: Sector):
+        """(country, t, y) of one sector's rows as numpy arrays."""
         if sector not in self._arrays_cache:
-            keep = slice(None) if sector is None else self.sector == sector.code
+            keep = self.sector == sector.code
             self._arrays_cache[sector] = (
                 self.country[keep],
                 self.t[keep].astype(float),

@@ -63,20 +63,15 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not self.axes:
             raise ConfigError("grid needs at least one axis")
-        total = 1
         for name, (lo, hi, n) in self.axes.items():
             if not (lo < hi) or n < 2:
                 raise ConfigError(f"bad axis {name!r}: ({lo}, {hi}, {n})")
-            total *= n
-        if total > GRID_GUARD:
-            raise ConfigError(f"grid size {total} exceeds guard {GRID_GUARD}")
+        if self.size > GRID_GUARD:
+            raise ConfigError(f"grid size {self.size} exceeds guard {GRID_GUARD}")
 
     @property
     def size(self) -> int:
-        out = 1
-        for _, _, n in self.axes.values():
-            out *= n
-        return out
+        return math.prod(n for _, _, n in self.axes.values())
 
 
 @dataclass

@@ -14,7 +14,7 @@ from landmix.data import load_landings
 from landmix.errors import DataFormatError
 from landmix.model import JOINT_PARAM_NAMES, TOTAL_PARAM_NAMES
 from landmix.oracle import SBCConfig
-from landmix.sampler import ChainDraws
+from landmix.sampler import ChainConfig, ChainDraws
 
 
 def run(*argv):
@@ -149,6 +149,48 @@ class TestFit:
                 "--step-size", "0.5", "--out", tmp_path / "b")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "export"])
+    def test_span_start_option_removed(self, total_fixture, tmp_path, command):
+        sim, _ = total_fixture
+        argv = {
+            "simulate": ["simulate", "--model", "total"],
+            "export": ["export", "--figure", "1", "--data", sim / "data.csv"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--span-start", "1994", "--out", tmp_path / "out")
+        assert exc.value.code == 2
+
+    def test_simulated_years_past_2014_fit(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert run("simulate", "--model", "total", "--countries", "3", "--years", "60",
+                   "--seed", "1", "--out", sim) == 0
+        assert "2029," in (sim / "data.csv").read_text()
+        assert run("fit", "--model", "total", "--data", sim / "data.csv", "--chains", "1",
+                   "--iters", "60", "--burnin", "10", "--thin", "1",
+                   "--out", tmp_path / "fit") == 0
+
+    def test_unset_chain_settings_take_chainconfig_defaults(self, total_fixture, tmp_path,
+                                                            monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(model, data, config, parallel):
+            raise Captured(config)
+
+        monkeypatch.setattr(cli, "run_chains", capture)
+        sim, _ = total_fixture
+        with pytest.raises(Captured) as exc:
+            run("fit", "--model", "total", "--data", sim / "data.csv",
+                "--out", tmp_path / "fit")
+        assert exc.value.args[0] == ChainConfig()
+
+    def test_config_file_takes_flag_names(self, total_fixture, tmp_path, capsys):
+        sim, _ = total_fixture
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = total\ndata = {sim / 'data.csv'}\niterations = 200\n")
+        assert run("fit", "--config", cfg, "--out", tmp_path / "a") == 2
+        assert "unknown config key 'iterations'" in capsys.readouterr().err
+
     def test_one_country_joint_fit_is_numeric_failure(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         rows = ["country,year,sector,tonnes"]
@@ -206,6 +248,15 @@ class TestExitCodes:
         bad.write_text("country,year,sector,tonnes\nSpain,notayear,industrial,5\n")
         assert run("fit", "--model", "total", "--data", bad,
                    "--out", tmp_path / "x") == 3
+
+    def test_year_too_large_for_an_index(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("country,year,sector,tonnes\nSpain,1990,total,5\n"
+                       f"Spain,{'9' * 24},total,5\n")
+        assert run("fit", "--model", "total", "--data", bad,
+                   "--out", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and "Traceback" not in err
 
     def test_checksum_mismatch(self, total_fixture, tmp_path):
         sim, fit = total_fixture
@@ -499,6 +550,32 @@ class TestExitCodes:
         (tmp_path / "draws_chain1.csv").write_text(getattr(self, damage)(text))
         assert run("summarize", "--fit", tmp_path) == 3
         assert f"draws_chain1.csv:{line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["summarize", "figure2", "figure3"])
+    @pytest.mark.parametrize("damage", ["beta0_renamed", "manifest_says_joint"])
+    def test_draw_header_lacks_a_model_parameter(self, total_fixture, tmp_path, capsys,
+                                                 command, damage):
+        _, fit = total_fixture
+        manifest = json.loads((fit / "manifest.json").read_text())
+        for k in (0, 1):
+            text = (fit / f"draws_chain{k}.csv").read_text()
+            if damage == "beta0_renamed":
+                text = text.replace("beta0,", "beta_0,", 1)
+            (tmp_path / f"draws_chain{k}.csv").write_text(text)
+        if damage == "manifest_says_joint":
+            manifest["model"] = "joint"
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        missing = "beta0" if damage == "beta0_renamed" else JOINT_PARAM_NAMES[0]
+        out = tmp_path / "out.csv"
+        argv = {
+            "summarize": ["summarize", "--fit", tmp_path],
+            "figure2": ["export", "--figure", "2", "--fit", tmp_path, "--out", out],
+            "figure3": ["export", "--figure", "3", "--fit", tmp_path, "--out", out],
+        }[command]
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert "draws_chain0.csv" in err and repr(missing) in err
+        assert not out.exists()
 
     def test_header_only_draw_file_does_not_warn(self, total_fixture, tmp_path):
         _, fit = total_fixture

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from landmix.data import (
-    DEFAULT_SPAN,
     load_landings,
     simulate_dataset,
     write_landings,
@@ -148,8 +147,9 @@ class TestSimulateDataset:
         data, _ = simulate_dataset("joint", p, 4, 6, seed=9)
         path = tmp_path / "sim.csv"
         write_landings(data, path)
-        loaded = load_landings(path, "joint", span=(1970, 1970 + data.horizon - 1))
+        loaded = load_landings(path, "joint")
         assert loaded.labels == data.labels
+        assert loaded.horizon == data.horizon
         assert loaded.n_obs == data.n_obs
 
     def test_availability_respected(self):
