@@ -63,11 +63,12 @@ def _sha256(path: Path) -> str:
 
 
 def _checked_sha256(path: Path, expected: str | None) -> str:
-    """The data file's checksum, which must equal ``expected`` when one is given."""
+    """The data file's checksum, which must equal ``expected`` when one is
+    given: an empty string is a checksum that matches no file."""
     if not path.exists():
         raise DataFormatError(f"data file not found: {path}")
     sha = _sha256(path)
-    if expected and expected != sha:
+    if expected is not None and expected != sha:
         raise DataFormatError(f"{path}: data checksum does not match manifest")
     return sha
 
@@ -164,10 +165,11 @@ def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
     missing = [key for key in required if key not in manifest]
     if missing:
         raise ConfigError(f"{path}: manifest lacks {', '.join(map(repr, missing))}")
-    for key in required:
-        value, kind = manifest[key], _MANIFEST_TYPES[key]
-        # bool is an int subclass, but true/false is no count
-        if not isinstance(value, kind) or isinstance(value, bool):
+    for key, kind in _MANIFEST_TYPES.items():
+        value = manifest.get(key)
+        # every key present is typed, required or not; bool is an int
+        # subclass, but true/false is no count
+        if key in manifest and (not isinstance(value, kind) or isinstance(value, bool)):
             raise ConfigError(f"{path}: manifest key {key!r} must be {kind.__name__}")
     if "model" in required and manifest["model"] not in MODELS:
         raise ConfigError(f"{path}: manifest key 'model' must be {_KINDS}")

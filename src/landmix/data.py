@@ -99,6 +99,8 @@ def load_landings(path, model_kind: str) -> Dataset:
     tonnes = np.array([r[3] for r in rows], dtype=float)
     if model_kind == "joint":
         keep = sector != Sector.TOTAL.code
+        if not keep.any():
+            raise DataFormatError(f"{path}: no industrial or artisanal rows for the joint model")
     elif np.any(sector == Sector.TOTAL.code):
         keep = sector == Sector.TOTAL.code
     else:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -102,10 +103,15 @@ class StreamStats:
     def n_obs(self) -> int:
         return int(self.n.sum())
 
+    @cached_property
+    def syy_sum(self) -> float:
+        """Σ Syy over the countries, which every residual sum of squares adds."""
+        return float(self.syy.sum())
+
     def residual_ss(self, a, b) -> float:
         """Σ (y − a_c − b_c·t)² over the stream, for per-country a and b."""
         d = self.ybar - a - b * self.tbar
-        return float(self.syy.sum() + (b * b) @ self.stt - 2.0 * (b @ self.sty) + (self.n * d) @ d)
+        return self.syy_sum + float((b * b) @ self.stt - 2.0 * (b @ self.sty) + (self.n * d) @ d)
 
 
 @dataclass(eq=False)

@@ -33,7 +33,11 @@ computed once per dataset.  A sweep therefore does O(C) work in the
 number of countries C, whatever the length of the panel.
 
 Chains are deterministic given (seed, chain_index): chain c uses
-``SeedSequence(entropy=seed, spawn_key=(c,))``.
+``SeedSequence(entropy=seed, spawn_key=(c,))``.  Each chain draws its
+random numbers ``BLOCK`` sweeps at a time, in a layout fixed per model
+(``numbers``), so it makes a few generator calls per block rather than
+several per sweep; the updates take their numbers as arguments.  Every
+conditional's gamma shape is checked before the first block is drawn.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
+from itertools import repeat
 
 import numpy as np
 from scipy.special import gammaincc, gammainccinv
@@ -122,6 +127,18 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chain_index,)))
 
 
+# Sweeps per block of random numbers.  A chain always draws whole blocks, so
+# its first n sweeps see the same numbers whatever its length; at C = 200 a
+# joint block of normals takes 128 x 804 doubles, under 1 MB.
+BLOCK = 128
+
+
+def _check_shape(shape: float) -> None:
+    """Raise unless a variance conditional's gamma shape is positive."""
+    if shape <= 0:
+        raise DegenerateDataError(f"improper variance conditional (shape {shape})")
+
+
 # -- shared conjugate building blocks ---------------------------------------
 
 
@@ -136,24 +153,19 @@ def conj_normal(prior_var: float, lik_prec: float, lik_lin: float) -> tuple[floa
     return lik_lin * var, var
 
 
-def sample_trunc_invgamma_var(
-    shape: float, rate: float, upper_var: float, rng: np.random.Generator
-) -> float:
-    """Draw a variance exactly from IG(shape, rate) truncated to (0, upper_var).
+def sample_trunc_invgamma_var(shape: float, rate: float, upper_var: float, g: float,
+                              u: float) -> float:
+    """A variance drawn exactly from IG(shape, rate) truncated to (0, upper_var),
+    given a standard gamma g of this shape and a uniform u.
 
-    Every call draws one standard gamma g and then one uniform u.  The
-    untruncated draw rate / g is kept when it lies below the bound;
+    The untruncated draw rate / g is kept when it lies below the bound;
     otherwise g is replaced by the inverse-CDF draw of Gamma(shape)
     truncated to (rate / upper_var, inf), taken at 1 - u.  Both branches
     give the truncated law: P(accept and A) + P(reject) P_trunc(A) =
-    P_trunc(A).
+    P_trunc(A).  The shape is checked before g is drawn (``_check_shape``).
     """
-    if shape <= 0:
-        raise DegenerateDataError(f"improper variance conditional (shape {shape})")
     if rate <= 0:
         raise DegenerateDataError("zero residual sum of squares: degenerate conditional")
-    g = rng.standard_gamma(shape)
-    u = rng.random()
     if not rate < upper_var * g:
         mass = gammaincc(shape, rate / upper_var)  # P(rate / g < upper_var)
         if mass == 0.0:
@@ -179,18 +191,16 @@ def _draw_gauss2(p11, p12, p22, h1, h2, z):
     return c11 * h1 + c12 * h2 + l11 * z[0], c12 * h1 + c22 * h2 + l21 * z[0] + l22 * z[1]
 
 
-def _draw_inv_wishart_2x2(s11, s12, s22, nu, rng) -> tuple[float, float, float]:
+def _draw_inv_wishart_2x2(s11, s12, s22, c1, c2, z) -> tuple[float, float, float]:
     """(sd_1, sd_2, rho) of one IW(S, nu) draw, by the Bartlett decomposition.
 
     Sigma = R (A A^T)^-1 R^T, with R the lower Cholesky factor of
     S = [[s11, s12], [s12, s22]] and A = [[sqrt(c1), 0], [z, sqrt(c2)]],
-    where c1 ~ chi2(nu), c2 ~ chi2(nu - 1) and z ~ N(0, 1).
+    given c1 ~ chi2(nu), c2 ~ chi2(nu - 1) and z ~ N(0, 1).
     """
     det_s = s11 * s22 - s12 * s12
     if not det_s > 0.0:
         raise DegenerateDataError("effect pairs are collinear: singular scatter")
-    c1, c2 = rng.chisquare(nu), rng.chisquare(nu - 1)
-    z = rng.standard_normal()
     r11 = math.sqrt(s11)
     r21 = s12 / r11
     r22 = math.sqrt(det_s / s11)
@@ -216,10 +226,13 @@ class TotalSampler:
         self.n_obs = self.s.n_obs
         if self.n_obs == 0:
             raise DegenerateDataError("total model requires total-sector observations")
-        self.priors = priors
         self.C = data.n_countries
         self.sum_t2 = self.s.stt + self.s.n * self.s.tbar**2
         self.n_tbar = self.s.n * self.s.tbar
+        self.prior_var = priors.intercept_sd**2
+        self.upper_var = priors.sd_bound**2
+        self.obs_shape = (self.n_obs - 1) / 2.0
+        self.re_shape = (self.C - 1) / 2.0
         self.set_state(state)
 
     def set_state(self, state: ModelState) -> None:
@@ -239,81 +252,99 @@ class TotalSampler:
         params, effects = self._fields()
         return ModelState(TotalParams(*params), TotalEffects(*(e.copy() for e in effects)))
 
+    def numbers(self, rng: np.random.Generator, skipped: frozenset[str]):
+        """Each sweep's random numbers, drawn BLOCK sweeps at a time: normals
+        (BLOCK, 1 + 2C) for beta0, b0 and b1; standard gammas at the shapes
+        (N - 1)/2 (BLOCK,) and (C - 1)/2 (BLOCK, 2); uniforms (BLOCK, 3) for
+        sigma, sigma0 and sigma1.  A skipped variance update draws no gammas,
+        and its shape is not checked."""
+        obs, re = "obs_variance" not in skipped, "re_sds" not in skipped
+        if obs:
+            _check_shape(self.obs_shape)
+        if re:
+            _check_shape(self.re_shape)
+        C = self.C
+        while True:
+            z = rng.standard_normal((BLOCK, 1 + 2 * C))
+            g_obs = rng.standard_gamma(self.obs_shape, BLOCK).tolist() if obs else repeat(None)
+            g_re = rng.standard_gamma(self.re_shape, (BLOCK, 2)).tolist() if re else repeat(None)
+            u = rng.random((BLOCK, 3)).tolist()
+            yield from zip(z[:, 0].tolist(), z[:, 1:C + 1], z[:, C + 1:], g_obs, g_re, u)
+
     # conditional-parameter helpers (exact formulas, also used by tests)
 
-    def intercept_conditional_plain(self) -> tuple[float, float]:
-        s = self.s
-        s2 = self.sigma * self.sigma
-        resid_sum = float(s.n @ (s.ybar - self.b0 - self.b1 * s.tbar))
-        return conj_normal(self.priors.intercept_sd**2, self.n_obs / s2, resid_sum / s2)
+    def zbar(self) -> np.ndarray:
+        """z̄ = ȳ − b1·t̄ per country: what the intercepts see of the data."""
+        return self.s.ybar - self.b1 * self.s.tbar
 
-    def intercept_conditional_collapsed(self) -> tuple[float, float]:
-        # country c contributes z̄_c = ȳ_c − b1_c·t̄_c ~ N(beta0, sigma0² + sigma²/n_c),
-        # with weight n_c / (n_c·sigma0² + sigma²): 0 for a country without rows
+    def intercept_conditional_plain(self, zbar) -> tuple[float, float]:
+        s2 = self.sigma * self.sigma
+        resid_sum = float(self.s.n @ (zbar - self.b0))
+        return conj_normal(self.prior_var, self.n_obs / s2, resid_sum / s2)
+
+    def intercept_conditional_collapsed(self, zbar) -> tuple[float, float]:
+        # country c contributes z̄_c ~ N(beta0, sigma0² + sigma²/n_c), with
+        # weight n_c / (n_c·sigma0² + sigma²): 0 for a country without rows
         s = self.s
         w = s.n / (s.n * self.sigma0**2 + self.sigma**2)
-        zbar = s.ybar - self.b1 * s.tbar
-        return conj_normal(self.priors.intercept_sd**2, float(w.sum()), float(w @ zbar))
+        return conj_normal(self.prior_var, float(w.sum()), float(w @ zbar))
 
-    def update_intercept(self, rng, collapsed: bool) -> None:
+    def update_intercept(self, z: float, zbar, collapsed: bool) -> None:
         mean, var = (
-            self.intercept_conditional_collapsed()
+            self.intercept_conditional_collapsed(zbar)
             if collapsed
-            else self.intercept_conditional_plain()
+            else self.intercept_conditional_plain(zbar)
         )
-        self.beta0 = mean + math.sqrt(var) * rng.standard_normal()
+        self.beta0 = mean + math.sqrt(var) * z
 
-    def update_random_intercepts(self, rng) -> None:
+    def update_random_intercepts(self, z, zbar) -> None:
         s = self.s
         s2 = self.sigma * self.sigma
         prec = s2 / self.sigma0**2 + s.n  # conditional precision times sigma²
-        mean = s.n * (s.ybar - self.beta0 - self.b1 * s.tbar) / prec
-        self.b0 = mean + np.sqrt(s2 / prec) * rng.standard_normal(self.C)
+        self.b0 = s.n * (zbar - self.beta0) / prec + np.sqrt(s2 / prec) * z
 
-    def update_random_slopes(self, rng) -> None:
+    def update_random_slopes(self, z) -> None:
         s = self.s
         s2 = self.sigma * self.sigma
         prec = s2 / self.sigma1**2 + self.sum_t2  # conditional precision times sigma²
         mean = (s.sty + self.n_tbar * (s.ybar - self.beta0 - self.b0)) / prec
-        self.b1 = mean + np.sqrt(s2 / prec) * rng.standard_normal(self.C)
+        self.b1 = mean + np.sqrt(s2 / prec) * z
 
-    def update_obs_variance(self, rng) -> None:
+    def update_obs_variance(self, g: float, u: float) -> None:
         ss = self.s.residual_ss(self.beta0 + self.b0, self.b1)
         if self.n_obs > 1 and ss <= 0.0:
             raise DegenerateDataError("zero residual sum of squares with N > 1")
-        v = sample_trunc_invgamma_var(
-            (self.n_obs - 1) / 2.0, ss / 2.0, self.priors.sd_bound**2, rng
+        self.sigma = math.sqrt(
+            sample_trunc_invgamma_var(self.obs_shape, ss / 2.0, self.upper_var, g, u)
         )
-        self.sigma = math.sqrt(v)
 
-    def update_re_sd(self, which: int, rng) -> None:
+    def update_re_sd(self, which: int, g: float, u: float) -> None:
         b = self.b0 if which == 0 else self.b1
         ss = float(b @ b)
         if self.C > 1 and ss == 0.0:
             raise DegenerateDataError("all random effects are zero: degenerate conditional")
-        v = sample_trunc_invgamma_var((self.C - 1) / 2.0, ss / 2.0, self.priors.sd_bound**2, rng)
+        sd = math.sqrt(sample_trunc_invgamma_var(self.re_shape, ss / 2.0, self.upper_var, g, u))
         if which == 0:
-            self.sigma0 = math.sqrt(v)
+            self.sigma0 = sd
         else:
-            self.sigma1 = math.sqrt(v)
+            self.sigma1 = sd
 
-    def sweep(self, rng, skipped: frozenset[str]) -> None:
+    def sweep(self, numbers, skipped: frozenset[str]) -> None:
+        """One sweep, given its row of ``numbers``."""
+        z, z_b0, z_b1, g_obs, g_re, u = numbers
         effects = "random_effects" not in skipped
-        self.update_intercept(rng, collapsed=effects)
+        zbar = self.zbar()
+        self.update_intercept(z, zbar, collapsed=effects)
         if effects:
-            self.update_random_intercepts(rng)
+            self.update_random_intercepts(z_b0, zbar)
             if "re_slopes" not in skipped:
-                self.update_random_slopes(rng)
+                self.update_random_slopes(z_b1)
         if "obs_variance" not in skipped:
-            self.update_obs_variance(rng)
+            self.update_obs_variance(g_obs, u[0])
         if "re_sds" not in skipped:
-            self.update_re_sd(0, rng)
+            self.update_re_sd(0, g_re[0], u[1])
             if "re_sd1" not in skipped:
-                self.update_re_sd(1, rng)
-
-    def values(self) -> np.ndarray:
-        params, effects = self._fields()
-        return np.concatenate((params, *effects))
+                self.update_re_sd(1, g_re[1], u[2])
 
     def acceptance(self) -> dict[str, float]:
         return {}
@@ -332,13 +363,18 @@ class JointSampler:
         self.C = data.n_countries
         self.si = data.stats(Sector.INDUSTRIAL)
         self.sa = data.stats(Sector.ARTISANAL)
-        self.n_obs_i = self.si.n_obs
-        self.n_obs_a = self.sa.n_obs
+        self.n_obs = self.si.n_obs + self.sa.n_obs
         self.n_both = self.si.n * self.sa.n
         self.sum_t2_i = self.si.stt + self.si.n * self.si.tbar**2
         self.sum_t2_a = self.sa.stt + self.sa.n * self.sa.tbar**2
         self.n_tbar_i = self.si.n * self.si.tbar
         self.n_tbar_a = self.sa.n * self.sa.tbar
+        self.prior_prec = 1.0 / priors.intercept_sd**2
+        self.upper_var = priors.sd_bound**2
+        self.obs_shape = (self.n_obs - 1) / 2.0
+        # the IW proposal's degrees of freedom, and k/2 of its acceptance ratio
+        self.nu = max(self.C - 1, 2)
+        self.half_k = 0.5 * (self.nu + 1 - self.C)
         self.accepted = [0, 0]
         self.proposed = 0
         self.set_state(state)
@@ -374,6 +410,37 @@ class JointSampler:
         params, effects = self._fields()
         return ModelState(JointParams(*params), JointEffects(*(e.copy() for e in effects)))
 
+    def numbers(self, rng: np.random.Generator, skipped: frozenset[str]):
+        """Each sweep's random numbers, drawn BLOCK sweeps at a time: normals
+        (BLOCK, 4 + 4C) for the intercept pair, the C intercept-effect pairs,
+        the C slope-effect pairs and each block's Bartlett z; standard gammas
+        at the shape (N - 1)/2 (BLOCK,); the chi-squares of the two IW draws
+        as 2·Gamma(nu/2) and 2·Gamma((nu - 1)/2), each (BLOCK, 2); uniforms
+        (BLOCK, 3) for sigma and the two MH steps.  A skipped update draws no
+        gammas, and its shape or country count is not checked."""
+        obs, cov = "obs_variance" not in skipped, "cov_params" not in skipped
+        if obs:
+            _check_shape(self.obs_shape)
+        if cov and self.C < 2:
+            raise DegenerateDataError("joint covariance needs at least 2 countries")
+        C = self.C
+        while True:
+            z = rng.standard_normal((BLOCK, 4 + 4 * C))
+            g_obs = rng.standard_gamma(self.obs_shape, BLOCK).tolist() if obs else repeat(None)
+            if cov:
+                c1 = (2.0 * rng.standard_gamma(self.nu / 2.0, (BLOCK, 2))).tolist()
+                c2 = (2.0 * rng.standard_gamma((self.nu - 1) / 2.0, (BLOCK, 2))).tolist()
+            else:
+                c1 = c2 = repeat(None)
+            u = rng.random((BLOCK, 3)).tolist()
+            yield from zip(
+                z[:, :2].tolist(),
+                z[:, 2:2 + 2 * C].reshape(BLOCK, 2, C),
+                z[:, 2 + 2 * C:2 + 4 * C].reshape(BLOCK, 2, C),
+                z[:, 2 + 4 * C:].tolist(),
+                g_obs, c1, c2, u,
+            )
+
     def _prior_cov(self, block: int) -> tuple[float, float, float]:
         """(a11, a12, a22) of a block's effect-pair covariance, as
         ``model.build_covariance`` computes them."""
@@ -386,7 +453,12 @@ class JointSampler:
         det = a11 * a22 - a12 * a12
         return a22 / det, -a12 / det, a11 / det
 
-    def update_intercepts_collapsed(self, rng) -> None:
+    def zbar(self) -> tuple[np.ndarray, np.ndarray]:
+        """(z̄_I, z̄_A), z̄ = ȳ − b1·t̄ per country: what the intercepts see of
+        each stream."""
+        return self.si.ybar - self.b1_i * self.si.tbar, self.sa.ybar - self.b1_a * self.sa.tbar
+
+    def update_intercepts_collapsed(self, z, zbar) -> None:
         """Draw (beta_I, beta_A) jointly with the intercept pairs integrated out.
 
         Country c's mean pair (z̄_I, z̄_A), z̄ = ȳ − b1·t̄, is normal around
@@ -404,29 +476,30 @@ class JointSampler:
         q11 = si.n * ua / det
         q22 = sa.n * ui / det
         q12 = -a12 * self.n_both / det
-        zi = si.ybar - self.b1_i * si.tbar
-        za = sa.ybar - self.b1_a * sa.tbar
-        prior_prec = 1.0 / self.priors.intercept_sd**2
+        zi, za = zbar
         self.beta_i, self.beta_a = _draw_gauss2(
-            prior_prec + float(q11.sum()),
+            self.prior_prec + float(q11.sum()),
             float(q12.sum()),
-            prior_prec + float(q22.sum()),
+            self.prior_prec + float(q22.sum()),
             float(q11 @ zi + q12 @ za),
             float(q12 @ zi + q22 @ za),
-            rng.standard_normal(2),
+            z,
         )
 
-    def update_random_effects(self, rng) -> None:
+    def update_random_effects(self, z_b0, z_b1, zbar) -> None:
+        """Draw the intercept-effect pairs, then the slope-effect pairs, given
+        their normals of shape (2, C)."""
         s2 = self.sigma * self.sigma
         si, sa = self.si, self.sa
+        zi, za = zbar
         q11, q12, q22 = self._prior_prec(0)
         self.b0_i, self.b0_a = _draw_gauss2(
             q11 + si.n / s2,
             q12,
             q22 + sa.n / s2,
-            si.n * (si.ybar - self.beta_i - self.b1_i * si.tbar) / s2,
-            sa.n * (sa.ybar - self.beta_a - self.b1_a * sa.tbar) / s2,
-            rng.standard_normal((2, self.C)),
+            si.n * (zi - self.beta_i) / s2,
+            sa.n * (za - self.beta_a) / s2,
+            z_b0,
         )
         q11, q12, q22 = self._prior_prec(1)
         self.b1_i, self.b1_a = _draw_gauss2(
@@ -435,26 +508,23 @@ class JointSampler:
             q22 + self.sum_t2_a / s2,
             (si.sty + self.n_tbar_i * (si.ybar - self.beta_i - self.b0_i)) / s2,
             (sa.sty + self.n_tbar_a * (sa.ybar - self.beta_a - self.b0_a)) / s2,
-            rng.standard_normal((2, self.C)),
+            z_b1,
         )
 
-    def update_obs_variance(self, rng) -> None:
+    def update_obs_variance(self, g: float, u: float) -> None:
         ss = self.si.residual_ss(self.beta_i + self.b0_i, self.b1_i) + self.sa.residual_ss(
             self.beta_a + self.b0_a, self.b1_a
         )
-        n = self.n_obs_i + self.n_obs_a
-        if n > 1 and ss <= 0.0:
+        if self.n_obs > 1 and ss <= 0.0:
             raise DegenerateDataError("zero residual sum of squares with N > 1")
-        v = sample_trunc_invgamma_var((n - 1) / 2.0, ss / 2.0, self.priors.sd_bound**2, rng)
-        self.sigma = math.sqrt(v)
+        self.sigma = math.sqrt(
+            sample_trunc_invgamma_var(self.obs_shape, ss / 2.0, self.upper_var, g, u)
+        )
 
-    def update_cov_params(self, rng) -> None:
-        """One independence-MH step per covariance block, proposing IW(S, nu)."""
-        if self.C < 2:
-            raise DegenerateDataError("joint covariance needs at least 2 countries")
-        nu = max(self.C - 1, 2)
-        half_k = 0.5 * (nu + 1 - self.C)
-        bound = self.priors.sd_bound
+    def update_cov_params(self, z, c1, c2, u) -> None:
+        """One independence-MH step per covariance block, proposing IW(S, nu)
+        from the Bartlett numbers z[k], c1[k], c2[k] and accepting at u[k]."""
+        half_k, bound = self.half_k, self.priors.sd_bound
 
         def log_weight(sd_1, sd_2, rho):  # log of target / proposal density
             omr = 1.0 - rho * rho
@@ -464,31 +534,41 @@ class JointSampler:
         for block, (x1, x2, sds) in enumerate(
             ((self.b0_i, self.b0_a, self.sd0), (self.b1_i, self.b1_a, self.sd1))
         ):
-            prop = _draw_inv_wishart_2x2(float(x1 @ x1), float(x1 @ x2), float(x2 @ x2), nu, rng)
-            u = rng.random()
+            prop = _draw_inv_wishart_2x2(
+                float(x1 @ x1), float(x1 @ x2), float(x2 @ x2), c1[block], c2[block], z[block]
+            )
             if not (prop[0] < bound and prop[1] < bound and abs(prop[2]) < 1.0):
                 continue
             la = log_weight(*prop) - log_weight(sds[0], sds[1], self.rho[block])
-            if la >= 0.0 or u < math.exp(la):
+            if la >= 0.0 or u[block] < math.exp(la):
                 sds[0], sds[1], self.rho[block] = prop
                 self.accepted[block] += 1
 
-    def sweep(self, rng, skipped: frozenset[str]) -> None:
-        self.update_intercepts_collapsed(rng)
-        self.update_random_effects(rng)
+    def sweep(self, numbers, skipped: frozenset[str]) -> None:
+        """One sweep, given its row of ``numbers``."""
+        z, z_b0, z_b1, z_iw, g_obs, c1, c2, u = numbers
+        zbar = self.zbar()
+        self.update_intercepts_collapsed(z, zbar)
+        self.update_random_effects(z_b0, z_b1, zbar)
         if "obs_variance" not in skipped:
-            self.update_obs_variance(rng)
+            self.update_obs_variance(g_obs, u[0])
         if "cov_params" not in skipped:
-            self.update_cov_params(rng)
-
-    def values(self) -> np.ndarray:
-        params, effects = self._fields()
-        return np.concatenate((params, *effects))
+            self.update_cov_params(z_iw, c1, c2, u[1:])
 
     def acceptance(self) -> dict[str, float]:
         if not self.proposed:
             return {}
         return {f"cov{block}": n / self.proposed for block, n in enumerate(self.accepted)}
+
+
+def write_values(sampler, row: np.ndarray) -> None:
+    """Write a sampler's state into one draw row, in the column order of
+    ``model.draw_names``: the parameters, then each effect's C columns."""
+    params, effects = sampler._fields()
+    P, C = len(params), sampler.C
+    row[:P] = params
+    for k, e in enumerate(effects):
+        row[P + k * C:P + (k + 1) * C] = e
 
 
 # -- initialization ----------------------------------------------------------
@@ -574,16 +654,16 @@ def run_chain(
     bad = sorted(skipped - _SAMPLERS[model_kind].skip_keys)
     if bad:
         raise ConfigError(f"the {model_kind} model has no skip key {', '.join(map(repr, bad))}")
-    rng = chain_rng(config.seed, chain_index)
     state = init_state if init_state is not None else initial_state(model_kind, data, config.priors)
     sampler = _SAMPLERS[model_kind](data, config.priors, state)
-    n_ret = config.n_retained
-    out = np.empty((n_ret, len(names)))
+    numbers = sampler.numbers(chain_rng(config.seed, chain_index), skipped)
+    out = np.empty((config.n_retained, len(names)))
+    kept = range(config.burnin, config.burnin + len(out) * config.thin, config.thin)
     j = 0
-    for it in range(config.iterations):
-        sampler.sweep(rng, skipped)
-        if it >= config.burnin and (it - config.burnin) % config.thin == 0 and j < n_ret:
-            out[j] = sampler.values()
+    for it, row in zip(range(config.iterations), numbers):
+        sampler.sweep(row, skipped)
+        if it in kept:
+            write_values(sampler, out[j])
             j += 1
     return ChainDraws(names, out, sampler.acceptance(), chain_index)
 

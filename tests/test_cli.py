@@ -266,14 +266,15 @@ class TestExitCodes:
         mpath.write_text(json.dumps(manifest))
         assert run("fit", "--from-manifest", mpath, "--out", tmp_path / "x") == 3
 
-    @pytest.mark.parametrize("failure", ["missing_data_file", "checksum_mismatch"])
+    @pytest.mark.parametrize("failure", ["missing_data_file", "checksum_mismatch",
+                                         "empty_checksum"])
     def test_failed_fit_leaves_no_output_dir(self, total_fixture, tmp_path, failure):
         _, fit = total_fixture
         if failure == "missing_data_file":
             args = ["--model", "total", "--data", tmp_path / "nope.csv"]
         else:
-            mpath = self.manifest_with(fit, "data_sha256", "0" * 64, tmp_path)
-            args = ["--from-manifest", mpath]
+            sha = "" if failure == "empty_checksum" else "0" * 64
+            args = ["--from-manifest", self.manifest_with(fit, "data_sha256", sha, tmp_path)]
         assert run("fit", *args, "--out", tmp_path / "out" / "fit") == 3
         assert not (tmp_path / "out").exists()
 
@@ -474,6 +475,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value", [
         ("chains", "2"), ("model", "bogus"), ("iterations", 1.5), ("seed", None), ("data", 3),
+        ("data_sha256", [1, 2]),
     ])
     def test_fit_from_manifest_bad_value(self, total_fixture, tmp_path, capsys, key, value):
         _, fit = total_fixture
@@ -595,6 +597,17 @@ class TestExitCodes:
         assert run("fit", "--model", "total", "--data", tiny, "--chains", "1",
                    "--iters", "50", "--burnin", "10", "--thin", "1",
                    "--out", tmp_path / "x") == 4
+
+    def test_joint_fit_of_total_rows_only_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "totals.csv"
+        data.write_text("country,year,sector,tonnes\nA,1970,total,10\nA,1971,total,12\n"
+                        "B,1970,total,7\nB,1971,total,9\n")
+        assert run("fit", "--model", "joint", "--data", data, "--chains", "1",
+                   "--iters", "20", "--burnin", "5", "--thin", "1",
+                   "--out", tmp_path / "x") == 3
+        err = capsys.readouterr().err
+        assert f"{data}: no industrial or artisanal rows" in err and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_no_mass_below_the_sd_bound_numeric_exit(self, tmp_path, capsys):
         # log tonnes swinging by ±690 give a residual sd about 70 times the

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+import landmix.sampler as sampler_module
 from landmix.errors import ConfigError, DegenerateCovarianceError, DegenerateDataError
 from landmix.model import (
     MODELS,
@@ -19,9 +21,11 @@ from landmix.model import (
     draw_names,
 )
 from landmix.sampler import (
+    BLOCK,
     ChainConfig,
     JointSampler,
     TotalSampler,
+    _check_shape,
     _draw_gauss2,
     _draw_inv_wishart_2x2,
     chain_rng,
@@ -30,6 +34,7 @@ from landmix.sampler import (
     run_chain,
     run_chains,
     sample_trunc_invgamma_var,
+    write_values,
 )
 from landmix.data import simulate_dataset
 from landmix.oracle import GridSpec, grid_log_posterior
@@ -37,22 +42,10 @@ from landmix.oracle import GridSpec, grid_log_posterior
 from conftest import joint_state, make_joint_dataset, make_total_dataset, total_state
 
 
-class FixedNormal:
-    """Stands in for a generator: each standard-normal request takes the next
-    of ``blocks``, and zeros once they run out."""
-
-    def __init__(self, *blocks):
-        self.blocks = [np.asarray(b, dtype=float) for b in blocks]
-
-    def standard_normal(self, size=None):
-        z = self.blocks.pop(0) if self.blocks else np.zeros(size or ())
-        return float(z) if size is None else z.reshape(size)
-
-
-def drawn(sampler, state, update, *blocks):
-    """The state that an update of ``state`` leaves when its normals are ``blocks``."""
+def drawn(sampler, state, update, z):
+    """The state that ``update(sampler, z)`` leaves from ``state``."""
     sampler.set_state(state)
-    getattr(sampler, update)(FixedNormal(*blocks))
+    update(sampler, z)
     return sampler.get_state()
 
 
@@ -64,13 +57,13 @@ def normal_draws(sampler, state, update, read, size):
     return at0, (at1 - at0) ** 2
 
 
-def pair_draws(sampler, state, update, read, size, before=()):
+def pair_draws(sampler, state, update, read, size):
     """Mean and covariance (c11, c12, c22) of correlated pair draws, read off
     the live update at z = 0 and at the two unit vectors of its Cholesky
-    factor.  ``before`` are the normals of the draws the update makes first."""
+    factor."""
 
     def at(z1, z2):
-        return read(drawn(sampler, state, update, *before, np.stack([z1, z2])))
+        return read(drawn(sampler, state, update, np.stack([z1, z2])))
 
     zero, one = np.zeros(size), np.ones(size)
     m1, m2 = at(zero, zero)
@@ -78,6 +71,32 @@ def pair_draws(sampler, state, update, read, size, before=()):
     _, y2 = at(zero, one)
     l11, l21, l22 = x1 - m1, x2 - m2, y2 - m2
     return (m1, m2), (l11 * l11, l11 * l21, l21 * l21 + l22 * l22)
+
+
+# each update with its normals z, the other numbers it takes made from the state
+def random_intercepts(s, z):
+    s.update_random_intercepts(z, s.zbar())
+
+
+def random_slopes(s, z):
+    s.update_random_slopes(z)
+
+
+def intercept_pair(s, z):
+    s.update_intercepts_collapsed(z.ravel(), s.zbar())
+
+
+def b0_pairs(s, z):
+    s.update_random_effects(z, np.zeros_like(z), s.zbar())
+
+
+def b1_pairs(s, z):  # the intercept pairs are drawn first, at their mean (normals 0)
+    s.update_random_effects(np.zeros_like(z), z, s.zbar())
+
+
+def trunc_ig(shape, rate, upper, rng):
+    """A truncated inverse-gamma draw from one gamma and then one uniform of ``rng``."""
+    return sample_trunc_invgamma_var(shape, rate, upper, rng.standard_gamma(shape), rng.random())
 
 
 def b0_pair(state):
@@ -107,7 +126,7 @@ class TestConjugateFormulas:
         data = make_total_dataset([(0, 0, 4.0), (0, 1, 6.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
         s = TotalSampler(data, PriorSpec(), state)
-        mean, var = s.intercept_conditional_plain()
+        mean, var = s.intercept_conditional_plain(s.zbar())
         assert mean == pytest.approx(10.0 / 2.01, rel=1e-10)
         assert var == pytest.approx(1.0 / 2.01, rel=1e-10)
 
@@ -123,7 +142,7 @@ class TestConjugateFormulas:
         draws = []
         for _ in range(4000):
             s.b0 = np.zeros(2)
-            s.update_random_intercepts(rng)
+            s.update_random_intercepts(rng.standard_normal(2), s.zbar())
             draws.append(s.b0[1])
         draws = np.asarray(draws)
         assert np.mean(draws) == pytest.approx(0.0, abs=4 / math.sqrt(4000))
@@ -134,7 +153,7 @@ class TestConjugateFormulas:
         data = make_total_dataset([(0, 0, 5.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 2.0, [0.0], [0.0])
         s = TotalSampler(data, PriorSpec(), state)
-        _, var = normal_draws(s, state, "update_random_slopes", lambda st: st.effects.b1, 1)
+        _, var = normal_draws(s, state, random_slopes, lambda st: st.effects.b1, 1)
         assert 1.0 / var[0] == pytest.approx(1.0 / 4.0)
 
 
@@ -143,7 +162,7 @@ class TestCollapsedIntercept:
         data = make_total_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 0.5)], 2)
         state = total_state(0.0, 0.7, 1.3, 1.0, [0.0, 0.0], [0.1, -0.2])
         s = TotalSampler(data, PriorSpec(), state)
-        mean, var = s.intercept_conditional_collapsed()
+        mean, var = s.intercept_conditional_collapsed(s.zbar())
 
         betas = np.linspace(-6, 6, 4001)
         bgrid = np.linspace(-8, 8, 2001)
@@ -173,7 +192,7 @@ class TestCollapsedIntercept:
         draws = []
         for _ in range(4000):
             s.beta_i = 0.0
-            s.update_intercepts_collapsed(rng)
+            s.update_intercepts_collapsed(rng.standard_normal(2), s.zbar())
             draws.append(s.beta_i)
         sd = np.std(draws)
         expected = math.sqrt(1.0 / (1.0 / 100.0 + 1.0 / (9.9**2 + 1.0)))
@@ -190,7 +209,7 @@ class TestJointPairConditional:
         )
         state = joint_state((0, 0, 1, sd_i, sd_a, 1, 1, rho, 0.0), [0.0], [0.0], [0.0], [0.0])
         s = JointSampler(data, PriorSpec(), state)
-        (m_i, m_a), (c11, c12, c22) = pair_draws(s, state, "update_random_effects", b0_pair, 1)
+        (m_i, m_a), (c11, c12, c22) = pair_draws(s, state, b0_pairs, b0_pair, 1)
         slope = rho * sd_a / sd_i
         assert m_a[0] == pytest.approx(slope * m_i[0], rel=1e-12)
         assert c12[0] / c11[0] == pytest.approx(slope, rel=1e-12)
@@ -212,7 +231,8 @@ class TestJointPairConditional:
         draws_i, draws_a = [], []
         for _ in range(6000):
             s.set_state(state)
-            s.update_random_effects(rng)
+            s.update_random_effects(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)),
+                                    s.zbar())
             draws_i.append(s.b0_i[0])
             draws_a.append(s.b0_a[0])
         # marginals equal the univariate conjugate update N(1, 0.5), N(-0.5, 0.5)
@@ -234,7 +254,8 @@ class TestJointPairConditional:
         b0i, b0a = [], []
         for _ in range(6000):
             s.set_state(state)
-            s.update_random_effects(rng)
+            s.update_random_effects(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
+                                    s.zbar())
             b0i.append(s.b0_i[1])
             b0a.append(s.b0_a[1])
         assert np.std(b0i) == pytest.approx(2.0, rel=0.08)
@@ -254,7 +275,7 @@ class TestTruncatedInverseGamma:
 
     def test_long_run_mean(self, rng):
         draws = np.array(
-            [sample_trunc_invgamma_var(1.5, 1.0, 100.0, rng) for _ in range(40000)]
+            [trunc_ig(1.5, 1.0, 100.0, rng) for _ in range(40000)]
         )
         # untruncated mean is rate/(shape-1) = 2.0; the upper bound at 100
         # trims the heavy tail, so compare against the truncated quadrature mean
@@ -267,7 +288,7 @@ class TestTruncatedInverseGamma:
         # conditional density on sigma^2 is (s2)^{-(N+1)/2} exp(-SS/(2 s2))
         shape, rate, upper = (8 - 1) / 2.0, 3.0 / 2.0, 100.0
         draws = np.array(
-            [sample_trunc_invgamma_var(shape, rate, upper, rng) for _ in range(30000)]
+            [trunc_ig(shape, rate, upper, rng) for _ in range(30000)]
         )
         _, dens, v = self.truncated_moments(shape, rate, upper)
         cdf = np.cumsum(dens) * (v[1] - v[0])
@@ -276,11 +297,11 @@ class TestTruncatedInverseGamma:
             emp = np.mean(draws <= point)
             assert emp == pytest.approx(q, abs=0.02)
 
-    def test_degenerate_cases_raise(self, rng):
+    def test_degenerate_cases_raise(self):
         with pytest.raises(DegenerateDataError):
-            sample_trunc_invgamma_var(0.0, 1.0, 100.0, rng)  # N=1
+            _check_shape(0.0)  # N=1, checked before any gamma of this shape is drawn
         with pytest.raises(DegenerateDataError):
-            sample_trunc_invgamma_var(1.5, 0.0, 100.0, rng)  # SS=0
+            sample_trunc_invgamma_var(1.5, 0.0, 100.0, 1.0, 0.5)  # SS=0
 
     @pytest.mark.parametrize("shape, rate", [(1.5, 150.0), (19.5, 3000.0)])
     def test_heavy_truncation_matches_grid_oracle(self, rng, shape, rate):
@@ -288,7 +309,7 @@ class TestTruncatedInverseGamma:
         # come from the inverse-CDF branch
         upper = 100.0
         draws = np.array(
-            [sample_trunc_invgamma_var(shape, rate, upper, rng) for _ in range(40000)]
+            [trunc_ig(shape, rate, upper, rng) for _ in range(40000)]
         )
         assert np.all((draws > 0.0) & (draws < upper))
         _, dens, v = self.truncated_moments(shape, rate, upper)
@@ -299,16 +320,14 @@ class TestTruncatedInverseGamma:
 
     @pytest.mark.parametrize("rate", [1.0, 3000.0], ids=["accept", "inverse_cdf"])
     def test_one_gamma_then_one_uniform(self, rate):
-        # a twin generator that draws standard_gamma(shape), then random(),
-        # keeps step with every call; a kept draw is rate / g, and a replaced
-        # one is the truncated law's quantile at 1 - u
+        # each draw takes one standard gamma g and one uniform u: a kept draw
+        # is rate / g, and a replaced one is the truncated law's quantile at 1 - u
         shape, upper = 19.5, 100.0
-        rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+        rng = np.random.default_rng(11)
         replaced = 0
         for _ in range(200):
-            v = sample_trunc_invgamma_var(shape, rate, upper, rng)
-            g, u = twin.standard_gamma(shape), twin.random()
-            assert rng.bit_generator.state == twin.bit_generator.state
+            g, u = rng.standard_gamma(shape), rng.random()
+            v = sample_trunc_invgamma_var(shape, rate, upper, g, u)
             assert 0.0 < v < upper
             if rate < upper * g:
                 assert v == rate / g
@@ -322,13 +341,13 @@ class TestTruncatedInverseGamma:
         # a residual sd of 100 against a bound of 10 leaves a tail mass that
         # underflows to 0
         with pytest.raises(DegenerateDataError, match="no mass below the sd bound"):
-            sample_trunc_invgamma_var(1.5, 1e6, 100.0, rng)
+            trunc_ig(1.5, 1e6, 100.0, rng)
 
-    def test_update_obs_variance_degenerate_data(self, rng):
+    def test_update_obs_variance_degenerate_data(self):
         data = make_total_dataset([(0, 0, 1.0), (0, 1, 1.0)], 1)
         state = total_state(1.0, 1.0, 1.0, 1.0, [0.0], [0.0])
         with pytest.raises(DegenerateDataError):
-            TotalSampler(data, PriorSpec(), state).update_obs_variance(rng)
+            TotalSampler(data, PriorSpec(), state).update_obs_variance(1.0, 0.5)
 
     def test_re_sd_shape_formula(self):
         assert (12 - 1) / 2.0 == 5.5
@@ -341,18 +360,26 @@ class TestTruncatedInverseGamma:
                          PriorSpec(), state)
         draws = []
         for _ in range(20000):
-            s.update_re_sd(0, rng)  # b0 stays fixed, so the draws are independent
+            # b0 stays fixed, so the draws are independent
+            s.update_re_sd(0, rng.standard_gamma(5.5), rng.random())
             draws.append(s.sigma0 ** 2)
         draws = np.asarray(draws)
         se = np.std(draws) / math.sqrt(len(draws))
         assert np.mean(draws) == pytest.approx(22.0 / 4.5, abs=4 * se)
 
-    def test_all_zero_effects_signaled(self, rng):
+    def test_all_zero_effects_signaled(self):
         state = total_state(0.0, 1.0, 1.0, 1.0, np.zeros(3), np.zeros(3))
         s = TotalSampler(make_total_dataset([(c, 0, 0.0) for c in range(3)], 3),
                          PriorSpec(), state)
         with pytest.raises(DegenerateDataError):
-            s.update_re_sd(0, rng)
+            s.update_re_sd(0, 1.0, 0.5)
+
+
+def cov_numbers(rng, nu, n):
+    """n rows of update_cov_params' numbers: the Bartlett z, the chi-squares
+    c1 ~ chi2(nu) and c2 ~ chi2(nu - 1), and the MH uniforms, one per block."""
+    return zip(*(a.tolist() for a in (rng.standard_normal((n, 2)), rng.chisquare(nu, (n, 2)),
+                                      rng.chisquare(nu - 1, (n, 2)), rng.random((n, 2)))))
 
 
 def batch_means_se(x, batches=20):
@@ -371,11 +398,10 @@ class TestCovParamsMH:
                             b1[:, 0], b1[:, 1])
         data = make_joint_dataset([(c, 0, Sector.INDUSTRIAL, 0.0) for c in range(C)], C)
         s = JointSampler(data, PriorSpec(), state)
-        rng = np.random.default_rng(100 + C)
         n = 100000
         out = np.empty((n, 6))
-        for i in range(n):
-            s.update_cov_params(rng)
+        for i, numbers in enumerate(cov_numbers(np.random.default_rng(100 + C), s.nu, n)):
+            s.update_cov_params(*numbers)
             out[i] = (s.sd0[0], s.sd0[1], s.rho[0], s.sd1[0], s.sd1[1], s.rho[1])
         for k in range(2):
             # the joint grid oracle over block k's (sd, sd, rho), the rest fixed
@@ -392,7 +418,8 @@ class TestCovParamsMH:
         S = np.array([[3.0, 1.2], [1.2, 2.0]])
         nu, n = 10, 40000
         rng = np.random.default_rng(7)
-        ours = np.array([_draw_inv_wishart_2x2(S[0, 0], S[0, 1], S[1, 1], nu, rng)
+        ours = np.array([_draw_inv_wishart_2x2(S[0, 0], S[0, 1], S[1, 1], rng.chisquare(nu),
+                                               rng.chisquare(nu - 1), rng.standard_normal())
                          for _ in range(n)])
         ref = invwishart(df=nu, scale=S).rvs(size=n, random_state=np.random.default_rng(8))
         ref_sd = np.sqrt(ref[:, [0, 1], [0, 1]])
@@ -413,27 +440,27 @@ class TestCovParamsMH:
                             big, np.roll(big, 1))
         data = make_joint_dataset([(c, 0, Sector.INDUSTRIAL, 0.0) for c in range(3)], 3)
         s = JointSampler(data, PriorSpec(), state)
-        for _ in range(200):
-            s.update_cov_params(rng)
+        for numbers in cov_numbers(rng, s.nu, 200):
+            s.update_cov_params(*numbers)
         assert s.get_state().params == state.params
         assert s.acceptance() == {"cov0": 0.0, "cov1": 0.0}
 
-    def test_one_country_cannot_update_covariance(self, rng):
+    def test_one_country_cannot_update_covariance(self):
         state = joint_state((0, 0, 1, 2.0, 3.0, 0.1, 0.2, 0.4, -0.2), [1.0], [0.5], [0.1], [0.0])
         data = make_joint_dataset([(0, t, Sector.INDUSTRIAL, 1.0 + t) for t in range(4)], 1)
+        cfg = ChainConfig(iterations=50, burnin=10, thin=1, chains=1, seed=1)
         with pytest.raises(DegenerateDataError, match="at least 2 countries"):
-            JointSampler(data, PriorSpec(), state).update_cov_params(rng)
-        cfg = ChainConfig(iterations=50, burnin=10, thin=1, chains=1, seed=1,
-                          skip_updates=("cov_params",))
+            run_chain("joint", data, cfg, init_state=state)
+        cfg = replace(cfg, skip_updates=("cov_params",))
         assert run_chain("joint", data, cfg).acceptance == {}
 
     def test_acceptance_counted_per_block_over_every_sweep(self):
         p = JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.05, 0.5, 0.9)
         data, _ = simulate_dataset("joint", p, 6, 10, seed=4)
         s = JointSampler(data, PriorSpec(), initial_state("joint", data))
-        rng = np.random.default_rng(3)
+        numbers = s.numbers(np.random.default_rng(3), frozenset())
         for _ in range(40):
-            s.sweep(rng, frozenset())
+            s.sweep(next(numbers), frozenset())
         assert s.proposed == 40
         assert s.acceptance() == {"cov0": s.accepted[0] / 40, "cov1": s.accepted[1] / 40}
         cfg = ChainConfig(iterations=40, burnin=30, thin=1, chains=1, seed=3)
@@ -577,7 +604,7 @@ class TestChainRunner:
         s = TotalSampler(data, PriorSpec(), state)
         draws = []
         for _ in range(10000):
-            s.update_intercept(rng, collapsed=False)  # effects stay frozen
+            s.update_intercept(rng.standard_normal(), s.zbar(), collapsed=False)  # effects stay frozen
             draws.append(s.beta0)
         draws = np.asarray(draws)
         se = 0.995037 / math.sqrt(len(draws))
@@ -596,8 +623,9 @@ class TestChainRunner:
         params = rng.uniform(0.1, 0.9, len(spec.param_names))
         effects = rng.normal(size=(len(spec.effect_tags), data.n_countries))
         sampler.set_state(ModelState(spec.params(*params), spec.effects(*effects)))
-        values = sampler.values()
         names = draw_names(kind, data.labels)
+        values = np.full(len(names), np.nan)
+        write_values(sampler, values)
         assert len(values) == len(names)
         assert np.array_equal(values, np.concatenate([params, effects.ravel()]))
         by_name = dict(zip(names, values))
@@ -616,6 +644,100 @@ class TestChainRunner:
         for s in (q.sigma, q.sigma0, q.sigma1):
             assert 0.01 <= s <= 9.9
         assert np.all(state.effects.b0 == 0)
+
+
+class CountingGenerator:
+    """Passes every method call through to a generator, and counts them."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def counting_chain_rngs(monkeypatch):
+    """The generators that run_chain takes from chain_rng from now on, each
+    wrapped in a CountingGenerator."""
+    made = []
+    real = sampler_module.chain_rng
+
+    def chain_rng(seed, chain_index):
+        made.append(CountingGenerator(real(seed, chain_index)))
+        return made[-1]
+
+    monkeypatch.setattr(sampler_module, "chain_rng", chain_rng)
+    return made
+
+
+def wobbly(c, n, sector=Sector.TOTAL):
+    """n rows of country c that lie on no straight line."""
+    return [(c, t, sector, 1.0 + 0.3 * t + 0.5 * math.sin(2.0 * t)) for t in range(n)]
+
+
+# each a degenerate panel (entries, C), its model and the skip keys that
+# leave its degenerate conditional out
+DEGENERATE = {
+    "total_one_row": ("total", [(0, 0, Sector.TOTAL, 1.0)], 2, ("obs_variance",)),
+    "total_one_country": ("total", wobbly(0, 5), 1, ("re_sds",)),
+    "joint_one_row": ("joint", [(0, 0, Sector.INDUSTRIAL, 1.0)], 2, ("obs_variance",)),
+    "joint_no_rows": ("joint", [], 2, ("obs_variance",)),
+    "joint_one_country": ("joint", wobbly(0, 5, Sector.INDUSTRIAL), 1, ("cov_params",)),
+}
+DEGENERATE_ERRORS = {
+    "total_one_row": "improper variance conditional (shape 0.0)",
+    "total_one_country": "improper variance conditional (shape 0.0)",
+    "joint_one_row": "improper variance conditional (shape 0.0)",
+    "joint_no_rows": "improper variance conditional (shape -0.5)",
+    "joint_one_country": "joint covariance needs at least 2 countries",
+}
+
+
+class TestBlockStream:
+    @pytest.mark.parametrize("kind", ["total", "joint"])
+    def test_short_chain_is_a_prefix_of_a_long_one(self, kind):
+        data, _ = simulate_dataset(kind, SKIP_TRUTHS[kind], 4, 8, seed=1)
+        n = BLOCK + 37  # not a multiple of the block
+        short = ChainConfig(iterations=n, burnin=20, thin=3, chains=1, seed=6)
+        long = run_chain(kind, data, replace(short, iterations=n + BLOCK + 7))
+        short = run_chain(kind, data, short)
+        assert long.n_draws > short.n_draws
+        assert np.array_equal(short.matrix, long.matrix[:short.n_draws])
+
+    @pytest.mark.parametrize("kind", ["total", "joint"])
+    def test_generator_calls_per_block(self, kind, monkeypatch):
+        data, _ = simulate_dataset(kind, SKIP_TRUTHS[kind], 4, 8, seed=1)
+        cfg = ChainConfig(iterations=3 * BLOCK + 5, burnin=10, thin=1, chains=2, seed=6)
+        plain = run_chains(kind, data, cfg)
+        made = counting_chain_rngs(monkeypatch)
+        counted = run_chains(kind, data, cfg)
+        assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(plain, counted))
+        # five calls per block: normals, two or three gamma shapes, uniforms
+        assert len(made) == 2
+        assert all(0 < rng.calls <= 5 * math.ceil(cfg.iterations / BLOCK) for rng in made)
+
+    @pytest.mark.parametrize("case", list(DEGENERATE))
+    def test_degenerate_conditional_raises_before_the_first_block(self, case, monkeypatch):
+        kind, entries, C, _ = DEGENERATE[case]
+        data = make_joint_dataset(entries, C)
+        made = counting_chain_rngs(monkeypatch)
+        cfg = ChainConfig(iterations=50, burnin=10, thin=1, chains=1, seed=1)
+        with pytest.raises(DegenerateDataError, match=re.escape(DEGENERATE_ERRORS[case])):
+            run_chain(kind, data, cfg)
+        assert made[0].calls == 0
+
+    @pytest.mark.parametrize("case", list(DEGENERATE))
+    def test_skipped_update_never_checks_its_shape(self, case):
+        kind, entries, C, skip = DEGENERATE[case]
+        cfg = ChainConfig(iterations=50, burnin=10, thin=1, chains=1, seed=1, skip_updates=skip)
+        draws = run_chain(kind, make_joint_dataset(entries, C), cfg)
+        assert draws.n_draws == 40 and np.all(np.isfinite(draws.matrix))
 
 
 # -- the statistics path against direct O(N) formulas --------------------------
@@ -698,7 +820,7 @@ class TestStatisticsPath:
         c, t, y = columns(entries, Sector.TOTAL)
         pv, s2 = 100.0, p.sigma**2
 
-        mean, var = sampler.intercept_conditional_plain()
+        mean, var = sampler.intercept_conditional_plain(sampler.zbar())
         prec = 1.0 / pv + len(y) / s2
         assert_close(var, 1.0 / prec)
         assert_close(mean, np.sum(y - e.b0[c] - e.b1[c] * t) / s2 / prec, math.sqrt(var))
@@ -710,21 +832,19 @@ class TestStatisticsPath:
                 v = p.sigma0**2 + s2 / z.size
                 prec += 1.0 / v
                 lin += z.mean() / v
-        mean, var = sampler.intercept_conditional_collapsed()
+        mean, var = sampler.intercept_conditional_collapsed(sampler.zbar())
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, math.sqrt(var))
 
         prec = 1.0 / p.sigma0**2 + np.bincount(c, minlength=C) / s2
         lin = np.bincount(c, weights=y - p.beta0 - e.b1[c] * t, minlength=C) / s2
-        mean, var = normal_draws(sampler, state, "update_random_intercepts",
-                                 lambda st: st.effects.b0, C)
+        mean, var = normal_draws(sampler, state, random_intercepts, lambda st: st.effects.b0, C)
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, np.sqrt(var))
 
         prec = 1.0 / p.sigma1**2 + np.bincount(c, weights=t * t, minlength=C) / s2
         lin = np.bincount(c, weights=t * (y - p.beta0 - e.b0[c]), minlength=C) / s2
-        mean, var = normal_draws(sampler, state, "update_random_slopes",
-                                 lambda st: st.effects.b1, C)
+        mean, var = normal_draws(sampler, state, random_slopes, lambda st: st.effects.b1, C)
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, np.sqrt(var))
 
@@ -770,7 +890,7 @@ class TestStatisticsPath:
                 prec[cell] += q
                 lin[has] += q @ zbar[has]
         cov = np.linalg.inv(prec)
-        got = pair_draws(sampler, state, "update_intercepts_collapsed",
+        got = pair_draws(sampler, state, intercept_pair,
                          lambda st: (np.array([st.params.beta0_ind]),
                                      np.array([st.params.beta0_art])), 1)
         assert_pair_close(got, (cov @ lin)[None, :], cov[None, :, :])
@@ -787,7 +907,7 @@ class TestStatisticsPath:
         want_mean, want_cov = pair_conditional(
             cov0, *information(np.ones_like, lambda c, t, y, beta, b0, b1: y - beta - b1[c] * t)
         )
-        got = pair_draws(sampler, state, "update_random_effects", b0_pair, C)
+        got = pair_draws(sampler, state, b0_pairs, b0_pair, C)
         assert_pair_close(got, want_mean, want_cov)
 
         # the slope pairs are drawn after the intercept pairs: hold those at
@@ -799,8 +919,7 @@ class TestStatisticsPath:
         want_mean, want_cov = pair_conditional(
             cov1, *information(lambda t: t, lambda c, t, y, beta, b0, b1: y - beta - b0[c])
         )
-        got = pair_draws(sampler, state, "update_random_effects", b1_pair, C,
-                         before=(np.zeros((2, C)),))
+        got = pair_draws(sampler, state, b1_pairs, b1_pair, C)
         assert_pair_close(got, want_mean, want_cov)
 
         direct = sum(
