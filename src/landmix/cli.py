@@ -238,11 +238,16 @@ def _resolve_fit_settings(args) -> dict:
 
 def _report(model: str, chains: list[ChainDraws]):
     """The summary table, the summary and, for 2 or more chains, the
-    convergence report of a fit's model parameters."""
+    convergence report of a fit's model parameters; each flagged parameter
+    is also warned about on stderr."""
     order = model_spec(model).param_names
     pooled = pool_chains(chains)
     summary = summarize({name: pooled[name] for name in order})
     report = compute_convergence(chains, order) if len(chains) >= 2 else None
+    for name, entry in (report or {}).items():
+        if entry.flagged:
+            print(f"warning: {name}: split R-hat {entry.rhat:.4f}, ESS {entry.ess:.1f}",
+                  file=sys.stderr)
     return render_summary_table(summary, model), summary, report
 
 

@@ -13,7 +13,6 @@ import re
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .data import simulate_dataset
 from .diagnostics import _tau_and_ess, split_rhat
@@ -203,6 +202,7 @@ def _thin_to(pooled: np.ndarray, k: int) -> np.ndarray:
 
 def _uniform_pvalue(counts: np.ndarray) -> float:
     """``scipy.stats.chisquare(counts).pvalue``, or NaN when every bin is empty."""
+    from scipy.special import chdtrc  # only here: it loads scipy
     e = counts.mean()
     return float(chdtrc(len(counts) - 1, ((counts - e) ** 2 / e).sum())) if e else math.nan
 

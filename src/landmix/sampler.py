@@ -48,7 +48,6 @@ from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
-from scipy.special import gammaincc, gammainccinv
 
 from .errors import ConfigError, DegenerateCovarianceError, DegenerateDataError
 from .model import (
@@ -167,6 +166,7 @@ def sample_trunc_invgamma_var(shape: float, rate: float, upper_var: float, g: fl
     if rate <= 0:
         raise DegenerateDataError("zero residual sum of squares: degenerate conditional")
     if not rate < upper_var * g:
+        from scipy.special import gammaincc, gammainccinv  # only here: it loads scipy
         mass = gammaincc(shape, rate / upper_var)  # P(rate / g < upper_var)
         if mass == 0.0:
             raise DegenerateDataError(

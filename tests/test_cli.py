@@ -812,3 +812,37 @@ class TestSbcAndSummarize:
         printed = capsys.readouterr().out
         assert "parameter" in printed
         assert "beta0" in printed and "split_rhat" in printed
+
+
+class TestConvergenceWarnings:
+    def fit(self, sim_dir, out, iters, burnin):
+        return run("fit", "--model", "total", "--data", sim_dir / "data.csv", "--chains", "2",
+                   "--iters", iters, "--burnin", burnin, "--thin", "1", "--seed", "1",
+                   "--out", out)
+
+    def test_flagged_parameters_warn_on_stderr(self, total_fixture, tmp_path, capsys):
+        sim, _ = total_fixture
+        fit = tmp_path / "fit"
+        assert self.fit(sim, fit, 60, 30) == 0  # 2 x 30 draws: every ESS is below the flag
+        out, err = capsys.readouterr()
+        assert out == (fit / "summary.txt").read_text()
+        rows = read_csv(fit / "convergence.csv")[1:]
+        expected = [f"warning: {name}: split R-hat {float(rhat):.4f}, ESS "
+                    for name, rhat, _, flagged in rows if flagged == "true"]
+        lines = err.splitlines()
+        assert len(lines) == len(expected) == len(TOTAL_PARAM_NAMES)
+        for line, start in zip(lines, expected):
+            assert line.startswith(start) and float(line[len(start):]) < 400
+        assert run("summarize", "--fit", fit) == 0
+        assert capsys.readouterr().err == err
+
+    def test_unflagged_fit_writes_nothing_to_stderr(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert run("simulate", "--model", "total", "--countries", "12", "--years", "45",
+                   "--seed", "3", "--out", sim) == 0
+        fit = tmp_path / "fit"
+        assert self.fit(sim, fit, 1500, 500) == 0
+        assert [row[3] for row in read_csv(fit / "convergence.csv")[1:]] == ["false"] * 4
+        assert capsys.readouterr().err == ""
+        assert run("summarize", "--fit", fit) == 0
+        assert capsys.readouterr().err == ""

@@ -1,5 +1,4 @@
-"""Checks on the package source and its import graph, with the standard
-library only."""
+"""Checks on the package source and its import graph."""
 
 import ast
 import os
@@ -119,11 +118,37 @@ def test_model_kinds_listed_in_model_py_only(module):
 
 
 def test_cli_import_leaves_heavy_modules_out():
-    # every landmix command pays this import: scipy.stats alone would add
-    # ~440 modules, and the process pool is only for --parallel above 1
-    heavy = ["scipy.stats", "multiprocessing", "concurrent.futures.process"]
+    # every landmix command pays this import: scipy.special alone would add
+    # ~300 modules, and the process pool is only for --parallel above 1
+    heavy = ["scipy", "multiprocessing", "concurrent.futures.process"]
     code = f"import sys, landmix.cli; print(*[m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert proc.stdout.split() == []
+
+
+def test_scipy_special_loads_on_first_use():
+    # the inverse-CDF branch and the SBC p-value import scipy.special where
+    # they call it, and must return what a top-level import returned
+    from scipy import special
+    from scipy.stats import chisquare
+
+    counts = [3, 0, 1, 7, 2, 2, 0, 4, 1, 5]
+    shape, rate, upper_var, g, u = 2.5, 3.0, 0.5, 1.0, 0.3  # rate >= upper_var * g
+    code = (
+        "import sys, numpy as np\n"
+        "from landmix.sampler import sample_trunc_invgamma_var\n"
+        "from landmix.oracle import _uniform_pvalue\n"
+        "print(*[m for m in sys.modules if m.partition('.')[0] == 'scipy'] or ['none'])\n"
+        f"print(repr(sample_trunc_invgamma_var({shape}, {rate}, {upper_var}, {g}, {u})))\n"
+        f"print(repr(_uniform_pvalue(np.array({counts}))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    loaded, draw, pvalue = proc.stdout.splitlines()
+    assert loaded == "none"
+    mass = special.gammaincc(shape, rate / upper_var)
+    assert draw == repr(rate / special.gammainccinv(shape, (1 - u) * mass))
+    assert pvalue == repr(float(chisquare(counts).pvalue))
