@@ -28,7 +28,8 @@ from .diagnostics import (
     summary_csv_rows,
 )
 from .errors import ConfigError, DataFormatError, DegenerateDataError, LandmixError, utf8_text
-from .model import MODELS, Sector, effects_to_dict, model_spec, params_from_dict, params_to_dict
+from .model import (MODELS, effects_to_dict, model_spec, model_streams, params_from_dict,
+                    params_to_dict)
 from .oracle import SBCConfig, sbc_run
 from .sampler import ChainConfig, ChainDraws, run_chains
 
@@ -388,12 +389,8 @@ def _export_figure3(fit_dir: Path) -> list[list]:
     data_path = Path(manifest["data"])
     _checked_sha256(data_path, manifest["data_sha256"])
     data = load_landings(data_path, "joint")
-    avail = data.availability
-    dual = [
-        data.labels[c]
-        for c in range(data.n_countries)
-        if {Sector.INDUSTRIAL, Sector.ARTISANAL} <= set(avail[c])
-    ]
+    si, sa = model_streams("joint", data)
+    dual = [data.labels[c] for c in np.flatnonzero(si.n * sa.n)]
     pooled = pool_chains(chains)
     out = [["country", "effect", "industrial_mean", "artisanal_mean"]]
     for effect in ("intercept", "slope"):

@@ -79,7 +79,7 @@ def load_landings(path, model_kind: str) -> Dataset:
     otherwise totals are formed by summing sector tonnage per
     (country, year) before the log transform.
     """
-    model_spec(model_kind)  # ConfigError for an unknown kind
+    spec = model_spec(model_kind)  # ConfigError for an unknown kind
     with utf8_text(path), open(path, newline="", encoding="utf-8") as fh:
         rows = _parse_rows(fh)
 
@@ -97,19 +97,17 @@ def load_landings(path, model_kind: str) -> Dataset:
     horizon = int(t.max()) + 1
     sector = np.array([r[2].code for r in rows], dtype=np.intp)
     tonnes = np.array([r[3] for r in rows], dtype=float)
-    if model_kind == "joint":
-        keep = sector != Sector.TOTAL.code
-        if not keep.any():
-            raise DataFormatError(f"{path}: no industrial or artisanal rows for the joint model")
-    elif np.any(sector == Sector.TOTAL.code):
-        keep = sector == Sector.TOTAL.code
-    else:
+    keep = np.isin(sector, [s.code for s in spec.sectors])
+    if model_kind == "total" and not keep.any():
         # no explicit totals: sum sector tonnage per (country, year), then log
         cells, inverse = np.unique(country * horizon + t, return_inverse=True)
         tonnes = np.bincount(inverse, weights=tonnes)
         country, t = np.divmod(cells, horizon)
         sector = np.full(cells.size, Sector.TOTAL.code)
         keep = slice(None)
+    elif not keep.any():
+        wanted = " or ".join(s.value for s in spec.sectors)
+        raise DataFormatError(f"{path}: no {wanted} rows for the {model_kind} model")
     country, t, sector, y = country[keep], t[keep], sector[keep], np.log(tonnes[keep])
     order = np.lexsort((sector, t, country))
     return Dataset(country[order], t[order], sector[order], y[order], tuple(labels), horizon)
@@ -127,10 +125,6 @@ def write_landings(data: Dataset, path) -> None:
         writer.writerows(zip(labels, years, sectors, tonnes))
 
 
-def _default_labels(n: int) -> tuple[str, ...]:
-    return tuple(f"country{i:02d}" for i in range(n))
-
-
 def simulate_dataset(
     model_kind: str,
     true_params: Params,
@@ -138,7 +132,6 @@ def simulate_dataset(
     horizon: int,
     availability: Mapping[int, Sequence[Sector]] | None = None,
     seed: int = 0,
-    labels: Sequence[str] | None = None,
 ):
     """Draw a synthetic panel from the generative model.
 
@@ -153,11 +146,7 @@ def simulate_dataset(
     if isinstance(seed, (int, np.integer)) and seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    if labels is None:
-        labels = _default_labels(n_countries)
-    labels = tuple(labels)
-    if len(labels) != n_countries:
-        raise ConfigError("label count does not match country count")
+    labels = tuple(f"country{i:02d}" for i in range(n_countries))
     t = np.arange(horizon, dtype=float)
 
     p = true_params
@@ -181,13 +170,9 @@ def simulate_dataset(
         cells = [
             (c, sector)
             for c in range(n_countries)
-            for sector in (
-                (Sector.INDUSTRIAL, Sector.ARTISANAL)
-                if availability is None
-                else tuple(availability.get(c, ()))
-            )
+            for sector in (spec.sectors if availability is None else availability.get(c, ()))
         ]
-        if any(sector not in (Sector.INDUSTRIAL, Sector.ARTISANAL) for _, sector in cells):
+        if any(sector not in spec.sectors for _, sector in cells):
             raise ConfigError("joint availability must list industrial/artisanal only")
         series = np.array([c for c, _ in cells], dtype=np.intp)
         sectors = np.array([sector.code for _, sector in cells], dtype=np.intp)

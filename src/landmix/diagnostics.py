@@ -137,8 +137,7 @@ def _tau_and_ess(chains: Sequence[np.ndarray]) -> tuple[float, float]:
         tau += 2.0 * pair
         prev_pair = pair
         k += 1
-    tau -= 1.0
-    tau = max(tau, 1e-12)
+    tau = max(float(tau) - 1.0, 1e-12)
     return tau, m * n / tau
 
 

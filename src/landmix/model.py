@@ -161,18 +161,6 @@ class Dataset:
     def n_obs(self) -> int:
         return len(self.y)
 
-    @property
-    def availability(self) -> dict[int, frozenset[Sector]]:
-        present = np.zeros((self.n_countries, len(SECTORS)), dtype=bool)
-        present[self.country, self.sector] = True
-        return {
-            c: frozenset(s for s, has in zip(SECTORS, row) if has)
-            for c, row in enumerate(present)
-        }
-
-    def sectors_present(self) -> frozenset[Sector]:
-        return frozenset(SECTORS[k] for k in np.unique(self.sector))
-
     def arrays(self, sector: Sector):
         """(country, t, y) of one sector's rows as numpy arrays."""
         if sector not in self._arrays_cache:
@@ -251,21 +239,22 @@ Effects = Union[TotalEffects, JointEffects]
 class ModelSpec:
     """What tells one model apart from the other: its parameter and effects
     classes, the public names of the parameters and the tags of the effects,
-    each in the field order of its class."""
+    each in the field order of its class, and the sectors it reads."""
 
     params: type
     effects: type
     param_names: tuple[str, ...]
     effect_tags: tuple[str, ...]
+    sectors: tuple[Sector, ...]
 
 
 MODELS = {
     "total": ModelSpec(TotalParams, TotalEffects, ("beta0", "sigma", "sigma0", "sigma1"),
-                       ("b0", "b1")),
+                       ("b0", "b1"), (Sector.TOTAL,)),
     "joint": ModelSpec(JointParams, JointEffects,
                        ("beta0_I", "beta0_A", "sigma", "sigma0_I", "sigma0_A", "sigma1_I",
                         "sigma1_A", "rho0", "rho1"),
-                       ("b0_I", "b0_A", "b1_I", "b1_A")),
+                       ("b0_I", "b0_A", "b1_I", "b1_A"), (Sector.INDUSTRIAL, Sector.ARTISANAL)),
 }
 TOTAL_PARAM_NAMES = MODELS["total"].param_names
 JOINT_PARAM_NAMES = MODELS["joint"].param_names
@@ -276,6 +265,15 @@ def model_spec(model_kind: str) -> ModelSpec:
     if model_kind not in MODELS:
         raise ConfigError(f"unknown model kind {model_kind!r}")
     return MODELS[model_kind]
+
+
+def model_streams(model_kind: str, data: Dataset) -> list[StreamStats]:
+    """The statistics of each sector the model reads, in table order;
+    ConfigError if the panel has rows in any other sector."""
+    streams = [data.stats(s) for s in model_spec(model_kind).sectors]
+    if sum(s.n_obs for s in streams) != data.n_obs:
+        raise ConfigError(f"panel has rows outside the {model_kind} model's sectors")
+    return streams
 
 
 def draw_names(model_kind: str, labels) -> tuple[str, ...]:
@@ -351,27 +349,21 @@ def log_density(state: ModelState, data: Dataset, priors: PriorSpec = PriorSpec(
     p, e = state.params, state.effects
     if isinstance(p, TotalParams):
         kind = "total"
-        streams = [(Sector.TOTAL, p.beta0, e.b0, e.b1)]
+        means = [(p.beta0, e.b0, e.b1)]
         # independent intercept and slope effects: a pair with correlation 0
         blocks = [(e.b0, e.b1, p.sigma0, p.sigma1, 0.0)]
     else:
         kind = "joint"
-        streams = [
-            (Sector.INDUSTRIAL, p.beta0_ind, e.b0_ind, e.b1_ind),
-            (Sector.ARTISANAL, p.beta0_art, e.b0_art, e.b1_art),
-        ]
+        means = [(p.beta0_ind, e.b0_ind, e.b1_ind), (p.beta0_art, e.b0_art, e.b1_art)]
         blocks = [
             (e.b0_ind, e.b0_art, p.sigma0_ind, p.sigma0_art, p.rho0),
             (e.b1_ind, e.b1_art, p.sigma1_ind, p.sigma1_art, p.rho1),
         ]
-    n_obs = sum(data.stats(sector).n_obs for sector, *_ in streams)
-    if n_obs != data.n_obs:
-        raise ConfigError(f"panel has rows outside the {kind} model's sectors")
-    C = data.n_countries
+    streams = model_streams(kind, data)
+    n_obs, C = data.n_obs, data.n_countries
     with np.errstate(divide="ignore", invalid="ignore"):
         rss = 0.0  # Σ (y − mean)², from the centred statistics of each country
-        for sector, beta0, b0, b1 in streams:
-            s = data.stats(sector)
+        for s, (beta0, b0, b1) in zip(streams, means):
             for c in np.flatnonzero(s.n):
                 d = s.ybar[c] - beta0 - b0[c] - b1[c] * s.tbar[c]
                 rss = rss + s.syy[c] + b1[c] * (b1[c] * s.stt[c] - 2.0 * s.sty[c]) + s.n[c] * d * d

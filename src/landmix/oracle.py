@@ -227,6 +227,8 @@ def sbc_run(
         raise ConfigError(f"SBC needs at least 1 replicate, got {replicates}")
     if seed < 0:
         raise ConfigError(f"SBC seed must be non-negative, got {seed}")
+    if config.n_countries < 2:
+        raise ConfigError(f"SBC needs at least 2 countries, got {config.n_countries}")
     if config.chain.chains < 2:
         raise ConfigError(f"SBC's R-hat gate needs at least 2 chains, got {config.chain.chains}")
     pooled_draws = config.chain.chains * config.chain.n_retained

@@ -28,7 +28,7 @@ A run may skip an update only where the model names it in its
 controls of the calibration checks.
 
 Every conditional reads the data only through the per-country sufficient
-statistics of each stream (``Dataset.stats``: n, t̄, ȳ, Stt, Sty, Syy),
+statistics of each stream (``model_streams``: n, t̄, ȳ, Stt, Sty, Syy),
 computed once per dataset.  A sweep therefore does O(C) work in the
 number of countries C, whatever the length of the panel.
 
@@ -56,12 +56,12 @@ from .model import (
     JointParams,
     ModelState,
     PriorSpec,
-    Sector,
     StreamStats,
     TotalEffects,
     TotalParams,
     build_covariance,
     draw_names,
+    model_streams,
     params_to_dict,
 )
 
@@ -222,10 +222,8 @@ class TotalSampler:
     skip_keys = frozenset({"random_effects", "re_slopes", "obs_variance", "re_sds", "re_sd1"})
 
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
-        self.s = data.stats(Sector.TOTAL)
+        (self.s,) = model_streams("total", data)
         self.n_obs = self.s.n_obs
-        if self.n_obs == 0:
-            raise DegenerateDataError("total model requires total-sector observations")
         self.C = data.n_countries
         self.sum_t2 = self.s.stt + self.s.n * self.s.tbar**2
         self.n_tbar = self.s.n * self.s.tbar
@@ -357,12 +355,9 @@ class JointSampler:
     skip_keys = frozenset({"obs_variance", "cov_params"})
 
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
-        if Sector.TOTAL in data.sectors_present():
-            raise DegenerateDataError("joint model cannot use total-sector observations")
         self.priors = priors
         self.C = data.n_countries
-        self.si = data.stats(Sector.INDUSTRIAL)
-        self.sa = data.stats(Sector.ARTISANAL)
+        self.si, self.sa = model_streams("joint", data)
         self.n_obs = self.si.n_obs + self.sa.n_obs
         self.n_both = self.si.n * self.sa.n
         self.sum_t2_i = self.si.stt + self.si.n * self.si.tbar**2
@@ -593,9 +588,10 @@ def _moment_estimates(s: StreamStats):
 
 def initial_state(model_kind: str, data: Dataset, priors: PriorSpec = PriorSpec()) -> ModelState:
     """Deterministic moment-based starting point inside the prior support."""
+    streams = model_streams(model_kind, data)  # ConfigError for an unknown kind
     C = data.n_countries
     if model_kind == "total":
-        grand, means, slopes, resid_sd = _moment_estimates(data.stats(Sector.TOTAL))
+        grand, means, slopes, resid_sd = _moment_estimates(*streams)
         sigma0 = float(np.std(means - grand, ddof=1)) if C > 1 else 1.0
         sigma1 = float(np.std(slopes, ddof=1)) if C > 1 else 0.1
         params = TotalParams(
@@ -605,34 +601,29 @@ def initial_state(model_kind: str, data: Dataset, priors: PriorSpec = PriorSpec(
             _clip_sd(sigma1, priors),
         )
         return ModelState(params, TotalEffects(np.zeros(C), np.zeros(C)))
-    if model_kind == "joint":
-        si = data.stats(Sector.INDUSTRIAL)
-        sa = data.stats(Sector.ARTISANAL)
-        grand_i, means_i, slopes_i, rsd_i = _moment_estimates(si)
-        grand_a, means_a, slopes_a, rsd_a = _moment_estimates(sa)
-        n_i, n_a = si.n_obs, sa.n_obs
-        n_tot = n_i + n_a
-        resid_sd = (n_i * rsd_i + n_a * rsd_a) / n_tot if n_tot else 0.5
+    si, sa = streams
+    grand_i, means_i, slopes_i, rsd_i = _moment_estimates(si)
+    grand_a, means_a, slopes_a, rsd_a = _moment_estimates(sa)
+    n_i, n_a = si.n_obs, sa.n_obs
+    n_tot = n_i + n_a
+    resid_sd = (n_i * rsd_i + n_a * rsd_a) / n_tot if n_tot else 0.5
 
-        def spread(values, mask_counts):
-            active = values[mask_counts > 0]
-            return float(np.std(active, ddof=1)) if len(active) > 1 else 1.0
+    def spread(values, mask_counts):
+        active = values[mask_counts > 0]
+        return float(np.std(active, ddof=1)) if len(active) > 1 else 1.0
 
-        params = JointParams(
-            grand_i,
-            grand_a,
-            _clip_sd(resid_sd, priors),
-            _clip_sd(spread(means_i - grand_i, si.n), priors),
-            _clip_sd(spread(means_a - grand_a, sa.n), priors),
-            _clip_sd(spread(slopes_i, si.n), priors),
-            _clip_sd(spread(slopes_a, sa.n), priors),
-            0.0,
-            0.0,
-        )
-        return ModelState(
-            params, JointEffects(np.zeros(C), np.zeros(C), np.zeros(C), np.zeros(C))
-        )
-    raise ConfigError(f"unknown model kind {model_kind!r}")
+    params = JointParams(
+        grand_i,
+        grand_a,
+        _clip_sd(resid_sd, priors),
+        _clip_sd(spread(means_i - grand_i, si.n), priors),
+        _clip_sd(spread(means_a - grand_a, sa.n), priors),
+        _clip_sd(spread(slopes_i, si.n), priors),
+        _clip_sd(spread(slopes_a, sa.n), priors),
+        0.0,
+        0.0,
+    )
+    return ModelState(params, JointEffects(np.zeros(C), np.zeros(C), np.zeros(C), np.zeros(C)))
 
 
 # -- chain runners -----------------------------------------------------------

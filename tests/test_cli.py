@@ -783,6 +783,12 @@ class TestSbcAndSummarize:
         assert "at least 2 chains" in capsys.readouterr().err
         assert not (tmp_path / "sbc").exists()
 
+    def test_sbc_needs_two_countries(self, tmp_path, capsys):
+        assert run("sbc", "--replicates", "3", "--countries", "1", "--years", "6",
+                   "--out", tmp_path / "sbc") == 2
+        assert "at least 2 countries, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "sbc").exists()
+
     def test_sbc_needs_rank_draws_distinct_draws(self, tmp_path, capsys):
         # 2 chains x 10 retained draws < the 49 draws each truth is ranked among
         assert run("sbc", "--replicates", "2", "--iters", "20", "--burnin", "10",
@@ -827,12 +833,10 @@ class TestConvergenceWarnings:
         out, err = capsys.readouterr()
         assert out == (fit / "summary.txt").read_text()
         rows = read_csv(fit / "convergence.csv")[1:]
-        expected = [f"warning: {name}: split R-hat {float(rhat):.4f}, ESS "
-                    for name, rhat, _, flagged in rows if flagged == "true"]
-        lines = err.splitlines()
-        assert len(lines) == len(expected) == len(TOTAL_PARAM_NAMES)
-        for line, start in zip(lines, expected):
-            assert line.startswith(start) and float(line[len(start):]) < 400
+        expected = [f"warning: {name}: split R-hat {float(rhat):.4f}, ESS {float(ess):.1f}"
+                    for name, rhat, ess, flagged in rows if flagged == "true"]
+        assert err.splitlines() == expected and len(expected) == len(TOTAL_PARAM_NAMES)
+        assert all(float(ess) < 400 for _, _, ess, _ in rows)
         assert run("summarize", "--fit", fit) == 0
         assert capsys.readouterr().err == err
 

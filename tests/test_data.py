@@ -18,6 +18,11 @@ def assert_same_rows(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+def sectors_of(data, c):
+    """The sectors in which country c has rows."""
+    return frozenset(s for s in Sector if data.stats(s).n[c] > 0)
+
+
 def write_csv(tmp_path, rows, name="landings.csv"):
     path = tmp_path / name
     path.write_text("country,year,sector,tonnes\n" + "\n".join(rows) + "\n")
@@ -94,11 +99,10 @@ class TestLoadLandings:
             ],
         )
         data = load_landings(path, "joint")
-        avail = data.availability
         spain = data.labels.index("Spain")
         france = data.labels.index("France")
-        assert avail[spain] == frozenset({Sector.INDUSTRIAL})
-        assert avail[france] == frozenset({Sector.INDUSTRIAL, Sector.ARTISANAL})
+        assert sectors_of(data, spain) == frozenset({Sector.INDUSTRIAL})
+        assert sectors_of(data, france) == frozenset({Sector.INDUSTRIAL, Sector.ARTISANAL})
 
     def test_roundtrip_idempotent(self, tmp_path):
         path = write_csv(
@@ -162,9 +166,8 @@ class TestSimulateDataset:
             availability={0: (Sector.INDUSTRIAL,), 1: (Sector.INDUSTRIAL, Sector.ARTISANAL)},
             seed=1,
         )
-        avail = data.availability
-        assert avail[0] == frozenset({Sector.INDUSTRIAL})
-        assert avail[1] == frozenset({Sector.INDUSTRIAL, Sector.ARTISANAL})
+        assert sectors_of(data, 0) == frozenset({Sector.INDUSTRIAL})
+        assert sectors_of(data, 1) == frozenset({Sector.INDUSTRIAL, Sector.ARTISANAL})
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):

@@ -19,6 +19,7 @@ from landmix.model import (
     TotalParams,
     build_covariance,
     draw_names,
+    log_density,
 )
 from landmix.sampler import (
     BLOCK,
@@ -686,6 +687,7 @@ def wobbly(c, n, sector=Sector.TOTAL):
 DEGENERATE = {
     "total_one_row": ("total", [(0, 0, Sector.TOTAL, 1.0)], 2, ("obs_variance",)),
     "total_one_country": ("total", wobbly(0, 5), 1, ("re_sds",)),
+    "total_no_rows": ("total", [], 2, ("obs_variance",)),
     "joint_one_row": ("joint", [(0, 0, Sector.INDUSTRIAL, 1.0)], 2, ("obs_variance",)),
     "joint_no_rows": ("joint", [], 2, ("obs_variance",)),
     "joint_one_country": ("joint", wobbly(0, 5, Sector.INDUSTRIAL), 1, ("cov_params",)),
@@ -693,10 +695,32 @@ DEGENERATE = {
 DEGENERATE_ERRORS = {
     "total_one_row": "improper variance conditional (shape 0.0)",
     "total_one_country": "improper variance conditional (shape 0.0)",
+    "total_no_rows": "improper variance conditional (shape -0.5)",
     "joint_one_row": "improper variance conditional (shape 0.0)",
     "joint_no_rows": "improper variance conditional (shape -0.5)",
     "joint_one_country": "joint covariance needs at least 2 countries",
 }
+
+
+@pytest.mark.parametrize("kind, sectors, stray", [
+    ("total", (Sector.TOTAL,), Sector.INDUSTRIAL),
+    ("joint", (Sector.INDUSTRIAL, Sector.ARTISANAL), Sector.TOTAL),
+], ids=["total", "joint"])
+def test_rows_outside_the_model_sectors_raise_one_config_error(kind, sectors, stray):
+    entries = [row for s in sectors for c in range(2) for row in wobbly(c, 5, s)]
+    state = initial_state(kind, make_joint_dataset(entries, 2))
+    data = make_joint_dataset(entries + [(0, 7, stray, 2.0)], 2)
+    cfg = ChainConfig(iterations=50, burnin=10, thin=1, chains=1, seed=1)
+    calls = [
+        lambda: run_chain(kind, data, cfg),
+        lambda: run_chain(kind, data, cfg, init_state=state),
+        lambda: initial_state(kind, data),
+        lambda: log_density(state, data),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match=f"^panel has rows outside the {kind} model's sectors$"):
+            call()
+    assert MODELS[kind].sectors == sectors
 
 
 class TestBlockStream:

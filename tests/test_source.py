@@ -117,6 +117,12 @@ def test_model_kinds_listed_in_model_py_only(module):
     assert kind_lists((SRC / module).read_text(encoding="utf-8")) == []
 
 
+def test_sampler_names_no_sector():
+    # the sampler reads each model's sectors through model.model_streams alone
+    tree = ast.parse((SRC / "sampler.py").read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "Sector"] == []
+
+
 def test_cli_import_leaves_heavy_modules_out():
     # every landmix command pays this import: scipy.special alone would add
     # ~300 modules, and the process pool is only for --parallel above 1
