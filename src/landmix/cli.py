@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import sys
-import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -59,16 +59,12 @@ _DEFAULT_TRUTH = {
 }
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _checked_sha256(path: Path, expected: str | None) -> str:
     """The data file's checksum, which must equal ``expected`` when one is
     given: an empty string is a checksum that matches no file."""
     if not path.exists():
         raise DataFormatError(f"data file not found: {path}")
-    sha = _sha256(path)
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
     if expected is not None and expected != sha:
         raise DataFormatError(f"{path}: data checksum does not match manifest")
     return sha
@@ -86,55 +82,38 @@ def _check_out_dir(out: Path) -> None:
         raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
 
 
-def _write_draws_csv(path: Path, draws: ChainDraws) -> None:
-    """One chain's draw file: a csv-quoted header, then one CRLF line per
-    retained draw of shortest round-trip ``repr`` floats (the bytes the csv
-    module's excel dialect writes, since a float repr never needs quoting)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerow(draws.names)
-        for row in draws.matrix:
-            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+def _write_draws(path: Path, draws: ChainDraws) -> None:
+    """One chain's draw file: an uncompressed .npz of ``names`` and ``draws``."""
+    np.savez(path, names=np.array(draws.names, dtype=str), draws=draws.matrix)
 
 
-def _draws_damage(path, first_line: int, width: int) -> str:
-    """Where and how a draw file's body is damaged: the first line that is
-    not ``width`` finite numbers, else "no draws" after the last line.  Runs
-    only after the bulk parse has failed; each line is parsed as loadtxt
-    would."""
-    lineno = first_line - 1
-    with open(path, newline="", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.rstrip("\r\n")
-            if lineno < first_line or not text:
-                continue
-            try:
-                row = np.loadtxt([text], delimiter=",", ndmin=2, comments=None)
-            except ValueError as exc:
-                return f"{path}:{lineno}: {str(exc).partition(' at row')[0]}"
-            if row.shape[1] != width:
-                return f"{path}:{lineno}: {row.shape[1]} values for {width} columns"
-            if not np.isfinite(row).all():
-                return f"{path}:{lineno}: a value is not finite"
-    return f"{path}:{lineno}: no draws"
-
-
-def read_draws_csv(path, chain_index: int = 0) -> ChainDraws:
-    """Read one chain's draw file; a damaged file raises DataFormatError."""
-    with utf8_text(path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            names = next(reader, [])
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file is reported below, not warned about
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    arr = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-            except ValueError:
-                arr = None
-        if arr is None or arr.shape[0] == 0 or arr.shape[1] != len(names) or \
-                not np.isfinite(arr).all():
-            raise DataFormatError(_draws_damage(path, reader.line_num + 1, len(names)))
-    return ChainDraws(tuple(names), arr, {}, chain_index)
+def read_draws(path, chain_index: int = 0) -> ChainDraws:
+    """Read one chain's draw file; a damaged file raises DataFormatError
+    naming it."""
+    try:  # damaged bytes raise any of a dozen types in zipfile and numpy
+        with zipfile.ZipFile(path) as archive:
+            if sorted(archive.namelist()) != ["draws.npy", "names.npy"]:
+                raise ValueError(f"members {archive.namelist()} are not names.npy and draws.npy")
+            arrays = []
+            for member in ("names.npy", "draws.npy"):
+                with archive.open(member) as fh:  # its CRC-32 is checked at its end
+                    arrays.append(np.lib.format.read_array(fh, allow_pickle=False))
+                    if fh.read(1):
+                        raise ValueError(f"{member} holds bytes past its array")
+            names, matrix = arrays
+    except Exception as exc:
+        raise DataFormatError(f"{path}: not a readable draw file "
+                              f"({type(exc).__name__}: {exc})") from None
+    if (names.ndim != 1 or names.dtype.kind != "U" or matrix.dtype != np.float64
+            or matrix.shape[1:] != names.shape):  # draws is 2-D, with a column a name
+        raise DataFormatError(f"{path}: names {names.dtype}{names.shape} and draws {matrix.dtype}"
+                              f"{matrix.shape}: not 1-D text and a float64 column each")
+    if not matrix.shape[0]:
+        raise DataFormatError(f"{path}: no draws")
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise DataFormatError(f"{path}: draw {bad[0]}: a value is not finite")
+    return ChainDraws(tuple(names.tolist()), matrix, {}, chain_index)
 
 
 # the ChainConfig fields a fit sets; ChainConfig holds their defaults
@@ -186,11 +165,13 @@ def _read_fit_dir(fit_dir: Path, required: tuple[str, ...] = ("model", "chains")
     names = model_spec(manifest["model"]).param_names
     chains = []
     for k in range(manifest["chains"]):
-        path = fit_dir / f"draws_chain{k}.csv"
-        chain = read_draws_csv(path, k)
+        path = fit_dir / f"draws_chain{k}.npz"
+        if (old := path.with_suffix(".csv")).exists():  # never misread the old format
+            raise DataFormatError(f"{old}: draws in the CSV format of landmix before 0.2.0")
+        chain = read_draws(path, k)
         missing = [name for name in names if name not in chain.names]
         if missing:
-            raise DataFormatError(f"{path}: header lacks parameter {missing[0]!r}")
+            raise DataFormatError(f"{path}: names lack parameter {missing[0]!r}")
         chains.append(chain)
     return manifest, chains
 
@@ -263,7 +244,7 @@ def cmd_fit(args) -> int:
     chains = run_chains(model, data, config, parallel=args.parallel)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ch in chains:
-        _write_draws_csv(out_dir / f"draws_chain{ch.chain_index}.csv", ch)
+        _write_draws(out_dir / f"draws_chain{ch.chain_index}.npz", ch)
     table, summary, report = _report(model, chains)
     (out_dir / "summary.txt").write_text(table + "\n", encoding="utf-8")
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
@@ -402,11 +383,21 @@ def _export_figure3(fit_dir: Path) -> list[list]:
     return out
 
 
+def _export_chain(fit_dir: Path, k: int) -> list[list]:
+    """Chain ``k``'s names, then a row of ``repr`` floats per retained draw."""
+    _, chains = _read_fit_dir(fit_dir)
+    if not 0 <= k < len(chains):
+        raise ConfigError(f"--chain {k}: the fit has chains 0 to {len(chains) - 1}")
+    return [list(chains[k].names), *(map(repr, row) for row in chains[k].matrix.tolist())]
+
+
 def cmd_export(args) -> int:
     if args.figure == 1:
         rows = _export_figure1(args)
     elif not args.fit:
-        raise ConfigError(f"--figure {args.figure} requires --fit")
+        raise ConfigError("--figure 2, --figure 3 and --chain require --fit")
+    elif args.chain is not None:
+        rows = _export_chain(Path(args.fit), args.chain)
     else:
         rows = (_export_figure2 if args.figure == 2 else _export_figure3)(Path(args.fit))
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -497,10 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=cmd_simulate)
 
-    exp = sub.add_parser("export", help="export figure data as CSV")
-    exp.add_argument("--figure", type=int, choices=[1, 2, 3], required=True)
+    exp = sub.add_parser("export", help="export figure data or one chain's draws as CSV")
+    what = exp.add_mutually_exclusive_group(required=True)
+    what.add_argument("--figure", type=int, choices=[1, 2, 3])
+    what.add_argument("--chain", type=int, help="a chain's draws, as CSV")
     exp.add_argument("--data", help="landings CSV (figure 1)")
-    exp.add_argument("--fit", help="fit output directory (figures 2-3)")
+    exp.add_argument("--fit", help="fit output directory (figures 2-3, --chain)")
     exp.add_argument("--out", required=True)
     exp.set_defaults(func=cmd_export)
 

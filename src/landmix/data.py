@@ -151,6 +151,8 @@ def simulate_dataset(
 
     p = true_params
     if model_kind == "total":
+        if availability is not None:
+            raise ConfigError("the total model takes no availability: each country has one series")
         if min(p.sigma, p.sigma0, p.sigma1) <= 0:
             raise ConfigError("standard deviations must be positive")
         b0 = rng.normal(0.0, p.sigma0, n_countries)

@@ -28,6 +28,7 @@ from .model import (
     effects_to_dict,
     log_density,
     model_spec,
+    model_streams,
     params_from_dict,
     params_to_dict,
 )
@@ -46,6 +47,7 @@ def conjugate_posterior_beta0(
 ) -> tuple[float, float]:
     """Exact normal posterior (mean, sd) of the fixed intercept with all
     variance components and random effects held fixed."""
+    model_streams("total", data)  # its sector check; the rows are read raw below
     c, t, y = data.arrays(Sector.TOTAL)
     resid = y - effects.b0[c] - effects.b1[c] * t
     prec = 1.0 / priors.intercept_sd**2 + len(y) / sigma**2

@@ -218,8 +218,8 @@ def test_criterion_7_manifest_determinism(capsys, tmp_path):
     assert cli_main(["fit", "--from-manifest", str(fit / "manifest.json"),
                      "--out", str(rerun)]) == 0
     ok = all(
-        (rerun / f"draws_chain{k}.csv").read_bytes()
-        == (fit / f"draws_chain{k}.csv").read_bytes()
+        (rerun / f"draws_chain{k}.npz").read_bytes()
+        == (fit / f"draws_chain{k}.npz").read_bytes()
         for k in range(2)
     )
     verdict(capsys, 7, "manifest rerun byte-identical", ok)

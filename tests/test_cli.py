@@ -1,15 +1,18 @@
 import csv
 import functools
+import io
 import json
 import math
 import shutil
+import time
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
 
 from landmix import cli
-from landmix.cli import _write_draws_csv, main, read_draws_csv
+from landmix.cli import _write_draws, main, read_draws
 from landmix.data import load_landings
 from landmix.errors import DataFormatError
 from landmix.model import JOINT_PARAM_NAMES, TOTAL_PARAM_NAMES
@@ -24,6 +27,104 @@ def run(*argv):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def export_chain(fit, k, out):
+    assert run("export", "--chain", k, "--fit", fit, "--out", out) == 0
+    return out
+
+
+def draw_members(path):
+    """A draw file's names and draws arrays."""
+    with np.load(path) as npz:
+        return npz["names"], npz["draws"]
+
+
+def npy_bytes(array, shape=None) -> bytes:
+    """``array`` in numpy's .npy format; a given ``shape`` goes in the header
+    in place of the array's own."""
+    buf = io.BytesIO()
+    if shape is None:
+        np.save(buf, array)
+    else:
+        header = {"descr": np.lib.format.dtype_to_descr(array.dtype),
+                  "fortran_order": False, "shape": shape}
+        np.lib.format.write_array_header_1_0(buf, header)
+        buf.write(array.tobytes())
+    return buf.getvalue()
+
+
+def zip_bytes(**members) -> bytes:
+    """An uncompressed zip of one ``<name>.npy`` member per keyword: an array
+    in the .npy format, or the bytes given."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        for name, member in members.items():
+            archive.writestr(f"{name}.npy",
+                             member if isinstance(member, bytes) else npy_bytes(member))
+    return buf.getvalue()
+
+
+def with_cell(draws, row, value):
+    """A copy of ``draws`` with ``value`` in column 2 of ``row``."""
+    draws = draws.copy()
+    draws[row, 2] = value
+    return draws
+
+
+def flip_second_draw_bit(data, draws):
+    """The file with one bit of the second draw's first value flipped."""
+    at = data.index(draws.tobytes()) + 8 * draws.shape[1]
+    return data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
+
+
+# each damage to a draw file: (the damaged bytes, made from the file's bytes
+# and its names and draws arrays; what the error line says)
+NPZ_DAMAGE = {
+    "truncated": (lambda data, names, draws: data[:len(data) // 2],
+                  "not a readable draw file"),
+    "csv_bytes": (lambda data, names, draws: b"beta0,sigma\r\n1.0,0.5\r\n",
+                  "File is not a zip file"),
+    "npy_bytes": (lambda data, names, draws: npy_bytes(draws), "File is not a zip file"),
+    "missing_member": (lambda data, names, draws: zip_bytes(draws=draws),
+                       "members ['draws.npy'] are not"),
+    "extra_member": (lambda data, names, draws: zip_bytes(names=names, draws=draws,
+                                                          acceptance=np.ones(1)),
+                     "members ['names.npy', 'draws.npy', 'acceptance.npy'] are not"),
+    "pickled_member": (lambda data, names, draws: zip_bytes(names=names,
+                                                            draws=draws.astype(object)),
+                       "Object arrays cannot be loaded"),
+    "member_not_npy": (lambda data, names, draws: zip_bytes(names=b"beta0,sigma", draws=draws),
+                       "not a readable draw file"),
+    "names_not_text": (lambda data, names, draws: zip_bytes(names=np.arange(len(names)),
+                                                            draws=draws),
+                       "names int64(16,) and draws float64("),
+    "float32_draws": (lambda data, names, draws: zip_bytes(names=names,
+                                                           draws=draws.astype(np.float32)),
+                      "draws float32("),
+    "wrong_width": (lambda data, names, draws: zip_bytes(names=names, draws=draws[:, :-1]),
+                    ", 15): not 1-D text and a float64 column each"),
+    "zero_rows": (lambda data, names, draws: zip_bytes(names=names, draws=draws[:0]),
+                  "no draws"),
+    "nan_cell": (lambda data, names, draws: zip_bytes(names=names,
+                                                      draws=with_cell(draws, 3, np.nan)),
+                 "draw 3: a value is not finite"),
+    "inf_cell": (lambda data, names, draws: zip_bytes(names=names,
+                                                      draws=with_cell(draws, 0, -np.inf)),
+                 "draw 0: a value is not finite"),
+    "header_claims_more_rows": (
+        lambda data, names, draws: zip_bytes(
+            names=names, draws=npy_bytes(draws, (len(draws) + 1, draws.shape[1]))),
+        "EOF"),
+    "header_claims_fewer_rows": (
+        lambda data, names, draws: zip_bytes(
+            names=names, draws=npy_bytes(draws, (len(draws) - 1, draws.shape[1]))),
+        "draws.npy holds bytes past its array"),
+    "nested_zip": (lambda data, names, draws: zip_bytes(names=data, draws=draws),
+                   "the magic string is not correct"),
+    "flipped_draw_bit": (lambda data, names, draws: flip_second_draw_bit(data, draws),
+                         "Bad CRC-32"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +192,7 @@ class TestSimulate:
 class TestFit:
     def test_outputs_and_summary_rows(self, total_fixture):
         _, fit = total_fixture
-        for name in ("draws_chain0.csv", "draws_chain1.csv", "summary.txt",
+        for name in ("draws_chain0.npz", "draws_chain1.npz", "summary.txt",
                      "summary.csv", "convergence.csv", "manifest.json"):
             assert (fit / name).exists()
         rows = read_csv(fit / "summary.csv")
@@ -107,16 +208,16 @@ class TestFit:
         rerun = tmp_path / "rerun"
         assert run("fit", "--from-manifest", fit / "manifest.json", "--out", rerun) == 0
         for k in (0, 1):
-            assert (rerun / f"draws_chain{k}.csv").read_bytes() == \
-                (fit / f"draws_chain{k}.csv").read_bytes()
+            assert (rerun / f"draws_chain{k}.npz").read_bytes() == \
+                (fit / f"draws_chain{k}.npz").read_bytes()
 
     def test_parallel_chains_byte_identical(self, total_fixture, tmp_path):
         _, fit = total_fixture
         rerun = tmp_path / "par"
         assert run("fit", "--from-manifest", fit / "manifest.json",
                    "--parallel", "2", "--out", rerun) == 0
-        assert (rerun / "draws_chain0.csv").read_bytes() == \
-            (fit / "draws_chain0.csv").read_bytes()
+        assert (rerun / "draws_chain0.npz").read_bytes() == \
+            (fit / "draws_chain0.npz").read_bytes()
 
     def test_joint_rerun_and_parallel_byte_identical(self, joint_fixture, tmp_path):
         _, fit = joint_fixture
@@ -125,8 +226,8 @@ class TestFit:
             assert run("fit", "--from-manifest", fit / "manifest.json", *flags,
                        "--out", rerun) == 0
             for k in (0, 1):
-                assert (rerun / f"draws_chain{k}.csv").read_bytes() == \
-                    (fit / f"draws_chain{k}.csv").read_bytes()
+                assert (rerun / f"draws_chain{k}.npz").read_bytes() == \
+                    (fit / f"draws_chain{k}.npz").read_bytes()
 
     def test_old_manifest_with_step_size_reruns(self, joint_fixture, tmp_path):
         _, fit = joint_fixture
@@ -136,8 +237,8 @@ class TestFit:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         assert run("fit", "--from-manifest", tmp_path / "manifest.json",
                    "--out", tmp_path / "rerun") == 0
-        assert (tmp_path / "rerun" / "draws_chain0.csv").read_bytes() == \
-            (fit / "draws_chain0.csv").read_bytes()
+        assert (tmp_path / "rerun" / "draws_chain0.npz").read_bytes() == \
+            (fit / "draws_chain0.npz").read_bytes()
 
     def test_step_size_option_removed(self, total_fixture, tmp_path):
         sim, _ = total_fixture
@@ -410,15 +511,13 @@ class TestExitCodes:
         path.write_bytes(b"\xff\xfe" + path.read_bytes())
 
     @pytest.mark.parametrize("kind, code", [
-        ("data", 3), ("figure1_data", 3), ("manifest", 3), ("draws", 3), ("truth", 3),
-        ("config", 2),
+        ("data", 3), ("figure1_data", 3), ("manifest", 3), ("truth", 3), ("config", 2),
     ])
     def test_input_not_utf8(self, total_fixture, tmp_path, capsys, kind, code):
         sim, fit = total_fixture
         for name in ("data.csv", "truth.json"):
             shutil.copy(sim / name, tmp_path / name)
-        for name in ("manifest.json", "draws_chain0.csv", "draws_chain1.csv"):
-            shutil.copy(fit / name, tmp_path / name)
+        shutil.copy(fit / "manifest.json", tmp_path / "manifest.json")
         config = tmp_path / "fit.cfg"
         config.write_text(f"model = total\ndata = {tmp_path / 'data.csv'}\n")
         damaged, argv = {
@@ -426,15 +525,12 @@ class TestExitCodes:
             "figure1_data": ("data.csv", ["export", "--figure", "1",
                                           "--data", tmp_path / "data.csv"]),
             "manifest": ("manifest.json", ["fit", "--from-manifest", tmp_path / "manifest.json"]),
-            "draws": ("draws_chain1.csv", ["summarize", "--fit", tmp_path]),
             "truth": ("truth.json", ["simulate", "--model", "total",
                                      "--truth", tmp_path / "truth.json"]),
             "config": ("fit.cfg", ["fit", "--config", config]),
         }[kind]
         self.not_utf8(tmp_path / damaged)
-        if argv[0] != "summarize":
-            argv += ["--out", tmp_path / "out"]
-        assert run(*argv) == code
+        assert run(*argv, "--out", tmp_path / "out") == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{damaged}: not UTF-8 text" in err
 
@@ -545,13 +641,51 @@ class TestExitCodes:
         ("nan_on_line_3", 3), ("inf_on_line_4", 4), ("overflow_on_line_2", 2),
     ])
     def test_damaged_draw_file(self, total_fixture, tmp_path, capsys, damage, line):
+        # a CSV draw file is the format before 0.2.0: beside intact .npz files
+        # and whatever its damage, it is refused unread, so no line is blamed
         _, fit = total_fixture
-        for name in ("manifest.json", "draws_chain0.csv"):
+        for name in ("manifest.json", "draws_chain0.npz", "draws_chain1.npz"):
             shutil.copy(fit / name, tmp_path / name)
-        text = (fit / "draws_chain1.csv").read_text()
+        text = export_chain(fit, 1, tmp_path / "chain1.csv").read_text()
         (tmp_path / "draws_chain1.csv").write_text(getattr(self, damage)(text))
         assert run("summarize", "--fit", tmp_path) == 3
-        assert f"draws_chain1.csv:{line}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "draws_chain1.csv: draws in the CSV format of landmix before 0.2.0" in err
+        assert f"draws_chain1.csv:{line}:" not in err
+
+    @pytest.mark.parametrize("damage", NPZ_DAMAGE)
+    def test_damaged_npz_draw_file(self, total_fixture, tmp_path, capsys, damage):
+        _, fit = total_fixture
+        for name in ("manifest.json", "draws_chain0.npz"):
+            shutil.copy(fit / name, tmp_path / name)
+        make, message = NPZ_DAMAGE[damage]
+        original = fit / "draws_chain1.npz"
+        path = tmp_path / "draws_chain1.npz"
+        path.write_bytes(make(original.read_bytes(), *draw_members(original)))
+        out = tmp_path / "out.csv"
+        for argv in (["summarize", "--fit", tmp_path],
+                     ["export", "--figure", "2", "--fit", tmp_path, "--out", out],
+                     ["export", "--chain", "0", "--fit", tmp_path, "--out", out]):
+            assert run(*argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}: ") and message in err, err
+            assert "Traceback" not in err and not out.exists()
+
+    def test_old_csv_fit_dir_exits_3(self, total_fixture, tmp_path, capsys):
+        # an intact fit directory of landmix 0.1.0: a manifest and CSV draw files
+        _, fit = total_fixture
+        shutil.copy(fit / "manifest.json", tmp_path / "manifest.json")
+        for k in (0, 1):
+            export_chain(fit, k, tmp_path / f"draws_chain{k}.csv")
+        out = tmp_path / "out.csv"
+        for argv in (["summarize", "--fit", tmp_path],
+                     ["export", "--figure", "2", "--fit", tmp_path, "--out", out],
+                     ["export", "--chain", "1", "--fit", tmp_path, "--out", out]):
+            assert run(*argv) == 3
+            err = capsys.readouterr().err
+            assert err == (f"error: {tmp_path / 'draws_chain0.csv'}: draws in the CSV format "
+                           "of landmix before 0.2.0\n")
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["summarize", "figure2", "figure3"])
     @pytest.mark.parametrize("damage", ["beta0_renamed", "manifest_says_joint"])
@@ -560,10 +694,10 @@ class TestExitCodes:
         _, fit = total_fixture
         manifest = json.loads((fit / "manifest.json").read_text())
         for k in (0, 1):
-            text = (fit / f"draws_chain{k}.csv").read_text()
+            names, draws = draw_members(fit / f"draws_chain{k}.npz")
             if damage == "beta0_renamed":
-                text = text.replace("beta0,", "beta_0,", 1)
-            (tmp_path / f"draws_chain{k}.csv").write_text(text)
+                names = np.where(names == "beta0", "beta_0", names)
+            np.savez(tmp_path / f"draws_chain{k}.npz", names=names, draws=draws)
         if damage == "manifest_says_joint":
             manifest["model"] = "joint"
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -576,17 +710,19 @@ class TestExitCodes:
         }[command]
         assert run(*argv) == 3
         err = capsys.readouterr().err
-        assert "draws_chain0.csv" in err and repr(missing) in err
+        assert "draws_chain0.npz" in err and repr(missing) in err
         assert not out.exists()
 
     def test_header_only_draw_file_does_not_warn(self, total_fixture, tmp_path):
+        # the names and no draws: an error, not a numpy warning
         _, fit = total_fixture
-        path = tmp_path / "draws_chain0.csv"
-        path.write_text(self.header_only((fit / "draws_chain0.csv").read_text()))
+        names, draws = draw_members(fit / "draws_chain0.npz")
+        path = tmp_path / "draws_chain0.npz"
+        np.savez(path, names=names, draws=draws[:0])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(DataFormatError, match="draws_chain0.csv:1: no draws"):
-                read_draws_csv(path)
+            with pytest.raises(DataFormatError, match="draws_chain0.npz: no draws"):
+                read_draws(path)
         assert caught == []
 
     def test_degenerate_data_numeric_exit(self, tmp_path):
@@ -623,44 +759,46 @@ class TestExitCodes:
 
 
 class TestDrawFiles:
-    NAMES = ("b0[a,b]", 'b0["q"]')
-    VALUES = (-0.0, 5e-324, 1e16, 1 / 3, 1.5e-300)
+    NAMES = TOTAL_PARAM_NAMES + ("b0[a,b]", 'b0["q"]')
+    VALUES = np.array([-0.0, 5e-324, 1e16, 1 / 3, 1.5e-300])
 
     def test_writer_matches_csv_module_and_reads_back_bit_identical(self, tmp_path):
-        cols = [np.array(self.VALUES), -np.array(self.VALUES[::-1])]
-        chain = ChainDraws(self.NAMES, np.column_stack(cols), {}, 0)
-        path = tmp_path / "draws_chain0.csv"
-        _write_draws_csv(path, chain)
+        # the .npz holds the matrix as sampled, and export --chain writes the
+        # csv module's bytes of it
+        matrix = np.column_stack([self.VALUES, -self.VALUES[::-1]] * 3)
+        _write_draws(tmp_path / "draws_chain0.npz", ChainDraws(self.NAMES, matrix, {}, 0))
+        (tmp_path / "manifest.json").write_text(json.dumps({"model": "total", "chains": 1}))
         reference = tmp_path / "reference.csv"
         with open(reference, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.NAMES)
-            for row in zip(*cols):
+            for row in matrix:
                 writer.writerow([repr(float(v)) for v in row])
-        assert path.read_bytes() == reference.read_bytes()
-        back = read_draws_csv(path)
+        out = export_chain(tmp_path, 0, tmp_path / "chain0.csv")
+        assert out.read_bytes() == reference.read_bytes()
+        back = read_draws(tmp_path / "draws_chain0.npz")
         assert back.names == self.NAMES
-        for name, col in zip(self.NAMES, cols):
-            assert np.array_equal(back.draws[name], col)
-            assert np.array_equal(np.signbit(back.draws[name]), np.signbit(col))
+        assert back.matrix.dtype == np.float64
+        assert back.matrix.tobytes() == matrix.tobytes()
 
-    def test_lf_crlf_blank_lines_and_no_final_newline_read(self, total_fixture, tmp_path,
-                                                           capsys):
+    def test_export_chain_writes_crlf_lines(self, total_fixture, tmp_path):
         _, fit = total_fixture
-        assert run("summarize", "--fit", fit) == 0
-        expected = capsys.readouterr().out
-        shutil.copy(fit / "manifest.json", tmp_path / "manifest.json")
-        crlf = (fit / "draws_chain0.csv").read_bytes()
-        assert crlf.endswith(b"\r\n")
-        # blank body lines: a CRLF file with blank lines after the header and
-        # the first two draws, and an LF file with one blank line and no final
-        # newline
-        (tmp_path / "draws_chain0.csv").write_bytes(crlf.replace(b"\r\n", b"\r\n\r\n", 3))
-        lines = (fit / "draws_chain1.csv").read_bytes().replace(b"\r\n", b"\n").splitlines()
-        lines.insert(5, b"")
-        (tmp_path / "draws_chain1.csv").write_bytes(b"\n".join(lines))
-        assert run("summarize", "--fit", tmp_path) == 0
-        assert capsys.readouterr().out == expected
+        lines = export_chain(fit, 1, tmp_path / "chain1.csv").read_bytes().split(b"\r\n")
+        names, draws = draw_members(fit / "draws_chain1.npz")
+        assert lines[-1] == b"" and len(lines) == 2 + len(draws)
+        assert not any(b"\r" in line or b"\n" in line for line in lines)
+        assert lines[0].decode().split(",") == names.tolist()
+        back = np.array([[float(x) for x in line.split(b",")] for line in lines[1:-1]])
+        assert back.tobytes() == draws.tobytes()
+
+    def test_rewrite_later_is_byte_identical(self, tmp_path, monkeypatch):
+        # a zip member records a modification time; the draw files hold none
+        chain = ChainDraws(self.NAMES, np.ones((3, len(self.NAMES))), {}, 0)
+        _write_draws(tmp_path / "a.npz", chain)
+        later = time.time() + 3600
+        monkeypatch.setattr(time, "time", lambda: later)
+        _write_draws(tmp_path / "b.npz", chain)
+        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
 
     def test_country_label_with_comma_end_to_end(self, total_fixture, tmp_path):
         sim, _ = total_fixture
@@ -674,7 +812,10 @@ class TestDrawFiles:
         fit = tmp_path / "fit"
         assert run("fit", "--model", "total", "--data", data, "--chains", "2",
                    "--iters", "300", "--burnin", "100", "--thin", "1", "--out", fit) == 0
-        assert read_csv(fit / "draws_chain0.csv")[0][4] == "b0[Spain, North]"
+        chain_csv = export_chain(fit, 0, tmp_path / "chain0.csv")
+        assert b',"b0[Spain, North]",' in chain_csv.read_bytes().split(b"\r\n")[0]
+        assert read_csv(chain_csv)[0][4] == "b0[Spain, North]"
+        assert read_draws(fit / "draws_chain0.npz").names[4] == "b0[Spain, North]"
         assert run("summarize", "--fit", fit) == 0
         out = tmp_path / "fig2.csv"
         assert run("export", "--figure", "2", "--fit", fit, "--out", out) == 0
@@ -739,7 +880,7 @@ class TestExport:
         manifest["data"] = str(data)
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         for k in (0, 1):
-            shutil.copy(fit / f"draws_chain{k}.csv", tmp_path / f"draws_chain{k}.csv")
+            shutil.copy(fit / f"draws_chain{k}.npz", tmp_path / f"draws_chain{k}.npz")
         out = tmp_path / "fig3.csv"
         assert run("export", "--figure", "3", "--fit", tmp_path, "--out", out) == 0
         with open(data, "a") as fh:
@@ -750,6 +891,22 @@ class TestExport:
         _, fit = total_fixture
         assert run("export", "--figure", "3", "--fit", fit,
                    "--out", tmp_path / "fig3.csv") == 2
+
+    @pytest.mark.parametrize("flags", [("--chain", "2"), ("--chain", "-1"), ("--chain", "0")])
+    def test_chain_outside_the_fit_or_without_fit_exits_2(self, total_fixture, tmp_path,
+                                                          capsys, flags):
+        _, fit = total_fixture
+        out = tmp_path / "chain.csv"
+        fit_flags = ("--fit", fit) if flags[1] != "0" else ()
+        assert run("export", *flags, *fit_flags, "--out", out) == 2
+        assert "--chain" in capsys.readouterr().err and not out.exists()
+
+    def test_chain_and_figure_exclude_each_other(self, total_fixture, tmp_path):
+        _, fit = total_fixture
+        with pytest.raises(SystemExit) as exc:
+            run("export", "--chain", "0", "--figure", "2", "--fit", fit,
+                "--out", tmp_path / "out.csv")
+        assert exc.value.code == 2
 
 
 class TestSbcAndSummarize:

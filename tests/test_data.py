@@ -169,6 +169,11 @@ class TestSimulateDataset:
         assert sectors_of(data, 0) == frozenset({Sector.INDUSTRIAL})
         assert sectors_of(data, 1) == frozenset({Sector.INDUSTRIAL, Sector.ARTISANAL})
 
+    def test_total_model_rejects_availability(self):
+        with pytest.raises(ConfigError, match="availability"):
+            simulate_dataset("total", TotalParams(8.0, 0.5, 4.0, 0.05), 2, 3,
+                             availability={0: (Sector.INDUSTRIAL,)}, seed=1)
+
     def test_invalid_params_rejected(self):
         with pytest.raises(ConfigError):
             simulate_dataset("total", TotalParams(0.0, -1.0, 1.0, 1.0), 2, 3)

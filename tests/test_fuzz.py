@@ -5,7 +5,8 @@ Each input kind (data CSV, manifest, draw file, ``--config`` file and
 JSON files, a key or value at a time, and each damaged copy is run through
 ``cli.main`` in-process.  Whatever the damage, the CLI must exit with a
 documented code, print no traceback, and print exactly one ``error:`` line
-when it fails.  The generator is seeded, so a failure reproduces.
+when it fails, which names the draw file when that is the damaged input.
+The generator is seeded, so a failure reproduces.
 """
 
 import json
@@ -67,8 +68,9 @@ def inputs(tmp_path_factory):
     return sim, fit, config, truth
 
 
-def check_run(argv, capsys) -> str | None:
-    """None when ``cli.main(argv)`` fails closed, else what went wrong."""
+def check_run(argv, capsys, names=None) -> str | None:
+    """None when ``cli.main(argv)`` fails closed, with an error line that
+    names the file ``names`` when one is given, else what went wrong."""
     try:
         code = cli.main([str(a) for a in argv])
     except Exception:  # an exception that escapes main is the finding
@@ -82,6 +84,8 @@ def check_run(argv, capsys) -> str | None:
         return "traceback printed"
     if len(errors) != (code != 0):
         return f"exit {code} with {len(errors)} error lines"
+    if errors and names and str(names) not in errors[0]:
+        return f"the error line does not name {names}: {errors[0]}"
     return None
 
 
@@ -90,7 +94,7 @@ def test_damaged_inputs_fail_closed(inputs, tmp_path, capsys):
     rng = random.Random(20261018)
     work = tmp_path / "work"
     work.mkdir()
-    for name in ("manifest.json", "draws_chain0.csv", "draws_chain1.csv"):
+    for name in ("manifest.json", "draws_chain0.npz", "draws_chain1.npz"):
         (work / name).write_bytes((fit / name).read_bytes())
     out = tmp_path / "out"
     tiny_fit = ["--chains", "2", "--iters", "20", "--burnin", "5", "--thin", "1"]
@@ -103,7 +107,7 @@ def test_damaged_inputs_fail_closed(inputs, tmp_path, capsys):
         "manifest": (fit / "manifest.json", work / "manifest.json", [
             ["summarize", "--fit", work],
         ]),
-        "draws": (fit / "draws_chain0.csv", work / "draws_chain0.csv", [
+        "draws": (fit / "draws_chain0.npz", work / "draws_chain0.npz", [
             ["summarize", "--fit", work],
             ["export", "--figure", "2", "--fit", work, "--out", tmp_path / "fig2.csv"],
         ]),
@@ -121,7 +125,7 @@ def test_damaged_inputs_fail_closed(inputs, tmp_path, capsys):
         original, path, runs = cases[kind]
         path.write_bytes(damaged)
         for argv in runs:
-            problem = check_run(argv, capsys)
+            problem = check_run(argv, capsys, path if kind == "draws" else None)
             if problem:
                 failures.append(f"{kind} ({what}) {argv[0]}: {problem}")
         path.write_bytes(original.read_bytes())

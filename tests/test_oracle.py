@@ -48,6 +48,16 @@ class TestConjugateOracle:
         # residual is 5 - 1 - 0.5*2 = 3
         assert mean == pytest.approx(3.0 / 1.01, rel=1e-9)
 
+    def test_rows_outside_the_total_sector_raise_config_error(self):
+        # one country: two total rows and one industrial row, which the
+        # oracle once dropped without a word
+        data = make_joint_dataset(
+            [(0, 0, Sector.TOTAL, 1.0), (0, 1, Sector.TOTAL, 1.5),
+             (0, 0, Sector.INDUSTRIAL, 0.7)], 1)
+        eff = TotalEffects(np.zeros(1), np.zeros(1))
+        with pytest.raises(ConfigError, match="rows outside the total model's sectors"):
+            conjugate_posterior_beta0(data, eff, sigma=1.0)
+
 
 class TestGridOracle:
     def test_matches_conjugate_within_tenth_percent(self):
