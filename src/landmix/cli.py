@@ -158,22 +158,27 @@ def _read_manifest(path: Path, required: tuple[str, ...]) -> dict:
     return manifest
 
 
+def _refuse_old_draws(path: Path) -> None:
+    """Never read, nor write beside, a draw file of the old format."""
+    if path.exists():
+        raise DataFormatError(f"{path}: draws in the CSV format of landmix before 0.2.0")
+
+
+def _read_chain(fit_dir: Path, model: str, k: int) -> ChainDraws:
+    """Chain ``k`` of a fit of ``model``; its names must hold every parameter."""
+    path = fit_dir / f"draws_chain{k}.npz"
+    _refuse_old_draws(path.with_suffix(".csv"))
+    chain = read_draws(path, k)
+    missing = [name for name in model_spec(model).param_names if name not in chain.names]
+    if missing:
+        raise DataFormatError(f"{path}: names lack parameter {missing[0]!r}")
+    return chain
+
+
 def _read_fit_dir(fit_dir: Path, required: tuple[str, ...] = ("model", "chains")):
-    """A fit directory's manifest and chains; each draw header must name
-    every parameter of the manifest's model."""
+    """A fit directory's manifest and chains."""
     manifest = _read_manifest(fit_dir / "manifest.json", required)
-    names = model_spec(manifest["model"]).param_names
-    chains = []
-    for k in range(manifest["chains"]):
-        path = fit_dir / f"draws_chain{k}.npz"
-        if (old := path.with_suffix(".csv")).exists():  # never misread the old format
-            raise DataFormatError(f"{old}: draws in the CSV format of landmix before 0.2.0")
-        chain = read_draws(path, k)
-        missing = [name for name in names if name not in chain.names]
-        if missing:
-            raise DataFormatError(f"{path}: names lack parameter {missing[0]!r}")
-        chains.append(chain)
-    return manifest, chains
+    return manifest, [_read_chain(fit_dir, manifest["model"], k) for k in range(manifest["chains"])]
 
 
 def _config_file_values(path: Path) -> dict[str, str]:
@@ -223,8 +228,7 @@ def _report(model: str, chains: list[ChainDraws]):
     convergence report of a fit's model parameters; each flagged parameter
     is also warned about on stderr."""
     order = model_spec(model).param_names
-    pooled = pool_chains(chains)
-    summary = summarize({name: pooled[name] for name in order})
+    summary = summarize({name: np.concatenate([ch.draws[name] for ch in chains]) for name in order})
     report = compute_convergence(chains, order) if len(chains) >= 2 else None
     for name, entry in (report or {}).items():
         if entry.flagged:
@@ -241,6 +245,8 @@ def cmd_fit(args) -> int:
     config = ChainConfig(**{key: settings[key] for key in _CHAIN_KEYS if key in settings})
     out_dir = Path(args.out)
     _check_out_dir(out_dir)
+    for old in sorted(out_dir.glob("draws_chain*.csv")):  # summarize would refuse the fit
+        _refuse_old_draws(old)
     chains = run_chains(model, data, config, parallel=args.parallel)
     out_dir.mkdir(parents=True, exist_ok=True)
     for ch in chains:
@@ -384,11 +390,13 @@ def _export_figure3(fit_dir: Path) -> list[list]:
 
 
 def _export_chain(fit_dir: Path, k: int) -> list[list]:
-    """Chain ``k``'s names, then a row of ``repr`` floats per retained draw."""
-    _, chains = _read_fit_dir(fit_dir)
-    if not 0 <= k < len(chains):
-        raise ConfigError(f"--chain {k}: the fit has chains 0 to {len(chains) - 1}")
-    return [list(chains[k].names), *(map(repr, row) for row in chains[k].matrix.tolist())]
+    """Chain ``k``'s names, then a row of ``repr`` floats per retained draw;
+    no other chain's file is read."""
+    manifest = _read_manifest(fit_dir / "manifest.json", ("model", "chains"))
+    if not 0 <= k < manifest["chains"]:
+        raise ConfigError(f"--chain {k}: the fit has chains 0 to {manifest['chains'] - 1}")
+    chain = _read_chain(fit_dir, manifest["model"], k)
+    return [list(chain.names), *(map(repr, row) for row in chain.matrix.tolist())]
 
 
 def cmd_export(args) -> int:

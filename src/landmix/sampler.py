@@ -240,15 +240,13 @@ class TotalSampler:
         self.sigma = p.sigma
         self.sigma0 = p.sigma0
         self.sigma1 = p.sigma1
-        self.b0 = np.asarray(state.effects.b0, dtype=float).copy()
-        self.b1 = np.asarray(state.effects.b1, dtype=float).copy()
+        self.effects = _effects_block(state)  # rows b0, b1
 
     def _fields(self):  # parameters and effects in the order of model.MODELS
-        return (self.beta0, self.sigma, self.sigma0, self.sigma1), (self.b0, self.b1)
+        return (self.beta0, self.sigma, self.sigma0, self.sigma1), self.effects
 
     def get_state(self) -> ModelState:
-        params, effects = self._fields()
-        return ModelState(TotalParams(*params), TotalEffects(*(e.copy() for e in effects)))
+        return ModelState(TotalParams(*self._fields()[0]), TotalEffects(*self.effects.copy()))
 
     def numbers(self, rng: np.random.Generator, skipped: frozenset[str]):
         """Each sweep's random numbers, drawn BLOCK sweeps at a time: normals
@@ -273,11 +271,11 @@ class TotalSampler:
 
     def zbar(self) -> np.ndarray:
         """z̄ = ȳ − b1·t̄ per country: what the intercepts see of the data."""
-        return self.s.ybar - self.b1 * self.s.tbar
+        return self.s.ybar - self.effects[1] * self.s.tbar
 
     def intercept_conditional_plain(self, zbar) -> tuple[float, float]:
         s2 = self.sigma * self.sigma
-        resid_sum = float(self.s.n @ (zbar - self.b0))
+        resid_sum = float(self.s.n @ (zbar - self.effects[0]))
         return conj_normal(self.prior_var, self.n_obs / s2, resid_sum / s2)
 
     def intercept_conditional_collapsed(self, zbar) -> tuple[float, float]:
@@ -299,17 +297,17 @@ class TotalSampler:
         s = self.s
         s2 = self.sigma * self.sigma
         prec = s2 / self.sigma0**2 + s.n  # conditional precision times sigma²
-        self.b0 = s.n * (zbar - self.beta0) / prec + np.sqrt(s2 / prec) * z
+        self.effects[0] = s.n * (zbar - self.beta0) / prec + np.sqrt(s2 / prec) * z
 
     def update_random_slopes(self, z) -> None:
         s = self.s
         s2 = self.sigma * self.sigma
         prec = s2 / self.sigma1**2 + self.sum_t2  # conditional precision times sigma²
-        mean = (s.sty + self.n_tbar * (s.ybar - self.beta0 - self.b0)) / prec
-        self.b1 = mean + np.sqrt(s2 / prec) * z
+        mean = (s.sty + self.n_tbar * (s.ybar - self.beta0 - self.effects[0])) / prec
+        self.effects[1] = mean + np.sqrt(s2 / prec) * z
 
     def update_obs_variance(self, g: float, u: float) -> None:
-        ss = self.s.residual_ss(self.beta0 + self.b0, self.b1)
+        ss = self.s.residual_ss(self.beta0 + self.effects[0], self.effects[1])
         if self.n_obs > 1 and ss <= 0.0:
             raise DegenerateDataError("zero residual sum of squares with N > 1")
         self.sigma = math.sqrt(
@@ -317,7 +315,7 @@ class TotalSampler:
         )
 
     def update_re_sd(self, which: int, g: float, u: float) -> None:
-        b = self.b0 if which == 0 else self.b1
+        b = self.effects[which]
         ss = float(b @ b)
         if self.C > 1 and ss == 0.0:
             raise DegenerateDataError("all random effects are zero: degenerate conditional")
@@ -349,7 +347,11 @@ class TotalSampler:
 
 
 class JointSampler:
-    """Mutable sampling state for the shared-parameter joint model."""
+    """Mutable sampling state for the shared-parameter joint model.  Each
+    stream statistic is one (2, C) array, a row per sector of
+    ``model_streams`` (industrial, artisanal); ``beta`` is the intercept pair
+    and ``effects`` one (4, C) block in draw-column order (b0_I, b0_A, b1_I,
+    b1_A): rows :2 are the intercept-effect pairs, rows 2: the slope pairs."""
 
     # the negative controls of a calibration check
     skip_keys = frozenset({"obs_variance", "cov_params"})
@@ -357,13 +359,16 @@ class JointSampler:
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
         self.priors = priors
         self.C = data.n_countries
-        self.si, self.sa = model_streams("joint", data)
-        self.n_obs = self.si.n_obs + self.sa.n_obs
-        self.n_both = self.si.n * self.sa.n
-        self.sum_t2_i = self.si.stt + self.si.n * self.si.tbar**2
-        self.sum_t2_a = self.sa.stt + self.sa.n * self.sa.tbar**2
-        self.n_tbar_i = self.si.n * self.si.tbar
-        self.n_tbar_a = self.sa.n * self.sa.tbar
+        streams = model_streams("joint", data)
+        self.n, self.tbar, self.ybar, self.stt, self.sty = (
+            np.array([getattr(s, key) for s in streams])
+            for key in ("n", "tbar", "ybar", "stt", "sty")
+        )
+        self.syy_sum = sum(s.syy_sum for s in streams)
+        self.n_obs = int(self.n.sum())
+        self.n_both = self.n[0] * self.n[1]
+        self.sum_t2 = self.stt + self.n * self.tbar**2
+        self.n_tbar = self.n * self.tbar
         self.prior_prec = 1.0 / priors.intercept_sd**2
         self.upper_var = priors.sd_bound**2
         self.obs_shape = (self.n_obs - 1) / 2.0
@@ -375,8 +380,8 @@ class JointSampler:
         self.set_state(state)
 
     def set_state(self, state: ModelState) -> None:
-        """Take ``state``, checked once here: the updates trust every later
-        state, which they keep inside the prior support."""
+        """Take a copy of ``state``, checked once here: the updates trust
+        every later state, which they keep inside the prior support."""
         p = state.params
         assert isinstance(p, JointParams)
         for name, x in params_to_dict(p).items():
@@ -385,30 +390,24 @@ class JointSampler:
                 raise DegenerateCovarianceError(f"starting {name} = {x} is outside {support}")
         build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
         build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)
-        self.beta_i = p.beta0_ind
-        self.beta_a = p.beta0_art
+        self.beta = np.array([p.beta0_ind, p.beta0_art], dtype=float)
         self.sigma = p.sigma
         self.sd0 = [p.sigma0_ind, p.sigma0_art]
         self.sd1 = [p.sigma1_ind, p.sigma1_art]
         self.rho = [p.rho0, p.rho1]
-        e = state.effects
-        self.b0_i = np.asarray(e.b0_ind, dtype=float).copy()
-        self.b0_a = np.asarray(e.b0_art, dtype=float).copy()
-        self.b1_i = np.asarray(e.b1_ind, dtype=float).copy()
-        self.b1_a = np.asarray(e.b1_art, dtype=float).copy()
+        self.effects = _effects_block(state)
 
     def _fields(self):  # parameters and effects in the order of model.MODELS
-        params = (self.beta_i, self.beta_a, self.sigma, *self.sd0, *self.sd1, *self.rho)
-        return params, (self.b0_i, self.b0_a, self.b1_i, self.b1_a)
+        return (*self.beta, self.sigma, *self.sd0, *self.sd1, *self.rho), self.effects
 
     def get_state(self) -> ModelState:
-        params, effects = self._fields()
-        return ModelState(JointParams(*params), JointEffects(*(e.copy() for e in effects)))
+        return ModelState(JointParams(*self._fields()[0]), JointEffects(*self.effects.copy()))
 
     def numbers(self, rng: np.random.Generator, skipped: frozenset[str]):
         """Each sweep's random numbers, drawn BLOCK sweeps at a time: normals
-        (BLOCK, 4 + 4C) for the intercept pair, the C intercept-effect pairs,
-        the C slope-effect pairs and each block's Bartlett z; standard gammas
+        (BLOCK, 4 + 4C) for the intercept pair, the effects block (the C
+        intercept-effect pairs, then the C slope-effect pairs, yielded as one
+        (4, C) slab) and each covariance block's Bartlett z; standard gammas
         at the shape (N - 1)/2 (BLOCK,); the chi-squares of the two IW draws
         as 2·Gamma(nu/2) and 2·Gamma((nu - 1)/2), each (BLOCK, 2); uniforms
         (BLOCK, 3) for sigma and the two MH steps.  A skipped update draws no
@@ -430,8 +429,7 @@ class JointSampler:
             u = rng.random((BLOCK, 3)).tolist()
             yield from zip(
                 z[:, :2].tolist(),
-                z[:, 2:2 + 2 * C].reshape(BLOCK, 2, C),
-                z[:, 2 + 2 * C:2 + 4 * C].reshape(BLOCK, 2, C),
+                z[:, 2:2 + 4 * C].reshape(BLOCK, 4, C),
                 z[:, 2 + 4 * C:].tolist(),
                 g_obs, c1, c2, u,
             )
@@ -448,10 +446,10 @@ class JointSampler:
         det = a11 * a22 - a12 * a12
         return a22 / det, -a12 / det, a11 / det
 
-    def zbar(self) -> tuple[np.ndarray, np.ndarray]:
-        """(z̄_I, z̄_A), z̄ = ȳ − b1·t̄ per country: what the intercepts see of
-        each stream."""
-        return self.si.ybar - self.b1_i * self.si.tbar, self.sa.ybar - self.b1_a * self.sa.tbar
+    def zbar(self) -> np.ndarray:
+        """z̄ = ȳ − b1·t̄ per sector and country, (2, C): what the intercepts
+        see of each stream."""
+        return self.ybar - self.effects[2:] * self.tbar
 
     def update_intercepts_collapsed(self, z, zbar) -> None:
         """Draw (beta_I, beta_A) jointly with the intercept pairs integrated out.
@@ -462,54 +460,39 @@ class JointSampler:
         country with one sector adds only to that sector's entry and a
         country without rows adds nothing.
         """
-        s2 = self.sigma * self.sigma
         a11, a12, a22 = self._prior_cov(0)
-        si, sa = self.si, self.sa
-        ui = si.n * a11 + s2
-        ua = sa.n * a22 + s2
-        det = ui * ua - self.n_both * (a12 * a12)
-        q11 = si.n * ua / det
-        q22 = sa.n * ui / det
+        u = self.n * np.array([[a11], [a22]]) + self.sigma * self.sigma  # n·a + sigma²
+        det = u[0] * u[1] - self.n_both * (a12 * a12)
+        q = self.n * u[::-1] / det  # each V_c⁻¹'s diagonal (q11, q22)
         q12 = -a12 * self.n_both / det
-        zi, za = zbar
-        self.beta_i, self.beta_a = _draw_gauss2(
-            self.prior_prec + float(q11.sum()),
-            float(q12.sum()),
-            self.prior_prec + float(q22.sum()),
-            float(q11 @ zi + q12 @ za),
-            float(q12 @ zi + q22 @ za),
-            z,
+        h = (q * zbar).sum(axis=1) + zbar[::-1] @ q12
+        self.beta[:] = _draw_gauss2(
+            self.prior_prec + q[0].sum(), q12.sum(), self.prior_prec + q[1].sum(), *h, z
         )
 
     def update_random_effects(self, z_b0, z_b1, zbar) -> None:
         """Draw the intercept-effect pairs, then the slope-effect pairs, given
         their normals of shape (2, C)."""
         s2 = self.sigma * self.sigma
-        si, sa = self.si, self.sa
-        zi, za = zbar
+        beta, e = self.beta[:, None], self.effects
+        p = self.n / s2
         q11, q12, q22 = self._prior_prec(0)
-        self.b0_i, self.b0_a = _draw_gauss2(
-            q11 + si.n / s2,
-            q12,
-            q22 + sa.n / s2,
-            si.n * (zi - self.beta_i) / s2,
-            sa.n * (za - self.beta_a) / s2,
-            z_b0,
-        )
+        e[:2] = _draw_gauss2(q11 + p[0], q12, q22 + p[1], *(self.n * (zbar - beta) / s2), z_b0)
+        p = self.sum_t2 / s2
+        lin = (self.sty + self.n_tbar * (self.ybar - beta - e[:2])) / s2
         q11, q12, q22 = self._prior_prec(1)
-        self.b1_i, self.b1_a = _draw_gauss2(
-            q11 + self.sum_t2_i / s2,
-            q12,
-            q22 + self.sum_t2_a / s2,
-            (si.sty + self.n_tbar_i * (si.ybar - self.beta_i - self.b0_i)) / s2,
-            (sa.sty + self.n_tbar_a * (sa.ybar - self.beta_a - self.b0_a)) / s2,
-            z_b1,
+        e[2:] = _draw_gauss2(q11 + p[0], q12, q22 + p[1], *lin, z_b1)
+
+    def residual_ss(self) -> float:
+        """Σ (y − beta − b0_c − b1_c·t)² over both streams."""
+        b1 = self.effects[2:]
+        d = self.ybar - (self.beta[:, None] + self.effects[:2]) - b1 * self.tbar
+        return self.syy_sum + float(
+            np.vdot(b1 * b1, self.stt) - 2.0 * np.vdot(b1, self.sty) + np.vdot(self.n * d, d)
         )
 
     def update_obs_variance(self, g: float, u: float) -> None:
-        ss = self.si.residual_ss(self.beta_i + self.b0_i, self.b1_i) + self.sa.residual_ss(
-            self.beta_a + self.b0_a, self.b1_a
-        )
+        ss = self.residual_ss()
         if self.n_obs > 1 and ss <= 0.0:
             raise DegenerateDataError("zero residual sum of squares with N > 1")
         self.sigma = math.sqrt(
@@ -526,11 +509,11 @@ class JointSampler:
             return math.log(omr) + half_k * math.log((sd_1 * sd_2) ** 2 * omr)
 
         self.proposed += 1
-        for block, (x1, x2, sds) in enumerate(
-            ((self.b0_i, self.b0_a, self.sd0), (self.b1_i, self.b1_a, self.sd1))
-        ):
+        S = (self.effects @ self.effects.T).tolist()  # both blocks' scatters at once
+        for block, sds in enumerate((self.sd0, self.sd1)):
+            k = 2 * block
             prop = _draw_inv_wishart_2x2(
-                float(x1 @ x1), float(x1 @ x2), float(x2 @ x2), c1[block], c2[block], z[block]
+                S[k][k], S[k][k + 1], S[k + 1][k + 1], c1[block], c2[block], z[block]
             )
             if not (prop[0] < bound and prop[1] < bound and abs(prop[2]) < 1.0):
                 continue
@@ -541,10 +524,10 @@ class JointSampler:
 
     def sweep(self, numbers, skipped: frozenset[str]) -> None:
         """One sweep, given its row of ``numbers``."""
-        z, z_b0, z_b1, z_iw, g_obs, c1, c2, u = numbers
+        z, z_e, z_iw, g_obs, c1, c2, u = numbers
         zbar = self.zbar()
         self.update_intercepts_collapsed(z, zbar)
-        self.update_random_effects(z_b0, z_b1, zbar)
+        self.update_random_effects(z_e[:2], z_e[2:], zbar)
         if "obs_variance" not in skipped:
             self.update_obs_variance(g_obs, u[0])
         if "cov_params" not in skipped:
@@ -556,14 +539,17 @@ class JointSampler:
         return {f"cov{block}": n / self.proposed for block, n in enumerate(self.accepted)}
 
 
+def _effects_block(state: ModelState) -> np.ndarray:
+    """A copy of the state's effects, one row per effect tag of model.MODELS."""
+    return np.array(list(vars(state.effects).values()), dtype=float)
+
+
 def write_values(sampler, row: np.ndarray) -> None:
     """Write a sampler's state into one draw row, in the column order of
-    ``model.draw_names``: the parameters, then each effect's C columns."""
+    ``model.draw_names``: the parameters, then the effects block row by row."""
     params, effects = sampler._fields()
-    P, C = len(params), sampler.C
-    row[:P] = params
-    for k, e in enumerate(effects):
-        row[P + k * C:P + (k + 1) * C] = e
+    row[:len(params)] = params
+    row[len(params):] = effects.ravel()
 
 
 # -- initialization ----------------------------------------------------------

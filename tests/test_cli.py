@@ -665,7 +665,7 @@ class TestExitCodes:
         out = tmp_path / "out.csv"
         for argv in (["summarize", "--fit", tmp_path],
                      ["export", "--figure", "2", "--fit", tmp_path, "--out", out],
-                     ["export", "--chain", "0", "--fit", tmp_path, "--out", out]):
+                     ["export", "--chain", "1", "--fit", tmp_path, "--out", out]):
             assert run(*argv) == 3
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}: ") and message in err, err
@@ -678,14 +678,31 @@ class TestExitCodes:
         for k in (0, 1):
             export_chain(fit, k, tmp_path / f"draws_chain{k}.csv")
         out = tmp_path / "out.csv"
-        for argv in (["summarize", "--fit", tmp_path],
-                     ["export", "--figure", "2", "--fit", tmp_path, "--out", out],
-                     ["export", "--chain", "1", "--fit", tmp_path, "--out", out]):
+        for argv, k in ((["summarize", "--fit", tmp_path], 0),
+                        (["export", "--figure", "2", "--fit", tmp_path, "--out", out], 0),
+                        (["export", "--chain", "1", "--fit", tmp_path, "--out", out], 1)):
             assert run(*argv) == 3
             err = capsys.readouterr().err
-            assert err == (f"error: {tmp_path / 'draws_chain0.csv'}: draws in the CSV format "
+            assert err == (f"error: {tmp_path / f'draws_chain{k}.csv'}: draws in the CSV format "
                            "of landmix before 0.2.0\n")
             assert not out.exists()
+
+    def test_fit_into_an_old_csv_fit_dir_exits_3(self, total_fixture, tmp_path, capsys,
+                                                  monkeypatch):
+        # the fresh fit would sit beside a draw file that summarize refuses
+        def never(*args, **kwargs):
+            raise AssertionError("sampled into an --out holding old draw files")
+
+        monkeypatch.setattr(cli, "run_chains", never)
+        sim, _ = total_fixture
+        out = tmp_path / "old_fit"
+        out.mkdir()
+        (out / "draws_chain0.csv").write_text("beta0\n1.0\n")
+        assert run("fit", "--model", "total", "--data", sim / "data.csv", "--out", out) == 3
+        assert capsys.readouterr().err == (f"error: {out / 'draws_chain0.csv'}: draws in the "
+                                           "CSV format of landmix before 0.2.0\n")
+        assert [p.name for p in out.iterdir()] == ["draws_chain0.csv"]
+        assert (out / "draws_chain0.csv").read_text() == "beta0\n1.0\n"
 
     @pytest.mark.parametrize("command", ["summarize", "figure2", "figure3"])
     @pytest.mark.parametrize("damage", ["beta0_renamed", "manifest_says_joint"])
@@ -900,6 +917,20 @@ class TestExport:
         fit_flags = ("--fit", fit) if flags[1] != "0" else ()
         assert run("export", *flags, *fit_flags, "--out", out) == 2
         assert "--chain" in capsys.readouterr().err and not out.exists()
+
+    def test_chain_reads_only_its_own_draw_file(self, total_fixture, tmp_path, capsys):
+        _, fit = total_fixture
+        for name in ("manifest.json", "draws_chain0.npz"):
+            shutil.copy(fit / name, tmp_path / name)
+        damaged = tmp_path / "draws_chain1.npz"
+        damaged.write_bytes((fit / "draws_chain1.npz").read_bytes()[:100])
+        want = export_chain(fit, 0, tmp_path / "want.csv").read_bytes()
+        assert export_chain(tmp_path, 0, tmp_path / "got.csv").read_bytes() == want
+        out = tmp_path / "chain.csv"
+        assert run("export", "--chain", "1", "--fit", tmp_path, "--out", out) == 3
+        assert capsys.readouterr().err.startswith(f"error: {damaged}: not a readable draw file")
+        assert run("export", "--chain", "2", "--fit", tmp_path, "--out", out) == 2
+        assert "--chain 2" in capsys.readouterr().err and not out.exists()
 
     def test_chain_and_figure_exclude_each_other(self, total_fixture, tmp_path):
         _, fit = total_fixture

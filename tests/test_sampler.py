@@ -142,9 +142,9 @@ class TestConjugateFormulas:
         s = TotalSampler(data, PriorSpec(), state)
         draws = []
         for _ in range(4000):
-            s.b0 = np.zeros(2)
+            s.effects[0] = 0.0
             s.update_random_intercepts(rng.standard_normal(2), s.zbar())
-            draws.append(s.b0[1])
+            draws.append(s.get_state().effects.b0[1])
         draws = np.asarray(draws)
         assert np.mean(draws) == pytest.approx(0.0, abs=4 / math.sqrt(4000))
         assert np.std(draws) == pytest.approx(1.0, rel=0.1)
@@ -192,9 +192,9 @@ class TestCollapsedIntercept:
         s = JointSampler(data, PriorSpec(), state)
         draws = []
         for _ in range(4000):
-            s.beta_i = 0.0
+            s.beta[0] = 0.0
             s.update_intercepts_collapsed(rng.standard_normal(2), s.zbar())
-            draws.append(s.beta_i)
+            draws.append(s.get_state().params.beta0_ind)
         sd = np.std(draws)
         expected = math.sqrt(1.0 / (1.0 / 100.0 + 1.0 / (9.9**2 + 1.0)))
         assert sd == pytest.approx(expected, rel=0.07)
@@ -234,8 +234,9 @@ class TestJointPairConditional:
             s.set_state(state)
             s.update_random_effects(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)),
                                     s.zbar())
-            draws_i.append(s.b0_i[0])
-            draws_a.append(s.b0_a[0])
+            e = s.get_state().effects
+            draws_i.append(e.b0_ind[0])
+            draws_a.append(e.b0_art[0])
         # marginals equal the univariate conjugate update N(1, 0.5), N(-0.5, 0.5)
         m_i, v_i = conj_normal(1.0, 1.0, 2.0)
         m_a, v_a = conj_normal(1.0, 1.0, -1.0)
@@ -257,8 +258,9 @@ class TestJointPairConditional:
             s.set_state(state)
             s.update_random_effects(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
                                     s.zbar())
-            b0i.append(s.b0_i[1])
-            b0a.append(s.b0_a[1])
+            e = s.get_state().effects
+            b0i.append(e.b0_ind[1])
+            b0a.append(e.b0_art[1])
         assert np.std(b0i) == pytest.approx(2.0, rel=0.08)
         assert np.std(b0a) == pytest.approx(3.0, rel=0.08)
         assert np.corrcoef(b0i, b0a)[0, 1] == pytest.approx(0.5, abs=0.06)
@@ -499,6 +501,12 @@ def skip_run(kind, skip):
     return run_chain(kind, data, cfg, init_state=init)
 
 
+EACH_SAMPLER = pytest.mark.parametrize("kind, sampler_class, truth", [
+    ("total", TotalSampler, TotalParams(5.0, 0.5, 1.0, 0.05)),
+    ("joint", JointSampler, JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.05, 0.5, 0.9)),
+])
+
+
 class TestChainRunner:
     def test_determinism_bit_identical(self):
         p = TotalParams(5.0, 0.5, 1.0, 0.05)
@@ -612,10 +620,7 @@ class TestChainRunner:
         assert np.mean(draws) == pytest.approx(9.90099, abs=3 * se)
         assert np.std(draws, ddof=1) == pytest.approx(0.995037, rel=0.05)
 
-    @pytest.mark.parametrize("kind, sampler_class, truth", [
-        ("total", TotalSampler, TotalParams(5.0, 0.5, 1.0, 0.05)),
-        ("joint", JointSampler, JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.05, 0.5, 0.9)),
-    ])
+    @EACH_SAMPLER
     def test_values_follow_the_model_table(self, rng, kind, sampler_class, truth):
         # the one place where a sampler spells its fields against model.MODELS
         spec = MODELS[kind]
@@ -636,6 +641,30 @@ class TestChainRunner:
         state = sampler.get_state()
         assert state.params == spec.params(*params)
         assert np.array_equal(np.array(list(vars(state.effects).values())), effects)
+
+    @EACH_SAMPLER
+    def test_states_share_no_memory_with_the_caller(self, kind, sampler_class, truth):
+        # the effects live in one block inside the sampler: neither the state
+        # it was given nor a state it handed out may be a view of that block
+        def block(state):
+            return np.array(list(vars(state.effects).values()))
+
+        data, _ = simulate_dataset(kind, truth, 3, 6, seed=0)
+        given = initial_state(kind, data)
+        sampler = sampler_class(data, PriorSpec(), given)
+        held = block(sampler.get_state())
+        for column in vars(given.effects).values():
+            column += 1.0
+        assert np.array_equal(block(sampler.get_state()), held)
+
+        out = sampler.get_state()
+        sampler.sweep(next(sampler.numbers(np.random.default_rng(1), frozenset())), frozenset())
+        swept = block(sampler.get_state())
+        assert not np.array_equal(swept, held)
+        assert np.array_equal(block(out), held)
+        for column in vars(out.effects).values():
+            column[:] = np.nan
+        assert np.array_equal(block(sampler.get_state()), swept)
 
     def test_initial_state_inside_support(self):
         p = TotalParams(8.0, 0.5, 4.0, 0.05)
@@ -953,7 +982,5 @@ class TestStatisticsPath:
                 (columns(entries, Sector.ARTISANAL), p.beta0_art, e.b0_art, e.b1_art),
             )
         )
-        got = sampler.si.residual_ss(p.beta0_ind + e.b0_ind, e.b1_ind) + sampler.sa.residual_ss(
-            p.beta0_art + e.b0_art, e.b1_art
-        )
-        assert_close(got, direct)
+        sampler.set_state(state)
+        assert_close(sampler.residual_ss(), direct)
