@@ -240,7 +240,9 @@ class TotalSampler:
         self.sigma = p.sigma
         self.sigma0 = p.sigma0
         self.sigma1 = p.sigma1
-        self.effects = _effects_block(state)  # rows b0, b1
+        self.effects = _effects_block(state)
+        # the block's rows, bound once: the updates write into them in place
+        self.b0, self.b1 = self.effects
 
     def _fields(self):  # parameters and effects in the order of model.MODELS
         return (self.beta0, self.sigma, self.sigma0, self.sigma1), self.effects
@@ -271,11 +273,11 @@ class TotalSampler:
 
     def zbar(self) -> np.ndarray:
         """z̄ = ȳ − b1·t̄ per country: what the intercepts see of the data."""
-        return self.s.ybar - self.effects[1] * self.s.tbar
+        return self.s.ybar - self.b1 * self.s.tbar
 
     def intercept_conditional_plain(self, zbar) -> tuple[float, float]:
         s2 = self.sigma * self.sigma
-        resid_sum = float(self.s.n @ (zbar - self.effects[0]))
+        resid_sum = float(self.s.n @ (zbar - self.b0))
         return conj_normal(self.prior_var, self.n_obs / s2, resid_sum / s2)
 
     def intercept_conditional_collapsed(self, zbar) -> tuple[float, float]:
@@ -297,17 +299,17 @@ class TotalSampler:
         s = self.s
         s2 = self.sigma * self.sigma
         prec = s2 / self.sigma0**2 + s.n  # conditional precision times sigma²
-        self.effects[0] = s.n * (zbar - self.beta0) / prec + np.sqrt(s2 / prec) * z
+        np.add(s.n * (zbar - self.beta0) / prec, np.sqrt(s2 / prec) * z, out=self.b0)
 
     def update_random_slopes(self, z) -> None:
         s = self.s
         s2 = self.sigma * self.sigma
         prec = s2 / self.sigma1**2 + self.sum_t2  # conditional precision times sigma²
-        mean = (s.sty + self.n_tbar * (s.ybar - self.beta0 - self.effects[0])) / prec
-        self.effects[1] = mean + np.sqrt(s2 / prec) * z
+        mean = (s.sty + self.n_tbar * (s.ybar - self.beta0 - self.b0)) / prec
+        np.add(mean, np.sqrt(s2 / prec) * z, out=self.b1)
 
     def update_obs_variance(self, g: float, u: float) -> None:
-        ss = self.s.residual_ss(self.beta0 + self.effects[0], self.effects[1])
+        ss = self.s.residual_ss(self.beta0 + self.b0, self.b1)
         if self.n_obs > 1 and ss <= 0.0:
             raise DegenerateDataError("zero residual sum of squares with N > 1")
         self.sigma = math.sqrt(
@@ -315,7 +317,7 @@ class TotalSampler:
         )
 
     def update_re_sd(self, which: int, g: float, u: float) -> None:
-        b = self.effects[which]
+        b = self.b1 if which else self.b0
         ss = float(b @ b)
         if self.C > 1 and ss == 0.0:
             raise DegenerateDataError("all random effects are zero: degenerate conditional")
