@@ -432,8 +432,8 @@ def cmd_sbc(args) -> int:
         writer = csv.writer(fh)
         writer.writerow(["parameter", "replicate", "rank"])
         for name, ranks in result.ranks.items():
-            for rep, rank in enumerate(ranks):
-                writer.writerow([name, rep, int(rank)])
+            for rep, rank in zip(result.kept, ranks):
+                writer.writerow([name, int(rep), int(rank)])
     _write_json(
         out_dir / "summary.json",
         {

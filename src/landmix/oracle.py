@@ -175,6 +175,7 @@ class SBCConfig:
 @dataclass
 class SBCResult:
     ranks: dict[str, np.ndarray]
+    kept: np.ndarray  # the replicate index r of each rank, as in its SeedSequence spawn_key
     pvalues: dict[str, float]
     replicates: int
     excluded: int
@@ -241,6 +242,7 @@ def sbc_run(
         )
     priors = config.chain.priors
     ranks: dict[str, list[int]] = {p: [] for p in TOTAL_PARAM_NAMES}
+    kept: list[int] = []
     excluded = 0
     for r in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
@@ -261,6 +263,7 @@ def sbc_run(
         if worst > config.rhat_gate:
             excluded += 1
             continue
+        kept.append(r)
         for p, value in params_to_dict(truth).items():
             pooled = np.concatenate([ch.draws[p] for ch in chains])
             sel = _thin_to(pooled, config.rank_draws)
@@ -275,6 +278,7 @@ def sbc_run(
     failed = excluded > config.max_exclude_frac * replicates
     return SBCResult(
         rank_arrays,
+        np.asarray(kept, dtype=int),
         pvalues,
         replicates,
         excluded,

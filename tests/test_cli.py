@@ -11,7 +11,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from landmix import cli
+from landmix import cli, oracle
 from landmix.cli import _write_draws, main, read_draws
 from landmix.data import load_landings
 from landmix.errors import DataFormatError
@@ -958,6 +958,25 @@ class TestSbcAndSummarize:
         rows = read_csv(out / "ranks.csv")
         assert rows[0] == ["parameter", "replicate", "rank"]
         assert len(rows) - 1 == 4 * (summary["replicates"] - summary["excluded"])
+
+    def test_ranks_name_their_replicate_after_an_exclusion(self, tmp_path, monkeypatch):
+        # replicate 1 of 4 misses the R-hat gate: the rows after it must still
+        # name the replicate whose SeedSequence spawn_key reruns them
+        calls = []
+
+        def rhat(seqs):
+            calls.append(None)
+            return 2.0 if (len(calls) - 1) // 4 == 1 else 1.0  # four parameters a replicate
+
+        monkeypatch.setattr(oracle, "_safe_rhat", rhat)
+        out = tmp_path / "sbc"
+        code = run("sbc", "--replicates", "4", "--countries", "3", "--years", "6",
+                   "--iters", "200", "--burnin", "100", "--seed", "0", "--out", out)
+        assert code == 4  # one exclusion in four fails the run, after ranks.csv is written
+        assert len(calls) == 16
+        rows = read_csv(out / "ranks.csv")[1:]
+        for name in ("beta0", "sigma", "sigma0", "sigma1"):
+            assert [int(r[1]) for r in rows if r[0] == name] == [0, 2, 3]
 
     @pytest.mark.parametrize("replicates", ["0", "-3"])
     def test_sbc_needs_a_replicate(self, tmp_path, capsys, replicates):

@@ -23,8 +23,10 @@ from landmix.model import (
 )
 from landmix.sampler import (
     BLOCK,
+    SMALL_C,
     ChainConfig,
     JointSampler,
+    SmallTotalSampler,
     TotalSampler,
     _check_shape,
     _draw_gauss2,
@@ -100,6 +102,11 @@ def trunc_ig(shape, rate, upper, rng):
     return sample_trunc_invgamma_var(shape, rate, upper, rng.standard_gamma(shape), rng.random())
 
 
+# the total model's two kernels: numpy arrays, and Python floats for small
+# panels.  The direct tests below run each on both.
+TOTAL_KERNELS = (TotalSampler, SmallTotalSampler)
+
+
 def b0_pair(state):
     return state.effects.b0_ind, state.effects.b0_art
 
@@ -126,10 +133,11 @@ class TestConjugateFormulas:
     def test_plain_conditional_from_dataset(self):
         data = make_total_dataset([(0, 0, 4.0), (0, 1, 6.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        s = TotalSampler(data, PriorSpec(), state)
-        mean, var = s.intercept_conditional_plain(s.zbar())
-        assert mean == pytest.approx(10.0 / 2.01, rel=1e-10)
-        assert var == pytest.approx(1.0 / 2.01, rel=1e-10)
+        for kernel in TOTAL_KERNELS:
+            s = kernel(data, PriorSpec(), state)
+            mean, var = s.intercept_conditional_plain(s.zbar())
+            assert mean == pytest.approx(10.0 / 2.01, rel=1e-10)
+            assert var == pytest.approx(1.0 / 2.01, rel=1e-10)
 
     def test_random_effect_conditional(self):
         # prior N(0,1), sigma=1, one residual 2 at unit design -> N(1, 0.5)
@@ -139,32 +147,31 @@ class TestConjugateFormulas:
     def test_country_without_data_draws_from_prior(self, rng):
         data = make_total_dataset([(0, t, 1.0) for t in range(3)], 2)
         state = total_state(1.0, 1.0, 1.0, 1.0, [0.0, 0.0], [0.0, 0.0])
-        s = TotalSampler(data, PriorSpec(), state)
-        draws = []
-        for _ in range(4000):
-            s.effects[0] = 0.0
-            s.update_random_intercepts(rng.standard_normal(2), s.zbar())
-            draws.append(s.get_state().effects.b0[1])
-        draws = np.asarray(draws)
-        assert np.mean(draws) == pytest.approx(0.0, abs=4 / math.sqrt(4000))
-        assert np.std(draws) == pytest.approx(1.0, rel=0.1)
+        for kernel in TOTAL_KERNELS:
+            s = kernel(data, PriorSpec(), state)
+            draws = []
+            for _ in range(4000):
+                s.set_state(state)
+                s.update_random_intercepts(rng.standard_normal(2), s.zbar())
+                draws.append(s.get_state().effects.b0[1])
+            draws = np.asarray(draws)
+            assert np.mean(draws) == pytest.approx(0.0, abs=4 / math.sqrt(4000))
+            assert np.std(draws) == pytest.approx(1.0, rel=0.1)
 
     def test_slope_with_zero_leverage_equals_prior(self, rng):
         # observations only at t=0: slope conditional reduces to its prior
         data = make_total_dataset([(0, 0, 5.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 2.0, [0.0], [0.0])
-        s = TotalSampler(data, PriorSpec(), state)
-        _, var = normal_draws(s, state, random_slopes, lambda st: st.effects.b1, 1)
-        assert 1.0 / var[0] == pytest.approx(1.0 / 4.0)
+        for kernel in TOTAL_KERNELS:
+            s = kernel(data, PriorSpec(), state)
+            _, var = normal_draws(s, state, random_slopes, lambda st: st.effects.b1, 1)
+            assert 1.0 / var[0] == pytest.approx(1.0 / 4.0)
 
 
 class TestCollapsedIntercept:
     def test_total_matches_numeric_integration(self):
         data = make_total_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 0.5)], 2)
         state = total_state(0.0, 0.7, 1.3, 1.0, [0.0, 0.0], [0.1, -0.2])
-        s = TotalSampler(data, PriorSpec(), state)
-        mean, var = s.intercept_conditional_collapsed(s.zbar())
-
         betas = np.linspace(-6, 6, 4001)
         bgrid = np.linspace(-8, 8, 2001)
         logp = -0.5 * (betas / 10.0) ** 2
@@ -181,8 +188,11 @@ class TestCollapsedIntercept:
         w /= np.trapezoid(w, betas)
         num_mean = np.trapezoid(w * betas, betas)
         num_var = np.trapezoid(w * (betas - num_mean) ** 2, betas)
-        assert mean == pytest.approx(num_mean, abs=2e-3)
-        assert var == pytest.approx(num_var, rel=2e-2)
+        for kernel in TOTAL_KERNELS:
+            s = kernel(data, PriorSpec(), state)
+            mean, var = s.intercept_conditional_collapsed(s.zbar())
+            assert mean == pytest.approx(num_mean, abs=2e-3)
+            assert var == pytest.approx(num_var, rel=2e-2)
 
     def test_joint_matches_plain_when_effects_uninformative(self, rng):
         # with huge prior effect sds the collapsed conditional carries almost
@@ -349,8 +359,9 @@ class TestTruncatedInverseGamma:
     def test_update_obs_variance_degenerate_data(self):
         data = make_total_dataset([(0, 0, 1.0), (0, 1, 1.0)], 1)
         state = total_state(1.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        with pytest.raises(DegenerateDataError):
-            TotalSampler(data, PriorSpec(), state).update_obs_variance(1.0, 0.5)
+        for kernel in TOTAL_KERNELS:
+            with pytest.raises(DegenerateDataError, match="zero residual sum of squares with N > 1"):
+                kernel(data, PriorSpec(), state).update_obs_variance(1.0, 0.5)
 
     def test_re_sd_shape_formula(self):
         assert (12 - 1) / 2.0 == 5.5
@@ -359,23 +370,25 @@ class TestTruncatedInverseGamma:
         # 12 effects with SS=44 -> IG(5.5, 22), mean 22/4.5
         b0 = np.full(12, math.sqrt(44.0 / 12.0))
         state = total_state(0.0, 1.0, 2.0, 1.0, b0, np.full(12, 0.1))
-        s = TotalSampler(make_total_dataset([(c, 0, 0.0) for c in range(12)], 12),
-                         PriorSpec(), state)
-        draws = []
-        for _ in range(20000):
-            # b0 stays fixed, so the draws are independent
-            s.update_re_sd(0, rng.standard_gamma(5.5), rng.random())
-            draws.append(s.sigma0 ** 2)
-        draws = np.asarray(draws)
-        se = np.std(draws) / math.sqrt(len(draws))
-        assert np.mean(draws) == pytest.approx(22.0 / 4.5, abs=4 * se)
+        data = make_total_dataset([(c, 0, 0.0) for c in range(12)], 12)
+        for kernel in TOTAL_KERNELS:
+            s = kernel(data, PriorSpec(), state)
+            draws = []
+            for _ in range(20000):
+                # b0 stays fixed, so the draws are independent
+                s.update_re_sd(0, rng.standard_gamma(5.5), rng.random())
+                draws.append(s.sigma0 ** 2)
+            draws = np.asarray(draws)
+            se = np.std(draws) / math.sqrt(len(draws))
+            assert np.mean(draws) == pytest.approx(22.0 / 4.5, abs=4 * se)
 
     def test_all_zero_effects_signaled(self):
         state = total_state(0.0, 1.0, 1.0, 1.0, np.zeros(3), np.zeros(3))
-        s = TotalSampler(make_total_dataset([(c, 0, 0.0) for c in range(3)], 3),
-                         PriorSpec(), state)
-        with pytest.raises(DegenerateDataError):
-            s.update_re_sd(0, 1.0, 0.5)
+        data = make_total_dataset([(c, 0, 0.0) for c in range(3)], 3)
+        for kernel in TOTAL_KERNELS:
+            s = kernel(data, PriorSpec(), state)
+            with pytest.raises(DegenerateDataError, match="all random effects are zero"):
+                s.update_re_sd(0, 1.0, 0.5)
 
 
 def cov_numbers(rng, nu, n):
@@ -490,20 +503,22 @@ SKIP_TRUTHS = {
 }
 
 
-def skip_run(kind, skip):
-    """A short chain on a 4x8 panel, started with effects away from 0 so that
+def skip_run(kind, skip, C=4, iterations=30):
+    """A short chain on a Cx8 panel, started with effects away from 0 so that
     a run with frozen effects keeps proper scale conditionals."""
-    data, _ = simulate_dataset(kind, SKIP_TRUTHS[kind], 4, 8, seed=0)
+    data, _ = simulate_dataset(kind, SKIP_TRUTHS[kind], C, 8, seed=0)
     spec = MODELS[kind]
-    effects = spec.effects(*(np.linspace(-1.0, 1.0, 4) for _ in spec.effect_tags))
+    effects = spec.effects(*(np.linspace(-1.0, 1.0, C) for _ in spec.effect_tags))
     init = ModelState(initial_state(kind, data).params, effects)
-    cfg = ChainConfig(iterations=30, burnin=0, thin=1, chains=1, seed=5, skip_updates=skip)
+    cfg = ChainConfig(iterations=iterations, burnin=0, thin=1, chains=1, seed=5,
+                      skip_updates=skip)
     return run_chain(kind, data, cfg, init_state=init)
 
 
 EACH_SAMPLER = pytest.mark.parametrize("kind, sampler_class, truth", [
     ("total", TotalSampler, TotalParams(5.0, 0.5, 1.0, 0.05)),
     ("joint", JointSampler, JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.05, 0.5, 0.9)),
+    ("total", SmallTotalSampler, TotalParams(5.0, 0.5, 1.0, 0.05)),
 ])
 
 
@@ -540,14 +555,15 @@ class TestChainRunner:
             assert not np.allclose(r0, r1)
 
     def test_parallel_matches_sequential(self):
+        # on both sides of the kernel boundary
         p = TotalParams(5.0, 0.5, 1.0, 0.05)
-        data, _ = simulate_dataset("total", p, 3, 8, seed=0)
-        cfg = ChainConfig(iterations=80, burnin=20, thin=2, chains=2, seed=17)
-        seq = run_chains("total", data, cfg, parallel=1)
-        par = run_chains("total", data, cfg, parallel=2)
-        for a, b in zip(seq, par):
-            for name in a.names:
-                assert np.array_equal(a.draws[name], b.draws[name])
+        for C in (SMALL_C, SMALL_C + 1):
+            data, _ = simulate_dataset("total", p, C, 8, seed=0)
+            cfg = ChainConfig(iterations=80, burnin=20, thin=2, chains=2, seed=17)
+            seq = run_chains("total", data, cfg, parallel=1)
+            par = run_chains("total", data, cfg, parallel=2)
+            for a, b in zip(seq, par):
+                assert a.matrix.tobytes() == b.matrix.tobytes()
 
     @pytest.mark.parametrize("parallel", [0, -2])
     def test_parallel_below_one_rejected(self, parallel):
@@ -610,15 +626,17 @@ class TestChainRunner:
         # iterate the plain update with everything else frozen
         data = make_total_dataset([(0, 0, 10.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        s = TotalSampler(data, PriorSpec(), state)
-        draws = []
-        for _ in range(10000):
-            s.update_intercept(rng.standard_normal(), s.zbar(), collapsed=False)  # effects stay frozen
-            draws.append(s.beta0)
-        draws = np.asarray(draws)
-        se = 0.995037 / math.sqrt(len(draws))
-        assert np.mean(draws) == pytest.approx(9.90099, abs=3 * se)
-        assert np.std(draws, ddof=1) == pytest.approx(0.995037, rel=0.05)
+        for kernel in TOTAL_KERNELS:
+            s = kernel(data, PriorSpec(), state)
+            draws = []
+            for _ in range(10000):
+                # effects stay frozen
+                s.update_intercept(rng.standard_normal(), s.zbar(), collapsed=False)
+                draws.append(s.beta0)
+            draws = np.asarray(draws)
+            se = 0.995037 / math.sqrt(len(draws))
+            assert np.mean(draws) == pytest.approx(9.90099, abs=3 * se)
+            assert np.std(draws, ddof=1) == pytest.approx(0.995037, rel=0.05)
 
     @EACH_SAMPLER
     def test_values_follow_the_model_table(self, rng, kind, sampler_class, truth):
@@ -665,6 +683,40 @@ class TestChainRunner:
         for column in vars(out.effects).values():
             column[:] = np.nan
         assert np.array_equal(block(sampler.get_state()), swept)
+
+    @pytest.mark.parametrize("skip", [(), ("obs_variance",), ("random_effects",), ("re_slopes",),
+                                      ("re_sds",), ("re_sd1",)], ids=lambda s: "+".join(s) or "none")
+    @pytest.mark.parametrize("C", [1, 2, 4, SMALL_C])
+    def test_float_kernel_matches_numpy_kernel(self, C, skip, monkeypatch):
+        # 300 sweeps cross two block boundaries; a degenerate run must fail
+        # alike on both kernels
+        def outcome():
+            try:
+                return skip_run("total", skip, C, iterations=300)
+            except DegenerateDataError as err:
+                return str(err)
+
+        small = outcome()
+        monkeypatch.setattr(sampler_module, "SMALL_C", 0)
+        numpy = outcome()
+        if isinstance(numpy, str):
+            assert small == numpy
+            return
+        assert small.n_draws == numpy.n_draws == 300
+        assert_close(small.matrix, numpy.matrix, 1.0)
+
+    def test_kernel_chosen_by_country_count(self, monkeypatch):
+        made = []
+        init = TotalSampler.__init__
+
+        def spy(self, *args):
+            made.append(type(self))
+            init(self, *args)
+
+        monkeypatch.setattr(TotalSampler, "__init__", spy)
+        for C in (SMALL_C, SMALL_C + 1):
+            skip_run("total", (), C)
+        assert made == [SmallTotalSampler, TotalSampler]
 
     def test_initial_state_inside_support(self):
         p = TotalParams(8.0, 0.5, 4.0, 0.05)
@@ -864,11 +916,16 @@ class TestStatisticsPath:
             data.draw(st.floats(-50, 50)), data.draw(SDS), data.draw(SDS), data.draw(SDS),
             effects(data.draw, C, 5.0), effects(data.draw, C, 1.0),
         )
-        sampler = TotalSampler(
-            make_total_dataset([(c, t, y) for c, t, _, y in entries], C, horizon),
-            PriorSpec(),
-            state,
-        )
+        for kernel in TOTAL_KERNELS:
+            sampler = kernel(
+                make_total_dataset([(c, t, y) for c, t, _, y in entries], C, horizon),
+                PriorSpec(),
+                state,
+            )
+            self.check_total_conditionals(sampler, state, entries, C)
+
+    @staticmethod
+    def check_total_conditionals(sampler, state, entries, C):
         p, e = state.params, state.effects
         c, t, y = columns(entries, Sector.TOTAL)
         pv, s2 = 100.0, p.sigma**2
@@ -901,8 +958,8 @@ class TestStatisticsPath:
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, np.sqrt(var))
 
-        got = sampler.s.residual_ss(p.beta0 + e.b0, e.b1)
-        assert_close(got, np.sum((y - p.beta0 - e.b0[c] - e.b1[c] * t) ** 2))
+        sampler.set_state(state)
+        assert_close(sampler.residual_ss(), np.sum((y - p.beta0 - e.b0[c] - e.b1[c] * t) ** 2))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
