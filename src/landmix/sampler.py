@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import repeat
 
 import numpy as np
@@ -158,6 +158,17 @@ def conj_normal(prior_var: float, lik_prec: float, lik_lin: float) -> tuple[floa
     return lik_lin * var, var
 
 
+@cache
+def _gamma_tail():
+    """scipy's upper regularised gamma function and its inverse, as plain
+    scalar functions: loaded on the first inverse-CDF draw, since they load
+    scipy.  They return the bits of the ``scipy.special`` ufuncs at a
+    fraction of a ufunc call's cost."""
+    from scipy.special import cython_special
+
+    return cython_special.gammaincc, cython_special.gammainccinv
+
+
 def sample_trunc_invgamma_var(shape: float, rate: float, upper_var: float, g: float,
                               u: float) -> float:
     """A variance drawn exactly from IG(shape, rate) truncated to (0, upper_var),
@@ -172,7 +183,7 @@ def sample_trunc_invgamma_var(shape: float, rate: float, upper_var: float, g: fl
     if rate <= 0:
         raise DegenerateDataError("zero residual sum of squares: degenerate conditional")
     if not rate < upper_var * g:
-        from scipy.special import gammaincc, gammainccinv  # only here: it loads scipy
+        gammaincc, gammainccinv = _gamma_tail()
         mass = gammaincc(shape, rate / upper_var)  # P(rate / g < upper_var)
         if mass == 0.0:
             raise DegenerateDataError(
@@ -188,13 +199,20 @@ def _draw_gauss2(p11, p12, p22, h1, h2, z):
     """A draw (x1, x2) from the bivariate normal with precision
     [[p11, p12], [p12, p22]] and linear term (h1, h2), so mean P^-1 h,
     given the standard normals z.  The entries are floats or arrays of one
-    shape, with z of shape (2,) or (2,) + that shape."""
-    det = p11 * p22 - p12 * p12
-    c11, c12, c22 = p22 / det, -p12 / det, p11 / det
-    l11 = np.sqrt(c11)  # lower Cholesky factor of the covariance P^-1
-    l21 = c12 / l11
-    l22 = np.sqrt(c22 - l21 * l21)
-    return c11 * h1 + c12 * h2 + l11 * z[0], c12 * h1 + c22 * h2 + l21 * z[0] + l22 * z[1]
+    shape, or a float p12 beside array diagonals, with z of shape (2,) or
+    (2,) + that shape.
+
+    P = U U^T with U upper triangular; w = U^-1 h is one back substitution
+    and x = U^-T (w + z) one forward substitution (Rue 2001).  U^-T is the
+    lower Cholesky factor of the covariance P^-1, so x is the mean plus that
+    factor times z, as when the covariance is factored directly."""
+    u22 = p22 ** 0.5
+    u12 = p12 / u22
+    u11 = (p11 - u12 * u12) ** 0.5
+    w2 = h2 / u22
+    w1 = (h1 - u12 * w2) / u11
+    x1 = (w1 + z[0]) / u11
+    return x1, (w2 + z[1] - u12 * x1) / u22
 
 
 def _draw_inv_wishart_2x2(s11, s12, s22, c1, c2, z) -> tuple[float, float, float]:
@@ -462,9 +480,13 @@ class JointSampler:
         )
         self.syy_sum = sum(s.syy_sum for s in streams)
         self.n_obs = int(self.n.sum())
-        self.n_both = self.n[0] * self.n[1]
         self.sum_t2 = self.stt + self.n * self.tbar**2
         self.n_tbar = self.n * self.tbar
+        self.m2sty = -2.0 * self.sty
+        # the rows each effect block adds to its precision's diagonal, times sigma²
+        self.data_prec = (tuple(self.n), tuple(self.sum_t2))
+        # the counts the collapsed intercept's weights are linear in: n_I·n_A, n_I, n_A
+        self.n_basis = np.array([self.n[0] * self.n[1], *self.n])
         self.prior_prec = 1.0 / priors.intercept_sd**2
         self.upper_var = priors.sd_bound**2
         self.obs_shape = (self.n_obs - 1) / 2.0
@@ -473,6 +495,10 @@ class JointSampler:
         self.half_k = 0.5 * (self.nu + 1 - self.C)
         self.accepted = [0, 0]
         self.proposed = 0
+        # the rows [1; z̄_I; z̄_A] that the collapsed intercept sums its weights
+        # against; z̄ is carried from one slope draw, or set_state, to the next
+        self.ones_zbar = np.ones((3, self.C))
+        self.carried_zbar = self.ones_zbar[1:]
         self.set_state(state)
 
     def set_state(self, state: ModelState) -> None:
@@ -487,11 +513,14 @@ class JointSampler:
         build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
         build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)
         self.beta = np.array([p.beta0_ind, p.beta0_art], dtype=float)
+        self.beta_col = self.beta[:, None]  # a (2, 1) view, to broadcast over countries
         self.sigma = p.sigma
         self.sd0 = [p.sigma0_ind, p.sigma0_art]
         self.sd1 = [p.sigma1_ind, p.sigma1_art]
         self.rho = [p.rho0, p.rho1]
+        self.log_w = [self._log_weight(*self.sd0, p.rho0), self._log_weight(*self.sd1, p.rho1)]
         self.effects = _effects_block(state)
+        self.zbar()
 
     def _fields(self):  # parameters and effects in the order of model.MODELS
         return (*self.beta, self.sigma, *self.sd0, *self.sd1, *self.rho), self.effects.ravel()
@@ -542,49 +571,67 @@ class JointSampler:
         det = a11 * a22 - a12 * a12
         return a22 / det, -a12 / det, a11 / det
 
+    def _log_weight(self, sd_1: float, sd_2: float, rho: float) -> float:
+        """Log of target over proposal density at a block's (sd_1, sd_2, rho)."""
+        omr = 1.0 - rho * rho
+        return math.log(omr) + self.half_k * math.log((sd_1 * sd_2) ** 2 * omr)
+
     def zbar(self) -> np.ndarray:
         """z̄ = ȳ − b1·t̄ per sector and country, (2, C): what the intercepts
-        see of each stream."""
-        return self.ybar - self.effects[2:] * self.tbar
+        see of each stream.  Computed into the carried z̄, which the sweep
+        reads until the next slope draw."""
+        return np.subtract(self.ybar, self.effects[2:] * self.tbar, out=self.carried_zbar)
 
     def update_intercepts_collapsed(self, z, zbar) -> None:
         """Draw (beta_I, beta_A) jointly with the intercept pairs integrated out.
 
         Country c's mean pair (z̄_I, z̄_A), z̄ = ȳ − b1·t̄, is normal around
         (beta_I, beta_A) with covariance V_c = cov0 + sigma²·diag(1/n_I, 1/n_A).
-        Its precision V_c⁻¹ is written with n_I·n_A multiplied through, so a
-        country with one sector adds only to that sector's entry and a
-        country without rows adds nothing.
+        Its precision V_c⁻¹ (q11, q22, q12) is written with n_I·n_A multiplied
+        through, so a country with one sector adds only to that sector's entry
+        and a country without rows adds nothing.  Its numerators and
+        determinant are linear in (n_I·n_A, n_I, n_A), and one product with
+        the rows [1; z̄_I; z̄_A] gives every sum the pair's conditional needs.
         """
         a11, a12, a22 = self._prior_cov(0)
-        u = self.n * np.array([[a11], [a22]]) + self.sigma * self.sigma  # n·a + sigma²
-        det = u[0] * u[1] - self.n_both * (a12 * a12)
-        q = self.n * u[::-1] / det  # each V_c⁻¹'s diagonal (q11, q22)
-        q12 = -a12 * self.n_both / det
-        h = (q * zbar).sum(axis=1) + zbar[::-1] @ q12
-        self.beta[:] = _draw_gauss2(
-            self.prior_prec + q[0].sum(), q12.sum(), self.prior_prec + q[1].sum(), *h, z
+        s2 = self.sigma * self.sigma
+        det_cov0 = a11 * a22 * (1.0 - self.rho[0] ** 2)
+        # rows: the numerators of q11, q22 and q12, and the determinant less sigma⁴
+        num = np.array([a22, s2, 0.0, a11, 0.0, s2, -a12, 0.0, 0.0,
+                        det_cov0, a11 * s2, a22 * s2]).reshape(4, 3) @ self.n_basis
+        q = num[:3] / (num[3] + s2 * s2)
+        self.carried_zbar[...] = zbar  # no copy when zbar is the carried z̄
+        (q11, qz11, _), (q22, _, qz22), (q12, qz12_i, qz12_a) = (q @ self.ones_zbar.T).tolist()
+        pp = self.prior_prec
+        self.beta[0], self.beta[1] = _draw_gauss2(
+            pp + q11, q12, pp + q22, qz11 + qz12_a, qz22 + qz12_i, z
         )
 
     def update_random_effects(self, z_b0, z_b1, zbar) -> None:
         """Draw the intercept-effect pairs, then the slope-effect pairs, given
-        their normals of shape (2, C)."""
-        s2 = self.sigma * self.sigma
-        beta, e = self.beta[:, None], self.effects
-        p = self.n / s2
+        their normals of shape (2, C), and carry the new z̄.  Each block's
+        precision and linear term are taken times sigma², so its normals are
+        scaled by sigma."""
+        sigma = self.sigma
+        s2 = sigma * sigma
+        beta, e = self.beta_col, self.effects
+        (n_i, n_a), (t2_i, t2_a) = self.data_prec
         q11, q12, q22 = self._prior_prec(0)
-        e[:2] = _draw_gauss2(q11 + p[0], q12, q22 + p[1], *(self.n * (zbar - beta) / s2), z_b0)
-        p = self.sum_t2 / s2
-        lin = (self.sty + self.n_tbar * (self.ybar - beta - e[:2])) / s2
+        h_i, h_a = self.n * (zbar - beta)
+        e[0], e[1] = _draw_gauss2(n_i + s2 * q11, s2 * q12, n_a + s2 * q22, h_i, h_a,
+                                  sigma * z_b0)
         q11, q12, q22 = self._prior_prec(1)
-        e[2:] = _draw_gauss2(q11 + p[0], q12, q22 + p[1], *lin, z_b1)
+        h_i, h_a = self.sty + self.n_tbar * (self.ybar - beta - e[:2])
+        e[2], e[3] = _draw_gauss2(t2_i + s2 * q11, s2 * q12, t2_a + s2 * q22, h_i, h_a,
+                                  sigma * z_b1)
+        self.zbar()
 
     def residual_ss(self) -> float:
-        """Σ (y − beta − b0_c − b1_c·t)² over both streams."""
+        """Σ (y − beta − b0_c − b1_c·t)² over both streams, from the carried z̄."""
         b1 = self.effects[2:]
-        d = self.ybar - (self.beta[:, None] + self.effects[:2]) - b1 * self.tbar
+        d = self.carried_zbar - self.beta_col - self.effects[:2]
         return self.syy_sum + float(
-            np.vdot(b1 * b1, self.stt) - 2.0 * np.vdot(b1, self.sty) + np.vdot(self.n * d, d)
+            np.vdot(b1, b1 * self.stt + self.m2sty) + np.vdot(self.n * d, d)
         )
 
     def update_obs_variance(self, g: float, u: float) -> None:
@@ -597,13 +644,9 @@ class JointSampler:
 
     def update_cov_params(self, z, c1, c2, u) -> None:
         """One independence-MH step per covariance block, proposing IW(S, nu)
-        from the Bartlett numbers z[k], c1[k], c2[k] and accepting at u[k]."""
-        half_k, bound = self.half_k, self.priors.sd_bound
-
-        def log_weight(sd_1, sd_2, rho):  # log of target / proposal density
-            omr = 1.0 - rho * rho
-            return math.log(omr) + half_k * math.log((sd_1 * sd_2) ** 2 * omr)
-
+        from the Bartlett numbers z[k], c1[k], c2[k] and accepting at u[k].
+        The current blocks' log weights are kept, not recomputed."""
+        bound = self.priors.sd_bound
         self.proposed += 1
         S = (self.effects @ self.effects.T).tolist()  # both blocks' scatters at once
         for block, sds in enumerate((self.sd0, self.sd1)):
@@ -613,15 +656,17 @@ class JointSampler:
             )
             if not (prop[0] < bound and prop[1] < bound and abs(prop[2]) < 1.0):
                 continue
-            la = log_weight(*prop) - log_weight(sds[0], sds[1], self.rho[block])
+            log_w = self._log_weight(*prop)
+            la = log_w - self.log_w[block]
             if la >= 0.0 or u[block] < math.exp(la):
                 sds[0], sds[1], self.rho[block] = prop
+                self.log_w[block] = log_w
                 self.accepted[block] += 1
 
     def sweep(self, numbers, skipped: frozenset[str]) -> None:
         """One sweep, given its row of ``numbers``."""
         z, z_e, z_iw, g_obs, c1, c2, u = numbers
-        zbar = self.zbar()
+        zbar = self.carried_zbar
         self.update_intercepts_collapsed(z, zbar)
         self.update_random_effects(z_e[:2], z_e[2:], zbar)
         if "obs_variance" not in skipped:

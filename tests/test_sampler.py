@@ -276,6 +276,61 @@ class TestJointPairConditional:
         assert np.corrcoef(b0i, b0a)[0, 1] == pytest.approx(0.5, abs=0.06)
 
 
+class TestGaussKernel:
+    """``_draw_gauss2`` against numpy's linear algebra: its draw at z = 0 is
+    the mean P⁻¹h, and its steps along the unit vectors are the columns of
+    the lower Cholesky factor of P⁻¹."""
+
+    @staticmethod
+    def check(p11, p12, p22, h1, h2):
+        shape = np.shape(p11)
+
+        def step(k):  # the draw at z = e_k, or at z = 0 for k = None
+            z = [np.full(shape, float(k == j)) if shape else float(k == j) for j in (0, 1)]
+            return np.stack(np.broadcast_arrays(*_draw_gauss2(p11, p12, p22, h1, h2, z)), -1)
+
+        e11, e12, e22 = np.broadcast_arrays(p11, p12, p22)
+        P = np.stack([np.stack([e11, e12], -1), np.stack([e12, e22], -1)], -2)
+        want_m = np.linalg.solve(P, np.stack(np.broadcast_arrays(h1, h2), -1)[..., None])[..., 0]
+        want_l = np.linalg.cholesky(np.linalg.inv(P))
+        m = step(None)
+        got_l = np.stack([step(0) - m, step(1) - m], -1)
+        assert np.all(np.abs(m - want_m) <= 1e-12 * np.abs(want_m).max(-1, keepdims=True))
+        assert np.all(np.abs(got_l - want_l)
+                      <= 1e-12 * np.abs(want_l).max((-2, -1), keepdims=True))
+
+    @staticmethod
+    def precision(rng, rho):
+        a, b = np.exp(rng.uniform(-3.0, 3.0, 2))
+        return a * a, rho * a * b, b * b
+
+    @staticmethod
+    def linear_term(rng, p11, p12, p22):
+        # a mean of the order of the posterior sd, so x - m keeps its digits
+        x = rng.standard_normal(2) / np.sqrt([p11, p22])
+        return p11 * x[0] + p12 * x[1], p12 * x[0] + p22 * x[1]
+
+    def test_float_entries(self, rng):
+        for rho in [-0.999, 0.999, *rng.uniform(-0.999, 0.999, 40)]:
+            p11, p12, p22 = self.precision(rng, rho)
+            self.check(p11, p12, p22, *self.linear_term(rng, p11, p12, p22))
+
+    def test_array_diagonals_with_a_float_off_diagonal(self, rng):
+        # the effect blocks: data add to the diagonal only
+        for rho in (-0.999, -0.5, 0.0, 0.9, 0.999):
+            p11, p12, p22 = self.precision(rng, rho)
+            d11 = p11 * (1.0 + rng.exponential(5.0, 30) * (rng.random(30) < 0.7))
+            d22 = p22 * (1.0 + rng.exponential(5.0, 30) * (rng.random(30) < 0.7))
+            h1, h2 = zip(*(self.linear_term(rng, a, p12, b) for a, b in zip(d11, d22)))
+            self.check(d11, float(p12), d22, np.array(h1), np.array(h2))
+
+    def test_array_entries(self, rng):
+        rhos = rng.uniform(-0.999, 0.999, 50)
+        p11, p12, p22 = np.array([self.precision(rng, r) for r in rhos]).T
+        h1, h2 = np.array([self.linear_term(rng, *p) for p in zip(p11, p12, p22)]).T
+        self.check(p11, p12, p22, h1, h2)
+
+
 class TestTruncatedInverseGamma:
     @staticmethod
     def truncated_moments(shape, rate, upper):
@@ -1041,3 +1096,134 @@ class TestStatisticsPath:
         )
         sampler.set_state(state)
         assert_close(sampler.residual_ss(), direct)
+
+
+def joint_sweep_reference(entries, C, state, numbers, priors=PriorSpec()):
+    """One joint sweep (both skip keys off) computed country by country from
+    the rows with ``np.linalg``: the collapsed intercept pair, each country's
+    intercept and slope effect pairs, sigma on the untruncated branch and one
+    IW step per covariance block.  Returns the parameters and the effects as
+    one flat array in draw-column order, and whether each block accepted."""
+    z, z_e, z_iw, g_obs, c1, c2, u = numbers
+    p, e = state.params, state.effects
+    sectors = (Sector.INDUSTRIAL, Sector.ARTISANAL)
+    rows = [columns(entries, sector) for sector in sectors]
+    b0, b1 = np.array([e.b0_ind, e.b0_art]), np.array([e.b1_ind, e.b1_art])
+    s2 = p.sigma**2
+    covs = [build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0),
+            build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)]
+
+    def draw(prec, lin, normals):
+        return np.linalg.solve(prec, lin) + np.linalg.cholesky(np.linalg.inv(prec)) @ normals
+
+    prec, lin = np.eye(2) / priors.intercept_sd**2, np.zeros(2)
+    for k in range(C):
+        has = [j for j, (c, _, _) in enumerate(rows) if np.any(c == k)]
+        if has:
+            zbar = np.array([np.mean((y - b1[j, k] * t)[c == k])
+                             for j, (c, t, y) in enumerate(rows) if j in has])
+            n = np.array([np.sum(rows[j][0] == k) for j in has])
+            q = np.linalg.inv(covs[0][np.ix_(has, has)] + s2 * np.diag(1.0 / n))
+            prec[np.ix_(has, has)] += q
+            lin[has] += q @ zbar
+    beta = draw(prec, lin, np.array(z))
+
+    def pair(k, weight, resid, cov, normals):
+        info, lin = np.zeros(2), np.zeros(2)
+        for j, (c, t, y) in enumerate(rows):
+            w = weight(t)[c == k]
+            info[j] = np.sum(w * w) / s2
+            lin[j] = np.sum(w * resid(j, t, y)[c == k]) / s2
+        return draw(np.linalg.inv(cov) + np.diag(info), lin, normals)
+
+    for k in range(C):
+        b0[:, k] = pair(k, np.ones_like, lambda j, t, y: y - beta[j] - b1[j, k] * t, covs[0],
+                        z_e[:2, k])
+    for k in range(C):
+        b1[:, k] = pair(k, lambda t: t, lambda j, t, y: y - beta[j] - b0[j, k], covs[1],
+                        z_e[2:, k])
+
+    ss = sum(np.sum((y - beta[j] - b0[j, c] - b1[j, c] * t) ** 2)
+             for j, (c, t, y) in enumerate(rows))
+    n_obs = sum(len(y) for _, _, y in rows)
+    rate = ss / 2.0
+    assert rate < priors.sd_bound**2 * g_obs, "the reference takes the untruncated branch"
+    sigma = math.sqrt(rate / g_obs)
+
+    nu = max(C - 1, 2)
+    half_k = 0.5 * (nu + 1 - C)
+    blocks, accepted = [], []
+    for block, x in enumerate((b0, b1)):
+        R = np.linalg.cholesky(x @ x.T)
+        A = np.array([[math.sqrt(c1[block]), 0.0], [z_iw[block], math.sqrt(c2[block])]])
+        prop = R @ np.linalg.inv(A @ A.T) @ R.T
+        cur = covs[block]
+
+        def log_weight(cov):
+            rho2 = cov[0, 1] ** 2 / (cov[0, 0] * cov[1, 1])
+            return math.log(1.0 - rho2) + half_k * math.log(np.linalg.det(cov))
+
+        sd = np.sqrt(np.diag(prop))
+        la = log_weight(prop) - log_weight(cur)
+        assert abs(la - math.log(u[1 + block])) > 1e-6, "the MH decision is clear of rounding"
+        ok = sd.max() < priors.sd_bound and la >= math.log(u[1 + block])
+        new = prop if ok else cur
+        sds = np.sqrt(np.diag(new))
+        blocks.append((sds, new[0, 1] / (sds[0] * sds[1])))
+        accepted.append(ok)
+    (sd0, rho0), (sd1, rho1) = blocks
+    params = [*beta, sigma, *sd0, *sd1, rho0, rho1]
+    assert n_obs > 1
+    return np.concatenate([params, b0.ravel(), b1.ravel()]), accepted
+
+
+class TestJointSweep:
+    """One whole ``JointSampler.sweep`` against ``joint_sweep_reference`` on a
+    panel with a single-sector country and a country without rows."""
+
+    C = 4
+    ENTRIES = [
+        *((0, t, s, 3.0 + 0.05 * t + 0.3 * math.sin(t + k))
+          for t in range(12) for k, s in enumerate((Sector.INDUSTRIAL, Sector.ARTISANAL))),
+        *((1, t, Sector.INDUSTRIAL, 2.4 - 0.03 * t + 0.2 * math.cos(2 * t)) for t in range(3, 15)),
+        *((2, t, s, 1.5 + (0.02 + 0.01 * k) * t + 0.25 * math.sin(3 * t - k))
+          for t in range(0, 16, 2) for k, s in enumerate((Sector.INDUSTRIAL, Sector.ARTISANAL))),
+    ]  # country 3 has no rows
+
+    @staticmethod
+    def random_state(rng, C):
+        params = (*rng.uniform(0.0, 4.0, 2), rng.uniform(0.2, 0.5), *rng.uniform(0.3, 1.5, 2),
+                  *rng.uniform(0.01, 0.1, 2), *rng.uniform(-0.8, 0.8, 2))
+        return joint_state(params, *(rng.normal(0.0, sd, C) for sd in (0.8, 0.8, 0.05, 0.05)))
+
+    @staticmethod
+    def numbers(rng, C, u):
+        return (rng.standard_normal(2).tolist(), rng.standard_normal((4, C)),
+                rng.standard_normal(2).tolist(), 40.0, [9.0, 5.0], [4.0, 2.5], u)
+
+    def check_sweep(self, sampler, state, numbers):
+        want, accepted = joint_sweep_reference(self.ENTRIES, self.C, state, numbers)
+        before = list(sampler.accepted)
+        sampler.sweep(numbers, frozenset())
+        row = np.empty(len(want))
+        write_values(sampler, row)
+        np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+        assert [a - b for a, b in zip(sampler.accepted, before)] == [int(a) for a in accepted]
+        return accepted
+
+    def test_sweep_matches_country_by_country_reference(self):
+        rng = np.random.default_rng(41)
+        data = make_joint_dataset(self.ENTRIES, self.C, 16)
+        state = self.random_state(rng, self.C)
+        accepted = self.check_sweep(JointSampler(data, PriorSpec(), state), state,
+                                    self.numbers(rng, self.C, [0.5, 0.99, 0.02]))
+        assert accepted == [False, True]  # both MH branches
+
+    def test_set_state_after_a_sweep_refreshes_what_the_sweep_carries(self):
+        rng = np.random.default_rng(42)
+        data = make_joint_dataset(self.ENTRIES, self.C, 16)
+        sampler = JointSampler(data, PriorSpec(), self.random_state(rng, self.C))
+        sampler.sweep(self.numbers(rng, self.C, [0.5, 0.5, 0.5]), frozenset())
+        state = self.random_state(rng, self.C)
+        sampler.set_state(state)
+        self.check_sweep(sampler, state, self.numbers(rng, self.C, [0.5, 0.02, 0.97]))
