@@ -376,8 +376,7 @@ def _export_figure3(fit_dir: Path) -> list[list]:
     data_path = Path(manifest["data"])
     _checked_sha256(data_path, manifest["data_sha256"])
     data = load_landings(data_path, "joint")
-    si, sa = model_streams("joint", data)
-    dual = [data.labels[c] for c in np.flatnonzero(si.n * sa.n)]
+    dual = [data.labels[c] for c in np.flatnonzero(model_streams("joint", data).n.all(axis=0))]
     pooled = pool_chains(chains)
     out = [["country", "effect", "industrial_mean", "artisanal_mean"]]
     for effect in ("intercept", "slope"):

@@ -4,7 +4,9 @@ Input schema: ``country,year,sector,tonnes`` with sector in
 {industrial, artisanal, total}.  A year maps to the time index
 t = year - 1970 (years 1970-9999); a panel's horizon is its largest t
 plus one, read from the data.  Tonnage is log-transformed.  Zero-tonnage
-rows are dropped with a warning since their logarithm is undefined.
+rows are dropped with a warning since their logarithm is undefined.  A
+country left without rows in the sectors the model reads gets a warning
+too: its effects are drawn from the prior.
 """
 
 from __future__ import annotations
@@ -98,6 +100,7 @@ def load_landings(path, model_kind: str) -> Dataset:
     sector = np.array([r[2].code for r in rows], dtype=np.intp)
     tonnes = np.array([r[3] for r in rows], dtype=float)
     keep = np.isin(sector, [s.code for s in spec.sectors])
+    wanted = " or ".join(s.value for s in spec.sectors)
     if model_kind == "total" and not keep.any():
         # no explicit totals: sum sector tonnage per (country, year), then log
         cells, inverse = np.unique(country * horizon + t, return_inverse=True)
@@ -106,9 +109,11 @@ def load_landings(path, model_kind: str) -> Dataset:
         sector = np.full(cells.size, Sector.TOTAL.code)
         keep = slice(None)
     elif not keep.any():
-        wanted = " or ".join(s.value for s in spec.sectors)
         raise DataFormatError(f"{path}: no {wanted} rows for the {model_kind} model")
     country, t, sector, y = country[keep], t[keep], sector[keep], np.log(tonnes[keep])
+    for c in np.flatnonzero(np.bincount(country, minlength=len(labels)) == 0):
+        log.warning("country %s has no %s rows: its effects are drawn from the prior",
+                    labels[c], wanted)
     order = np.lexsort((sector, t, country))
     return Dataset(country[order], t[order], sector[order], y[order], tuple(labels), horizon)
 

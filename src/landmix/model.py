@@ -9,8 +9,9 @@ Two longitudinal mixed models over country-level landings time series:
   normal with covariances built from (sigma_I, sigma_A, rho).
 
 A ``Dataset`` holds the panel as columns (country, t, sector, y), validated
-with array operations, and computes per sector the centred per-country
-statistics ``StreamStats`` on which every full conditional depends.
+with array operations.  ``model_streams`` computes once per dataset the
+centred per-country statistics of the sectors a model reads, one (S, C)
+``StreamStats``, on which every full conditional depends.
 
 Priors: N(0, intercept_sd^2) on the fixed intercepts, U(0, sd_bound) on
 every standard deviation, U(-1, 1) on the correlations.  ``log_density``
@@ -66,12 +67,13 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class StreamStats:
-    """Centred per-country sufficient statistics of one observation stream.
+    """Centred per-country sufficient statistics of a model's observation
+    streams, as (S, C) arrays: one row per sector the model reads.
 
-    For country c with n_c rows: the means t̄ and ȳ, and the centred sums
-    Stt = Σ(t − t̄)², Sty = Σ(t − t̄)(y − ȳ), Syy = Σ(y − ȳ)².  Countries
-    without rows have every entry 0.  Centring keeps the residual sum of
-    squares accurate when y sits far from zero.
+    For stream s and country c with n rows: the means t̄ and ȳ, and the
+    centred sums Stt = Σ(t − t̄)², Sty = Σ(t − t̄)(y − ȳ), Syy = Σ(y − ȳ)².
+    A cell without rows has every entry 0.  Centring keeps the residual sum
+    of squares accurate when y sits far from zero.
     """
 
     n: np.ndarray
@@ -82,22 +84,26 @@ class StreamStats:
     syy: np.ndarray
 
     @classmethod
-    def from_columns(cls, c: np.ndarray, t: np.ndarray, y: np.ndarray, n_countries: int):
-        n = np.bincount(c, minlength=n_countries).astype(float)
-        inv_n = np.divide(1.0, n, out=np.zeros(n_countries), where=n > 0)
+    def from_columns(cls, cell: np.ndarray, t: np.ndarray, y: np.ndarray, shape: tuple[int, int]):
+        """The statistics of rows in cell ``stream·C + country``, each by one
+        ``bincount`` pass over the rows."""
+        size = shape[0] * shape[1]
+        n = np.bincount(cell, minlength=size).astype(float)
+        inv_n = np.divide(1.0, n, out=np.zeros(size), where=n > 0)
 
         def mean(x):
-            m = np.bincount(c, weights=x, minlength=n_countries) * inv_n
+            m = np.bincount(cell, weights=x, minlength=size) * inv_n
             # one correction pass brings the mean to within an ulp of exact
-            return m + np.bincount(c, weights=x - m[c], minlength=n_countries) * inv_n
+            return m + np.bincount(cell, weights=x - m[cell], minlength=size) * inv_n
 
         tbar, ybar = mean(t), mean(y)
-        dt, dy = t - tbar[c], y - ybar[c]
+        dt, dy = t - tbar[cell], y - ybar[cell]
 
         def centred(x):  # float even for an empty stream
-            return np.bincount(c, weights=x, minlength=n_countries).astype(float)
+            return np.bincount(cell, weights=x, minlength=size).astype(float)
 
-        return cls(n, tbar, ybar, centred(dt * dt), centred(dt * dy), centred(dy * dy))
+        stats = (n, tbar, ybar, centred(dt * dt), centred(dt * dy), centred(dy * dy))
+        return cls(*(a.reshape(shape) for a in stats))
 
     @property
     def n_obs(self) -> int:
@@ -105,13 +111,16 @@ class StreamStats:
 
     @cached_property
     def syy_sum(self) -> float:
-        """Σ Syy over the countries, which every residual sum of squares adds."""
+        """Σ Syy over the cells, which every residual sum of squares adds."""
         return float(self.syy.sum())
 
     def residual_ss(self, a, b) -> float:
-        """Σ (y − a_c − b_c·t)² over the stream, for per-country a and b."""
+        """Σ (y − a − b·t)² over every row, for per-cell a and b that
+        broadcast to the stack's (S, C)."""
         d = self.ybar - a - b * self.tbar
-        return self.syy_sum + float((b * b) @ self.stt - 2.0 * (b @ self.sty) + (self.n * d) @ d)
+        return self.syy_sum + float(
+            np.vdot(b * b, self.stt) - 2.0 * np.vdot(b, self.sty) + np.vdot(self.n * d, d)
+        )
 
 
 @dataclass(eq=False)
@@ -150,8 +159,7 @@ class Dataset:
         for col in (country, t, sector, y):
             col.setflags(write=False)
         self.country, self.t, self.sector, self.y = country, t, sector, y
-        self._arrays_cache: dict = {}
-        self._stats_cache: dict = {}
+        self._streams: dict[str, StreamStats] = {}  # model_streams, by model kind
 
     @property
     def n_countries(self) -> int:
@@ -160,24 +168,6 @@ class Dataset:
     @property
     def n_obs(self) -> int:
         return len(self.y)
-
-    def arrays(self, sector: Sector):
-        """(country, t, y) of one sector's rows as numpy arrays."""
-        if sector not in self._arrays_cache:
-            keep = self.sector == sector.code
-            self._arrays_cache[sector] = (
-                self.country[keep],
-                self.t[keep].astype(float),
-                self.y[keep],
-            )
-        return self._arrays_cache[sector]
-
-    def stats(self, sector: Sector) -> StreamStats:
-        """Per-country sufficient statistics of one sector, computed once."""
-        if sector not in self._stats_cache:
-            c, t, y = self.arrays(sector)
-            self._stats_cache[sector] = StreamStats.from_columns(c, t, y, self.n_countries)
-        return self._stats_cache[sector]
 
 
 def _int_column(what: str, values, upper: int, length: int) -> np.ndarray:
@@ -267,12 +257,23 @@ def model_spec(model_kind: str) -> ModelSpec:
     return MODELS[model_kind]
 
 
-def model_streams(model_kind: str, data: Dataset) -> list[StreamStats]:
-    """The statistics of each sector the model reads, in table order;
-    ConfigError if the panel has rows in any other sector."""
-    streams = [data.stats(s) for s in model_spec(model_kind).sectors]
-    if sum(s.n_obs for s in streams) != data.n_obs:
-        raise ConfigError(f"panel has rows outside the {model_kind} model's sectors")
+def model_streams(model_kind: str, data: Dataset) -> StreamStats:
+    """The statistics of the sectors the model reads, one row per sector in
+    table order, computed once per dataset; ConfigError if the panel has
+    rows in any other sector."""
+    streams = data._streams.get(model_kind)
+    if streams is None:
+        sectors = model_spec(model_kind).sectors
+        stream_of = np.full(len(SECTORS), -1)  # each sector code's row, or -1
+        stream_of[[s.code for s in sectors]] = np.arange(len(sectors))
+        stream = stream_of[data.sector]
+        if (stream < 0).any():
+            raise ConfigError(f"panel has rows outside the {model_kind} model's sectors")
+        C = data.n_countries
+        streams = StreamStats.from_columns(
+            stream * C + data.country, data.t.astype(float), data.y, (len(sectors), C)
+        )
+        data._streams[model_kind] = streams
     return streams
 
 
@@ -344,7 +345,7 @@ def log_density(state: ModelState, data: Dataset, priors: PriorSpec = PriorSpec(
     each effect field may be any per-country sequence, such as a list that
     mixes floats with arrays: a lattice axis on one country's effect is
     never stacked with the others'.  The data enter only through
-    ``Dataset.stats``, so the cost is O(C) array operations, not O(N).
+    ``model_streams``, so the cost is O(C) array operations, not O(N).
     """
     p, e = state.params, state.effects
     if isinstance(p, TotalParams):
@@ -359,14 +360,15 @@ def log_density(state: ModelState, data: Dataset, priors: PriorSpec = PriorSpec(
             (e.b0_ind, e.b0_art, p.sigma0_ind, p.sigma0_art, p.rho0),
             (e.b1_ind, e.b1_art, p.sigma1_ind, p.sigma1_art, p.rho1),
         ]
-    streams = model_streams(kind, data)
+    st = model_streams(kind, data)
     n_obs, C = data.n_obs, data.n_countries
     with np.errstate(divide="ignore", invalid="ignore"):
         rss = 0.0  # Σ (y − mean)², from the centred statistics of each country
-        for s, (beta0, b0, b1) in zip(streams, means):
-            for c in np.flatnonzero(s.n):
-                d = s.ybar[c] - beta0 - b0[c] - b1[c] * s.tbar[c]
-                rss = rss + s.syy[c] + b1[c] * (b1[c] * s.stt[c] - 2.0 * s.sty[c]) + s.n[c] * d * d
+        rows = zip(st.n, st.tbar, st.ybar, st.stt, st.sty, st.syy)
+        for (n, tbar, ybar, stt, sty, syy), (beta0, b0, b1) in zip(rows, means):
+            for c in np.flatnonzero(n):
+                d = ybar[c] - beta0 - b0[c] - b1[c] * tbar[c]
+                rss = rss + syy[c] + b1[c] * (b1[c] * stt[c] - 2.0 * sty[c]) + n[c] * d * d
         likelihood = -n_obs * (0.5 * LOG_2PI + np.log(p.sigma)) - 0.5 * rss / (p.sigma * p.sigma)
 
         effects = 0.0  # centred bivariate normal pairs, through their scatter S

@@ -22,7 +22,6 @@ from .model import (
     Dataset,
     ModelState,
     PriorSpec,
-    Sector,
     TotalEffects,
     TotalParams,
     effects_to_dict,
@@ -48,7 +47,7 @@ def conjugate_posterior_beta0(
     """Exact normal posterior (mean, sd) of the fixed intercept with all
     variance components and random effects held fixed."""
     model_streams("total", data)  # its sector check; the rows are read raw below
-    c, t, y = data.arrays(Sector.TOTAL)
+    c, t, y = data.country, data.t, data.y
     resid = y - effects.b0[c] - effects.b1[c] * t
     prec = 1.0 / priors.intercept_sd**2 + len(y) / sigma**2
     mean = float(np.sum(resid)) / sigma**2 / prec

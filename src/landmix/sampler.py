@@ -28,9 +28,10 @@ A run may skip an update only where the model names it in its
 controls of the calibration checks.
 
 Every conditional reads the data only through the per-country sufficient
-statistics of each stream (``model_streams``: n, t̄, ȳ, Stt, Sty, Syy),
-computed once per dataset.  A sweep therefore does O(C) work in the
-number of countries C, whatever the length of the panel.
+statistics of the model's streams (``model_streams``: n, t̄, ȳ, Stt, Sty
+and Syy as (S, C) arrays, a row per sector), computed once per dataset.
+A sweep therefore does O(C) work in the number of countries C, whatever
+the length of the panel.
 
 Chains are deterministic given (seed, chain_index): chain c uses
 ``SeedSequence(entropy=seed, spawn_key=(c,))``.  Each chain draws its
@@ -56,11 +57,11 @@ from .model import (
     JointParams,
     ModelState,
     PriorSpec,
-    StreamStats,
     TotalEffects,
     TotalParams,
     build_covariance,
     draw_names,
+    model_spec,
     model_streams,
     params_to_dict,
 )
@@ -145,6 +146,16 @@ def _check_shape(shape: float) -> None:
 
 
 # -- shared conjugate building blocks ---------------------------------------
+
+
+def _draw_obs_sd(sampler, g: float, u: float) -> float:
+    """sigma drawn from its conditional given the sampler's residual sum of
+    squares, from a standard gamma g at its shape and a uniform u."""
+    ss = sampler.residual_ss()
+    if sampler.n_obs > 1 and ss <= 0.0:
+        raise DegenerateDataError("zero residual sum of squares with N > 1")
+    return math.sqrt(sample_trunc_invgamma_var(sampler.obs_shape, ss / 2.0, sampler.upper_var,
+                                               g, u))
 
 
 def conj_normal(prior_var: float, lik_prec: float, lik_lin: float) -> tuple[float, float]:
@@ -246,7 +257,7 @@ class TotalSampler:
     skip_keys = frozenset({"random_effects", "re_slopes", "obs_variance", "re_sds", "re_sd1"})
 
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
-        (self.s,) = model_streams("total", data)
+        self.s = model_streams("total", data)  # (1, C) rows
         self.n_obs = self.s.n_obs
         self.C = data.n_countries
         self.sum_t2 = self.s.stt + self.s.n * self.s.tbar**2
@@ -265,8 +276,9 @@ class TotalSampler:
         self.sigma0 = p.sigma0
         self.sigma1 = p.sigma1
         self.effects = _effects_block(state)
-        # the block's rows, bound once: the updates write into them in place
-        self.b0, self.b1 = self.effects
+        # the block's rows as (1, C) views, bound once: the updates write
+        # into them in place
+        self.b0, self.b1 = self.effects[:1], self.effects[1:]
 
     def _fields(self):  # parameters and effects in the order of model.MODELS
         return (self.beta0, self.sigma, self.sigma0, self.sigma1), self.effects.ravel()
@@ -302,7 +314,7 @@ class TotalSampler:
 
     def intercept_conditional_plain(self, zbar) -> tuple[float, float]:
         s2 = self.sigma * self.sigma
-        resid_sum = float(self.s.n @ np.subtract(zbar, self.b0))  # arrays or lists
+        resid_sum = float(np.vdot(self.s.n, np.subtract(zbar, self.b0)))  # arrays or lists
         return conj_normal(self.prior_var, self.n_obs / s2, resid_sum / s2)
 
     def intercept_conditional_collapsed(self, zbar) -> tuple[float, float]:
@@ -310,7 +322,7 @@ class TotalSampler:
         # weight n_c / (n_c·sigma0² + sigma²): 0 for a country without rows
         s = self.s
         w = s.n / (s.n * self.sigma0**2 + self.sigma**2)
-        return conj_normal(self.prior_var, float(w.sum()), float(w @ zbar))
+        return conj_normal(self.prior_var, float(w.sum()), float(np.vdot(w, zbar)))
 
     def update_intercept(self, z: float, zbar, collapsed: bool) -> None:
         mean, var = (
@@ -340,15 +352,10 @@ class TotalSampler:
     def effect_ss(self, which: int) -> float:
         """Σ b_c² over the intercept (0) or slope (1) effects."""
         b = self.b1 if which else self.b0
-        return float(b @ b)
+        return float(np.vdot(b, b))
 
     def update_obs_variance(self, g: float, u: float) -> None:
-        ss = self.residual_ss()
-        if self.n_obs > 1 and ss <= 0.0:
-            raise DegenerateDataError("zero residual sum of squares with N > 1")
-        self.sigma = math.sqrt(
-            sample_trunc_invgamma_var(self.obs_shape, ss / 2.0, self.upper_var, g, u)
-        )
+        self.sigma = _draw_obs_sd(self, g, u)
 
     def update_re_sd(self, which: int, g: float, u: float) -> None:
         ss = self.effect_ss(which)
@@ -396,7 +403,7 @@ class SmallTotalSampler(TotalSampler):
         s = self.s
         # per country: n, t̄, ȳ, Stt, Sty, Σt² and n·t̄
         self.stats = list(zip(*(
-            a.tolist() for a in (s.n, s.tbar, s.ybar, s.stt, s.sty, self.sum_t2, self.n_tbar)
+            a[0].tolist() for a in (s.n, s.tbar, s.ybar, s.stt, s.sty, self.sum_t2, self.n_tbar)
         )))
 
     def set_state(self, state: ModelState) -> None:
@@ -462,8 +469,8 @@ class SmallTotalSampler(TotalSampler):
 
 class JointSampler:
     """Mutable sampling state for the shared-parameter joint model.  Each
-    stream statistic is one (2, C) array, a row per sector of
-    ``model_streams`` (industrial, artisanal); ``beta`` is the intercept pair
+    stream statistic of ``model_streams`` is one (2, C) array, a row per
+    sector (industrial, artisanal); ``beta`` is the intercept pair
     and ``effects`` one (4, C) block in draw-column order (b0_I, b0_A, b1_I,
     b1_A): rows :2 are the intercept-effect pairs, rows 2: the slope pairs."""
 
@@ -473,20 +480,14 @@ class JointSampler:
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
         self.priors = priors
         self.C = data.n_countries
-        streams = model_streams("joint", data)
-        self.n, self.tbar, self.ybar, self.stt, self.sty = (
-            np.array([getattr(s, key) for s in streams])
-            for key in ("n", "tbar", "ybar", "stt", "sty")
-        )
-        self.syy_sum = sum(s.syy_sum for s in streams)
-        self.n_obs = int(self.n.sum())
-        self.sum_t2 = self.stt + self.n * self.tbar**2
-        self.n_tbar = self.n * self.tbar
-        self.m2sty = -2.0 * self.sty
+        self.s = s = model_streams("joint", data)
+        self.n_obs = s.n_obs
+        self.sum_t2 = s.stt + s.n * s.tbar**2
+        self.n_tbar = s.n * s.tbar
         # the rows each effect block adds to its precision's diagonal, times sigma²
-        self.data_prec = (tuple(self.n), tuple(self.sum_t2))
+        self.data_prec = (tuple(s.n), tuple(self.sum_t2))
         # the counts the collapsed intercept's weights are linear in: n_I·n_A, n_I, n_A
-        self.n_basis = np.array([self.n[0] * self.n[1], *self.n])
+        self.n_basis = np.array([s.n[0] * s.n[1], *s.n])
         self.prior_prec = 1.0 / priors.intercept_sd**2
         self.upper_var = priors.sd_bound**2
         self.obs_shape = (self.n_obs - 1) / 2.0
@@ -580,7 +581,7 @@ class JointSampler:
         """z̄ = ȳ − b1·t̄ per sector and country, (2, C): what the intercepts
         see of each stream.  Computed into the carried z̄, which the sweep
         reads until the next slope draw."""
-        return np.subtract(self.ybar, self.effects[2:] * self.tbar, out=self.carried_zbar)
+        return np.subtract(self.s.ybar, self.effects[2:] * self.s.tbar, out=self.carried_zbar)
 
     def update_intercepts_collapsed(self, z, zbar) -> None:
         """Draw (beta_I, beta_A) jointly with the intercept pairs integrated out.
@@ -614,33 +615,24 @@ class JointSampler:
         scaled by sigma."""
         sigma = self.sigma
         s2 = sigma * sigma
-        beta, e = self.beta_col, self.effects
+        s, beta, e = self.s, self.beta_col, self.effects
         (n_i, n_a), (t2_i, t2_a) = self.data_prec
         q11, q12, q22 = self._prior_prec(0)
-        h_i, h_a = self.n * (zbar - beta)
+        h_i, h_a = s.n * (zbar - beta)
         e[0], e[1] = _draw_gauss2(n_i + s2 * q11, s2 * q12, n_a + s2 * q22, h_i, h_a,
                                   sigma * z_b0)
         q11, q12, q22 = self._prior_prec(1)
-        h_i, h_a = self.sty + self.n_tbar * (self.ybar - beta - e[:2])
+        h_i, h_a = s.sty + self.n_tbar * (s.ybar - beta - e[:2])
         e[2], e[3] = _draw_gauss2(t2_i + s2 * q11, s2 * q12, t2_a + s2 * q22, h_i, h_a,
                                   sigma * z_b1)
         self.zbar()
 
     def residual_ss(self) -> float:
-        """Σ (y − beta − b0_c − b1_c·t)² over both streams, from the carried z̄."""
-        b1 = self.effects[2:]
-        d = self.carried_zbar - self.beta_col - self.effects[:2]
-        return self.syy_sum + float(
-            np.vdot(b1, b1 * self.stt + self.m2sty) + np.vdot(self.n * d, d)
-        )
+        """Σ (y − beta − b0_c − b1_c·t)² over both streams."""
+        return self.s.residual_ss(self.beta_col + self.effects[:2], self.effects[2:])
 
     def update_obs_variance(self, g: float, u: float) -> None:
-        ss = self.residual_ss()
-        if self.n_obs > 1 and ss <= 0.0:
-            raise DegenerateDataError("zero residual sum of squares with N > 1")
-        self.sigma = math.sqrt(
-            sample_trunc_invgamma_var(self.obs_shape, ss / 2.0, self.upper_var, g, u)
-        )
+        self.sigma = _draw_obs_sd(self, g, u)
 
     def update_cov_params(self, z, c1, c2, u) -> None:
         """One independence-MH step per covariance block, proposing IW(S, nu)
@@ -704,54 +696,29 @@ def _clip_sd(x: float, priors: PriorSpec) -> float:
     return min(max(x, 0.01), upper)
 
 
-def _moment_estimates(s: StreamStats):
-    """Grand mean, per-country means/slopes and a pooled residual sd."""
-    n_obs = s.n_obs
-    grand = float(s.n @ s.ybar) / n_obs if n_obs else 0.0
-    slopes = np.divide(s.sty, s.stt, out=np.zeros_like(s.stt), where=s.stt > 0)
-    ss = s.residual_ss(s.ybar - slopes * s.tbar, slopes)
-    resid_sd = math.sqrt(max(ss, 0.0) / n_obs) if n_obs > 1 else 0.5
-    return grand, s.ybar, slopes, resid_sd
-
-
 def initial_state(model_kind: str, data: Dataset, priors: PriorSpec = PriorSpec()) -> ModelState:
-    """Deterministic moment-based starting point inside the prior support."""
-    streams = model_streams(model_kind, data)  # ConfigError for an unknown kind
-    C = data.n_countries
-    if model_kind == "total":
-        grand, means, slopes, resid_sd = _moment_estimates(*streams)
-        sigma0 = float(np.std(means - grand, ddof=1)) if C > 1 else 1.0
-        sigma1 = float(np.std(slopes, ddof=1)) if C > 1 else 0.1
-        params = TotalParams(
-            grand,
-            _clip_sd(resid_sd, priors),
-            _clip_sd(sigma0, priors),
-            _clip_sd(sigma1, priors),
-        )
-        return ModelState(params, TotalEffects(np.zeros(C), np.zeros(C)))
-    si, sa = streams
-    grand_i, means_i, slopes_i, rsd_i = _moment_estimates(si)
-    grand_a, means_a, slopes_a, rsd_a = _moment_estimates(sa)
-    n_i, n_a = si.n_obs, sa.n_obs
-    n_tot = n_i + n_a
-    resid_sd = (n_i * rsd_i + n_a * rsd_a) / n_tot if n_tot else 0.5
+    """Deterministic moment-based starting point inside the prior support,
+    by one rule for both models.  Per stream: the grand mean, and the sds of
+    the country means and of the least-squares slopes over the countries
+    with rows (1.0 when fewer than two have rows).  One residual sd
+    √(RSS/N) of those per-country lines over every row (0.5 when N ≤ 1).
+    Correlations and effects 0."""
+    st = model_streams(model_kind, data)  # ConfigError for an unknown kind
+    spec = model_spec(model_kind)
+    slopes = np.divide(st.sty, st.stt, out=np.zeros_like(st.stt), where=st.stt > 0)
+    rss = st.residual_ss(st.ybar - slopes * st.tbar, slopes)
+    sigma = math.sqrt(max(rss, 0.0) / st.n_obs) if st.n_obs > 1 else 0.5
+    grand = [float(n @ y / n.sum()) if n.any() else 0.0 for n, y in zip(st.n, st.ybar)]
 
-    def spread(values, mask_counts):
-        active = values[mask_counts > 0]
-        return float(np.std(active, ddof=1)) if len(active) > 1 else 1.0
+    def spread(values):  # per stream: the sd over its countries with rows
+        return [float(np.std(v[n > 0], ddof=1)) if np.count_nonzero(n) > 1 else 1.0
+                for v, n in zip(values, st.n)]
 
-    params = JointParams(
-        grand_i,
-        grand_a,
-        _clip_sd(resid_sd, priors),
-        _clip_sd(spread(means_i - grand_i, si.n), priors),
-        _clip_sd(spread(means_a - grand_a, sa.n), priors),
-        _clip_sd(spread(slopes_i, si.n), priors),
-        _clip_sd(spread(slopes_a, sa.n), priors),
-        0.0,
-        0.0,
-    )
-    return ModelState(params, JointEffects(np.zeros(C), np.zeros(C), np.zeros(C), np.zeros(C)))
+    sds = [sigma, *spread(st.ybar - np.array(grand)[:, None]), *spread(slopes)]
+    params = [*grand, *(_clip_sd(x, priors) for x in sds)]
+    rhos = [0.0] * (len(spec.param_names) - len(params))
+    zeros = (np.zeros(data.n_countries) for _ in spec.effect_tags)
+    return ModelState(spec.params(*params, *rhos), spec.effects(*zeros))
 
 
 # -- chain runners -----------------------------------------------------------

@@ -10,7 +10,7 @@ from landmix.data import (
     write_landings,
 )
 from landmix.errors import ConfigError, DataFormatError
-from landmix.model import JointParams, Sector, TotalParams
+from landmix.model import MODELS, SECTORS, JointParams, Sector, TotalParams
 
 
 def assert_same_rows(a, b):
@@ -20,7 +20,7 @@ def assert_same_rows(a, b):
 
 def sectors_of(data, c):
     """The sectors in which country c has rows."""
-    return frozenset(s for s in Sector if data.stats(s).n[c] > 0)
+    return frozenset(SECTORS[k] for k in data.sector[data.country == c])
 
 
 def write_csv(tmp_path, rows, name="landings.csv"):
@@ -65,6 +65,25 @@ class TestLoadLandings:
             data = load_landings(path, "joint")
         assert data.n_obs == 1
         assert any("zero-tonnage" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("model, rows, missing", [
+        # C's industrial rows are outside the total model's sectors
+        ("total", ["A,1970,total,10", "B,1970,total,12", "C,1970,industrial,7"], ["C"]),
+        # A and B have total rows alone, which the joint model does not read
+        ("joint", ["A,1970,total,10", "B,1971,total,11", "C,1970,industrial,7"], ["A", "B"]),
+        ("total", ["A,1970,total,10", "B,1970,total,12", "B,1970,industrial,7"], []),
+        ("joint", ["A,1970,industrial,10", "B,1971,artisanal,11", "B,1971,total,7"], []),
+    ], ids=["total", "joint", "total-clean", "joint-clean"])
+    def test_country_without_rows_warned(self, tmp_path, caplog, model, rows, missing):
+        path = write_csv(tmp_path, rows)
+        with caplog.at_level(logging.WARNING, logger="landmix.data"):
+            data = load_landings(path, model)
+        wanted = " or ".join(s.value for s in MODELS[model].sectors)
+        assert caplog.messages == [
+            f"country {c} has no {wanted} rows: its effects are drawn from the prior"
+            for c in missing
+        ]
+        assert set(missing) <= set(data.labels)  # kept, with no rows
 
     def test_duplicate_row_rejected(self, tmp_path):
         path = write_csv(

@@ -20,6 +20,7 @@ from landmix.model import (
     draw_names,
     log_density,
     model_spec,
+    model_streams,
     params_from_dict,
     params_to_dict,
 )
@@ -276,22 +277,44 @@ class TestPriorSpecOverride:
 
 
 class TestStreamStats:
-    def test_residual_ss_stable_far_from_zero(self):
+    @pytest.mark.parametrize("kind", ["total", "joint"])
+    def test_residual_ss_stable_far_from_zero(self, kind):
         # log-tonnes offset by 1e6: raw moments (sum y^2 ~ 1e14) would lose
-        # every digit of a residual SS of order 100; centred ones keep them
+        # every digit of a residual SS of order 100; centred ones keep them.
+        # In the joint panel country 1 has industrial rows alone and country
+        # C - 1 no rows.
         rng = np.random.default_rng(11)
         C, T = 8, 45
-        c = np.repeat(np.arange(C), T)
-        t = np.tile(np.arange(T), C)
-        a = 1e6 + rng.normal(0.0, 3.0, C)
-        b = rng.normal(0.0, 0.05, C)
-        y = a[c] + b[c] * t + rng.normal(0.0, 0.5, C * T)
-        data = Dataset(c, t, np.full(C * T, Sector.TOTAL.code), y, [f"c{i}" for i in range(C)], T)
-        a_state = a + rng.normal(0.0, 0.1, C)
-        b_state = b + rng.normal(0.0, 0.01, C)
-        direct = float(np.sum((y - a_state[c] - b_state[c] * t) ** 2))
-        got = data.stats(Sector.TOTAL).residual_ss(a_state, b_state)
-        assert got == pytest.approx(direct, rel=1e-10)
+        sectors = MODELS[kind].sectors
+        S = len(sectors)
+        cells = [(s, k) for s in range(S) for k in range(C)
+                 if kind == "total" or (k != C - 1 and (s, k) != (1, 1))]
+        stream = np.repeat([s for s, _ in cells], T)
+        c = np.repeat([k for _, k in cells], T)
+        t = np.tile(np.arange(T), len(cells))
+        a = 1e6 + rng.normal(0.0, 3.0, (S, C))
+        b = rng.normal(0.0, 0.05, (S, C))
+        y = a[stream, c] + b[stream, c] * t + rng.normal(0.0, 0.5, len(t))
+        codes = np.array([s.code for s in sectors])[stream]
+        data = Dataset(c, t, codes, y, [f"c{i}" for i in range(C)], T)
+        st = model_streams(kind, data)
+        assert st is model_streams(kind, data)
+
+        for s in range(S):
+            for k in range(C):
+                rows = (stream == s) & (c == k)
+                tk, yk = t[rows].astype(float), y[rows]
+                want = np.zeros(6)
+                if rows.any():
+                    dt, dy = tk - tk.mean(), yk - yk.mean()
+                    want = [rows.sum(), tk.mean(), yk.mean(), dt @ dt, dt @ dy, dy @ dy]
+                got = [getattr(st, f)[s, k] for f in ("n", "tbar", "ybar", "stt", "sty", "syy")]
+                np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-9)
+
+        a_state = a + rng.normal(0.0, 0.1, (S, C))
+        b_state = b + rng.normal(0.0, 0.01, (S, C))
+        direct = float(np.sum((y - a_state[stream, c] - b_state[stream, c] * t) ** 2))
+        assert st.residual_ss(a_state, b_state) == pytest.approx(direct, rel=1e-10)
 
 
 def offset_panel(model, rng, C=8, T=45):

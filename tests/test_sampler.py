@@ -20,6 +20,7 @@ from landmix.model import (
     build_covariance,
     draw_names,
     log_density,
+    params_to_dict,
 )
 from landmix.sampler import (
     BLOCK,
@@ -773,14 +774,39 @@ class TestChainRunner:
             skip_run("total", (), C)
         assert made == [SmallTotalSampler, TotalSampler]
 
-    def test_initial_state_inside_support(self):
-        p = TotalParams(8.0, 0.5, 4.0, 0.05)
-        data, _ = simulate_dataset("total", p, 5, 10, seed=0)
-        state = initial_state("total", data)
-        q = state.params
-        for s in (q.sigma, q.sigma0, q.sigma1):
-            assert 0.01 <= s <= 9.9
-        assert np.all(state.effects.b0 == 0)
+    @pytest.mark.parametrize("kind", ["total", "joint"])
+    def test_initial_state_inside_support(self, kind):
+        # the joint panel has a single-sector country (1) and one without rows (4)
+        both = (Sector.INDUSTRIAL, Sector.ARTISANAL)
+        availability = {0: both, 1: both[:1], 2: both, 3: both} if kind == "joint" else None
+        truth = {"total": TotalParams(8.0, 0.5, 4.0, 0.05), "joint": SKIP_TRUTHS["joint"]}[kind]
+        data, _ = simulate_dataset(kind, truth, 5, 10, availability, seed=0)
+        state = initial_state(kind, data)
+        spec = MODELS[kind]
+
+        # the rule, from the rows: per stream the grand mean and the sds of the
+        # country means and least-squares slopes; one pooled residual sd
+        grand, sd0, sd1, rss = [], [], [], 0.0
+        for sector in spec.sectors:
+            means, slopes = [], []
+            for k in range(data.n_countries):
+                rows = (data.sector == sector.code) & (data.country == k)
+                if rows.any():
+                    dt, dy = data.t[rows] - data.t[rows].mean(), data.y[rows] - data.y[rows].mean()
+                    slopes.append(dt @ dy / (dt @ dt))
+                    means.append(data.y[rows].mean())
+                    rss += np.sum((dy - slopes[-1] * dt) ** 2)
+            grand.append(data.y[data.sector == sector.code].mean())
+            sd0.append(np.std(means, ddof=1))
+            sd1.append(np.std(slopes, ddof=1))
+        sds = np.clip([math.sqrt(rss / data.n_obs), *sd0, *sd1], 0.01, 9.9)
+        want = [*grand, *sds]
+        want += [0.0] * (len(spec.param_names) - len(want))  # the correlations
+        got = params_to_dict(state.params)
+        np.testing.assert_allclose(list(got.values()), want, rtol=1e-10)
+        assert all(0.01 <= x <= 9.9 for name, x in got.items() if name.startswith("sigma"))
+        for column in vars(state.effects).values():
+            assert np.array_equal(column, np.zeros(data.n_countries))
 
 
 class CountingGenerator:
