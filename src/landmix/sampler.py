@@ -31,7 +31,11 @@ Every conditional reads the data only through the per-country sufficient
 statistics of the model's streams (``model_streams``: n, t̄, ȳ, Stt, Sty
 and Syy as (S, C) arrays, a row per sector), computed once per dataset.
 A sweep therefore does O(C) work in the number of countries C, whatever
-the length of the panel.
+the length of the panel.  A total chain on at most ``SMALL_C`` countries
+runs as one loop on Python floats (``SmallTotalSampler.run``), where numpy
+calls would be nearly all overhead; every other chain calls ``sweep`` on
+numpy arrays.  ``SMALL_C`` is the most countries at which that loop was
+faster in every measured run.
 
 Chains are deterministic given (seed, chain_index): chain c uses
 ``SeedSequence(entropy=seed, spawn_key=(c,))``.  Each chain draws its
@@ -128,10 +132,11 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 
 
 # The most countries for which a total chain runs on ``SmallTotalSampler``'s
-# float sweep rather than ``TotalSampler``'s numpy one.  The float sweep's
-# cost grows with C and the numpy sweep's hardly does; measured in process,
-# the float sweep was 2.5x faster at C = 4, 1.2-1.4x at 16 and even at 24.
-SMALL_C = 16
+# float loop.  Its cost grows with C and the numpy sweep's hardly does: in
+# process (interleaved run_chain, 2500 sweeps, median of 9) the numpy sweep
+# took 2.5-2.8x its time at C = 8, 1.6-1.7x at 16, 1.2-1.3x at 24 and 1.0x
+# at 32, with and without the sigma update.
+SMALL_C = 24
 
 # Sweeps per block of random numbers.  A chain always draws whole blocks, so
 # its first n sweeps see the same numbers whatever its length; at C = 200 a
@@ -148,13 +153,21 @@ def _check_shape(shape: float) -> None:
 # -- shared conjugate building blocks ---------------------------------------
 
 
-def _draw_obs_sd(sampler, g: float, u: float) -> float:
-    """sigma drawn from its conditional given the sampler's residual sum of
-    squares, from a standard gamma g at its shape and a uniform u."""
-    ss = sampler.residual_ss()
+def _draw_obs_sd(sampler, ss: float, g: float, u: float) -> float:
+    """sigma drawn from its conditional given the residual sum of squares ss,
+    from a standard gamma g at the sampler's shape and a uniform u."""
     if sampler.n_obs > 1 and ss <= 0.0:
         raise DegenerateDataError("zero residual sum of squares with N > 1")
     return math.sqrt(sample_trunc_invgamma_var(sampler.obs_shape, ss / 2.0, sampler.upper_var,
+                                               g, u))
+
+
+def _draw_re_sd(sampler, ss: float, g: float, u: float) -> float:
+    """A total-model effect sd drawn given the sum of squares ss of its C
+    effects, from a standard gamma g at the shape (C - 1)/2 and a uniform u."""
+    if sampler.C > 1 and ss == 0.0:
+        raise DegenerateDataError("all random effects are zero: degenerate conditional")
+    return math.sqrt(sample_trunc_invgamma_var(sampler.re_shape, ss / 2.0, sampler.upper_var,
                                                g, u))
 
 
@@ -249,7 +262,21 @@ def _draw_inv_wishart_2x2(s11, s12, s22, c1, c2, z) -> tuple[float, float, float
 # -- per-model caches and samplers ------------------------------------------
 
 
-class TotalSampler:
+class _Sampler:
+    """The chain loop that both models' samplers share."""
+
+    def run(self, numbers, iterations: int, kept: range, out: np.ndarray,
+            skipped: frozenset[str]) -> None:
+        """Sweep ``iterations`` times on the rows of ``numbers``, and write
+        the state after each sweep in ``kept`` into the next row of ``out``."""
+        rows = iter(out)
+        for it, row in zip(range(iterations), numbers):
+            self.sweep(row, skipped)
+            if it in kept:
+                write_values(self, next(rows))
+
+
+class TotalSampler(_Sampler):
     """Mutable sampling state for the total-landings model."""
 
     # frozen effects (criterion 1) or slopes (criterion 2), the variance
@@ -298,13 +325,16 @@ class TotalSampler:
             _check_shape(self.obs_shape)
         if re:
             _check_shape(self.re_shape)
-        C = self.C
         while True:
-            z = rng.standard_normal((BLOCK, 1 + 2 * C))
+            z = self._normals(rng.standard_normal((BLOCK, 1 + 2 * self.C)))
             g_obs = rng.standard_gamma(self.obs_shape, BLOCK).tolist() if obs else repeat(None)
             g_re = rng.standard_gamma(self.re_shape, (BLOCK, 2)).tolist() if re else repeat(None)
             u = rng.random((BLOCK, 3)).tolist()
-            yield from zip(z[:, 0].tolist(), z[:, 1:C + 1], z[:, C + 1:], g_obs, g_re, u)
+            yield from zip(*z, g_obs, g_re, u)
+
+    def _normals(self, z: np.ndarray):
+        """A block's normals as its sweeps' beta0 floats and b0, b1 rows."""
+        return z[:, 0].tolist(), z[:, 1:self.C + 1], z[:, self.C + 1:]
 
     # conditional-parameter helpers (exact formulas, also used by tests)
 
@@ -349,19 +379,12 @@ class TotalSampler:
         """Σ (y − beta0 − b0_c − b1_c·t)² over the panel."""
         return self.s.residual_ss(self.beta0 + self.b0, self.b1)
 
-    def effect_ss(self, which: int) -> float:
-        """Σ b_c² over the intercept (0) or slope (1) effects."""
-        b = self.b1 if which else self.b0
-        return float(np.vdot(b, b))
-
     def update_obs_variance(self, g: float, u: float) -> None:
-        self.sigma = _draw_obs_sd(self, g, u)
+        self.sigma = _draw_obs_sd(self, self.residual_ss(), g, u)
 
     def update_re_sd(self, which: int, g: float, u: float) -> None:
-        ss = self.effect_ss(which)
-        if self.C > 1 and ss == 0.0:
-            raise DegenerateDataError("all random effects are zero: degenerate conditional")
-        sd = math.sqrt(sample_trunc_invgamma_var(self.re_shape, ss / 2.0, self.upper_var, g, u))
+        b = self.b1 if which else self.b0
+        sd = _draw_re_sd(self, float(np.vdot(b, b)), g, u)
         if which == 0:
             self.sigma0 = sd
         else:
@@ -389,85 +412,92 @@ class TotalSampler:
 
 
 class SmallTotalSampler(TotalSampler):
-    """The total model's sweep on Python floats, for panels of at most
+    """The total model's chain on Python floats, for panels of at most
     ``SMALL_C`` countries, where a numpy sweep is nearly all call overhead.
 
-    The per-country statistics are tuples of floats, b0 and b1 are lists,
-    and each hot update is one loop over the countries.  The sweep, the
-    variance draws and every degenerate check are ``TotalSampler``'s, fed
-    the same numbers, so draws differ only in the order of summation.
+    ``run`` holds the state in local floats and lists for the whole chain.
+    It takes ``TotalSampler.sweep``'s numbers, update order, variance draws
+    and degenerate checks, so draws differ only in the order of summation.
     """
 
-    def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
-        super().__init__(data, priors, state)
+    def _normals(self, z: np.ndarray):
+        C, rows = self.C, z.tolist()
+        return [r[0] for r in rows], [r[1:C + 1] for r in rows], [r[C + 1:] for r in rows]
+
+    def run(self, numbers, iterations: int, kept: range, out: np.ndarray,
+            skipped: frozenset[str]) -> None:
+        """Each sweep makes one pass over the countries for the intercept's
+        sums, and one that draws b0_c, then b1_c, carries z̄_c = ȳ_c − b1_c·t̄_c
+        to the next sweep and sums what the variance draws read.  Kept rows
+        are held as tuples and written into ``out`` a BLOCK at a time; the
+        last sweep's state is written back at the end."""
+        effects = "random_effects" not in skipped
+        slopes = effects and "re_slopes" not in skipped
+        obs, re0 = "obs_variance" not in skipped, "re_sds" not in skipped
+        re1 = re0 and "re_sd1" not in skipped
         s = self.s
         # per country: n, t̄, ȳ, Stt, Sty, Σt² and n·t̄
-        self.stats = list(zip(*(
+        stats = list(zip(*(
             a[0].tolist() for a in (s.n, s.tbar, s.ybar, s.stt, s.sty, self.sum_t2, self.n_tbar)
         )))
-
-    def set_state(self, state: ModelState) -> None:
-        p = state.params
-        assert isinstance(p, TotalParams)
-        self.beta0, self.sigma, self.sigma0, self.sigma1 = p.beta0, p.sigma, p.sigma0, p.sigma1
-        self.b0, self.b1 = _effects_block(state).tolist()
-
-    def _fields(self):
-        return (self.beta0, self.sigma, self.sigma0, self.sigma1), self.b0 + self.b1
-
-    def numbers(self, rng: np.random.Generator, skipped: frozenset[str]):
-        for z, z_b0, z_b1, *rest in super().numbers(rng, skipped):
-            yield (z, z_b0.tolist(), z_b1.tolist(), *rest)
-
-    def zbar(self) -> list[float]:
-        return [ybar - b1 * tbar
-                for (n, tbar, ybar, stt, sty, sum_t2, n_tbar), b1 in zip(self.stats, self.b1)]
-
-    def intercept_conditional_collapsed(self, zbar) -> tuple[float, float]:
-        s02, s2 = self.sigma0**2, self.sigma**2
-        prec = lin = 0.0
-        for (n, tbar, ybar, stt, sty, sum_t2, n_tbar), z in zip(self.stats, zbar):
-            w = n / (n * s02 + s2)
-            prec += w
-            lin += w * z
-        return conj_normal(self.prior_var, prec, lin)
-
-    def update_random_intercepts(self, z, zbar) -> None:
-        s2 = self.sigma * self.sigma
-        r, beta0 = s2 / self.sigma0**2, self.beta0
-        b0 = []
-        for (n, tbar, ybar, stt, sty, sum_t2, n_tbar), zb, zc in zip(self.stats, zbar, z):
-            prec = r + n
-            b0.append(n * (zb - beta0) / prec + math.sqrt(s2 / prec) * zc)
-        self.b0 = b0
-
-    def update_random_slopes(self, z) -> None:
-        s2 = self.sigma * self.sigma
-        r, beta0 = s2 / self.sigma1**2, self.beta0
-        b1 = []
-        for (n, tbar, ybar, stt, sty, sum_t2, n_tbar), b0, zc in zip(self.stats, self.b0, z):
-            prec = r + sum_t2
-            b1.append((sty + n_tbar * (ybar - beta0 - b0)) / prec + math.sqrt(s2 / prec) * zc)
-        self.b1 = b1
-
-    def residual_ss(self) -> float:
-        beta0 = self.beta0
-        quad = lin = sq = 0.0
-        for (n, tbar, ybar, stt, sty, sum_t2, n_tbar), b0, b1 in zip(self.stats, self.b0, self.b1):
-            d = ybar - (beta0 + b0) - b1 * tbar
-            quad += b1 * b1 * stt
-            lin += b1 * sty
-            sq += n * d * d
-        return self.s.syy_sum + (quad - 2.0 * lin + sq)
-
-    def effect_ss(self, which: int) -> float:
-        ss = 0.0
-        for b in self.b1 if which else self.b0:
-            ss += b * b
-        return ss
+        ns, syy_sum, prior_var = s.n[0].tolist(), s.syy_sum, self.prior_var
+        beta0, sigma, sigma0, sigma1 = self.beta0, self.sigma, self.sigma0, self.sigma1
+        b0, b1 = self.effects.tolist()
+        zbar = [ybar - b * tbar for (_, tbar, ybar, *_), b in zip(stats, b1)]
+        keep, rows, j = iter(kept), [], 0
+        keep_at = next(keep, -1)
+        for it, (z, z_b0, z_b1, g_obs, g_re, u) in zip(range(iterations), numbers):
+            s2 = sigma * sigma
+            prec = lin = 0.0
+            if effects:  # collapsed: z̄_c ~ N(beta0, sigma0² + sigma²/n_c)
+                s02 = sigma0 * sigma0
+                for n, zb in zip(ns, zbar):
+                    w = n / (n * s02 + s2)
+                    prec += w
+                    lin += w * zb
+            else:  # plain, given the frozen b0
+                for n, zb, b in zip(ns, zbar, b0):
+                    lin += n * (zb - b)
+                prec, lin = self.n_obs / s2, lin / s2
+            mean, var = conj_normal(prior_var, prec, lin)
+            beta0 = mean + math.sqrt(var) * z
+            r0, r1 = s2 / (sigma0 * sigma0), s2 / (sigma1 * sigma1)
+            rss = ss0 = ss1 = 0.0
+            for k, ((n, tbar, ybar, stt, sty, sum_t2, n_tbar), zb, e0, e1, x0, x1) in enumerate(
+                    zip(stats, zbar, b0, b1, z_b0, z_b1)):
+                if effects:
+                    p = r0 + n  # conditional precisions times sigma²
+                    b0[k] = e0 = n * (zb - beta0) / p + math.sqrt(s2 / p) * x0
+                    if slopes:
+                        p = r1 + sum_t2
+                        b1[k] = e1 = ((sty + n_tbar * (ybar - beta0 - e0)) / p
+                                      + math.sqrt(s2 / p) * x1)
+                        zbar[k] = zb = ybar - e1 * tbar
+                if obs:
+                    d = zb - beta0 - e0
+                    rss += e1 * (e1 * stt - 2.0 * sty) + n * d * d
+                ss0 += e0 * e0
+                ss1 += e1 * e1
+            if obs:
+                sigma = _draw_obs_sd(self, syy_sum + rss, g_obs, u[0])
+            if re0:
+                sigma0 = _draw_re_sd(self, ss0, g_re[0], u[1])
+                if re1:
+                    sigma1 = _draw_re_sd(self, ss1, g_re[1], u[2])
+            if it == keep_at:
+                rows.append((beta0, sigma, sigma0, sigma1, *b0, *b1))
+                keep_at = next(keep, -1)
+                if len(rows) == BLOCK:
+                    out[j:j + BLOCK] = rows
+                    j += BLOCK
+                    rows = []
+        if rows:
+            out[j:j + len(rows)] = rows
+        self.beta0, self.sigma, self.sigma0, self.sigma1 = beta0, sigma, sigma0, sigma1
+        self.effects[...] = b0, b1
 
 
-class JointSampler:
+class JointSampler(_Sampler):
     """Mutable sampling state for the shared-parameter joint model.  Each
     stream statistic of ``model_streams`` is one (2, C) array, a row per
     sector (industrial, artisanal); ``beta`` is the intercept pair
@@ -632,7 +662,7 @@ class JointSampler:
         return self.s.residual_ss(self.beta_col + self.effects[:2], self.effects[2:])
 
     def update_obs_variance(self, g: float, u: float) -> None:
-        self.sigma = _draw_obs_sd(self, g, u)
+        self.sigma = _draw_obs_sd(self, self.residual_ss(), g, u)
 
     def update_cov_params(self, z, c1, c2, u) -> None:
         """One independence-MH step per covariance block, proposing IW(S, nu)
@@ -746,12 +776,7 @@ def run_chain(
     numbers = sampler.numbers(chain_rng(config.seed, chain_index), skipped)
     out = np.empty((config.n_retained, len(names)))
     kept = range(config.burnin, config.burnin + len(out) * config.thin, config.thin)
-    j = 0
-    for it, row in zip(range(config.iterations), numbers):
-        sampler.sweep(row, skipped)
-        if it in kept:
-            write_values(sampler, out[j])
-            j += 1
+    sampler.run(numbers, config.iterations, kept, out, skipped)
     return ChainDraws(names, out, sampler.acceptance(), chain_index)
 
 

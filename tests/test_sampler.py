@@ -103,9 +103,45 @@ def trunc_ig(shape, rate, upper, rng):
     return sample_trunc_invgamma_var(shape, rate, upper, rng.standard_gamma(shape), rng.random())
 
 
-# the total model's two kernels: numpy arrays, and Python floats for small
-# panels.  The direct tests below run each on both.
-TOTAL_KERNELS = (TotalSampler, SmallTotalSampler)
+# The total model's float kernel has no update methods: it is checked through
+# ``SmallTotalSampler.run``, one sweep or one chain at a time, beside each
+# check of the numpy kernel's updates.  Skipping the effects and both variance
+# blocks leaves the plain intercept draw; skipping the variances alone, the
+# collapsed intercept draw and the effects.
+PLAIN = ("random_effects", "obs_variance", "re_sds")
+NO_VARIANCES = ("obs_variance", "re_sds")
+
+
+def float_chain(sampler, rows, skipped):
+    """The draw matrix of one ``SmallTotalSampler.run`` that keeps every
+    sweep, on the number rows ``rows``."""
+    rows = list(rows)
+    out = np.full((len(rows), 4 + 2 * sampler.C), np.nan)
+    sampler.run(iter(rows), len(rows), range(len(rows)), out, frozenset(skipped))
+    return out
+
+
+def float_sweep(sampler, state, skipped, z=0.0, z_b0=0.0, z_b1=0.0, g_obs=None,
+                g_re=(None, None), u=(0.5, 0.5, 0.5)):
+    """The state that one float sweep leaves from ``state``, given its
+    numbers; a float z_b0 or z_b1 is every country's normal.  The sweep's kept
+    row must be that state."""
+    C = sampler.C
+    sampler.set_state(state)
+    row = (z, np.broadcast_to(z_b0, C).tolist(), np.broadcast_to(z_b1, C).tolist(), g_obs,
+           list(g_re), list(u))
+    kept = float_chain(sampler, [row], skipped)[0]
+    out = sampler.get_state()
+    assert np.array_equal(kept, [*vars(out.params).values(), *out.effects.b0, *out.effects.b1])
+    return out
+
+
+def float_normal_draws(sampler, state, skipped, read, key):
+    """(mean, var) of a float sweep's normal draw, read off the sweep at the
+    normals ``key`` = 0 and = 1, every other normal 0."""
+    at0 = read(float_sweep(sampler, state, skipped, **{key: 0.0}))
+    at1 = read(float_sweep(sampler, state, skipped, **{key: 1.0}))
+    return at0, (at1 - at0) ** 2
 
 
 def b0_pair(state):
@@ -134,9 +170,10 @@ class TestConjugateFormulas:
     def test_plain_conditional_from_dataset(self):
         data = make_total_dataset([(0, 0, 4.0), (0, 1, 6.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        for kernel in TOTAL_KERNELS:
-            s = kernel(data, PriorSpec(), state)
-            mean, var = s.intercept_conditional_plain(s.zbar())
+        s = TotalSampler(data, PriorSpec(), state)
+        small = SmallTotalSampler(data, PriorSpec(), state)
+        for mean, var in (s.intercept_conditional_plain(s.zbar()),
+                          float_normal_draws(small, state, PLAIN, lambda st: st.params.beta0, "z")):
             assert mean == pytest.approx(10.0 / 2.01, rel=1e-10)
             assert var == pytest.approx(1.0 / 2.01, rel=1e-10)
 
@@ -148,14 +185,19 @@ class TestConjugateFormulas:
     def test_country_without_data_draws_from_prior(self, rng):
         data = make_total_dataset([(0, t, 1.0) for t in range(3)], 2)
         state = total_state(1.0, 1.0, 1.0, 1.0, [0.0, 0.0], [0.0, 0.0])
-        for kernel in TOTAL_KERNELS:
-            s = kernel(data, PriorSpec(), state)
-            draws = []
-            for _ in range(4000):
-                s.set_state(state)
-                s.update_random_intercepts(rng.standard_normal(2), s.zbar())
-                draws.append(s.get_state().effects.b0[1])
-            draws = np.asarray(draws)
+        s = TotalSampler(data, PriorSpec(), state)
+        small = SmallTotalSampler(data, PriorSpec(), state)
+
+        def numpy_draw(z):
+            s.set_state(state)
+            s.update_random_intercepts(z, s.zbar())
+            return s.get_state()
+
+        def float_draw(z):
+            return float_sweep(small, state, ("re_slopes",) + NO_VARIANCES, rng.standard_normal(), z)
+
+        for update in (numpy_draw, float_draw):
+            draws = np.asarray([update(rng.standard_normal(2)).effects.b0[1] for _ in range(4000)])
             assert np.mean(draws) == pytest.approx(0.0, abs=4 / math.sqrt(4000))
             assert np.std(draws) == pytest.approx(1.0, rel=0.1)
 
@@ -163,9 +205,11 @@ class TestConjugateFormulas:
         # observations only at t=0: slope conditional reduces to its prior
         data = make_total_dataset([(0, 0, 5.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 2.0, [0.0], [0.0])
-        for kernel in TOTAL_KERNELS:
-            s = kernel(data, PriorSpec(), state)
-            _, var = normal_draws(s, state, random_slopes, lambda st: st.effects.b1, 1)
+        s = TotalSampler(data, PriorSpec(), state)
+        small = SmallTotalSampler(data, PriorSpec(), state)
+        for _, var in (normal_draws(s, state, random_slopes, lambda st: st.effects.b1, 1),
+                       float_normal_draws(small, state, NO_VARIANCES, lambda st: st.effects.b1,
+                                          "z_b1")):
             assert 1.0 / var[0] == pytest.approx(1.0 / 4.0)
 
 
@@ -189,9 +233,11 @@ class TestCollapsedIntercept:
         w /= np.trapezoid(w, betas)
         num_mean = np.trapezoid(w * betas, betas)
         num_var = np.trapezoid(w * (betas - num_mean) ** 2, betas)
-        for kernel in TOTAL_KERNELS:
-            s = kernel(data, PriorSpec(), state)
-            mean, var = s.intercept_conditional_collapsed(s.zbar())
+        s = TotalSampler(data, PriorSpec(), state)
+        small = SmallTotalSampler(data, PriorSpec(), state)
+        for mean, var in (s.intercept_conditional_collapsed(s.zbar()),
+                          float_normal_draws(small, state, NO_VARIANCES,
+                                             lambda st: st.params.beta0, "z")):
             assert mean == pytest.approx(num_mean, abs=2e-3)
             assert var == pytest.approx(num_var, rel=2e-2)
 
@@ -415,9 +461,13 @@ class TestTruncatedInverseGamma:
     def test_update_obs_variance_degenerate_data(self):
         data = make_total_dataset([(0, 0, 1.0), (0, 1, 1.0)], 1)
         state = total_state(1.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        for kernel in TOTAL_KERNELS:
-            with pytest.raises(DegenerateDataError, match="zero residual sum of squares with N > 1"):
-                kernel(data, PriorSpec(), state).update_obs_variance(1.0, 0.5)
+        with pytest.raises(DegenerateDataError, match="zero residual sum of squares with N > 1"):
+            TotalSampler(data, PriorSpec(), state).update_obs_variance(1.0, 0.5)
+        # the float sweep redraws beta0 first: under a vague intercept prior its
+        # plain conditional mean is 1.0 exactly, which at z = 0 leaves every residual 0
+        small = SmallTotalSampler(data, PriorSpec(intercept_sd=1e9), state)
+        with pytest.raises(DegenerateDataError, match="zero residual sum of squares with N > 1"):
+            float_sweep(small, state, ("random_effects", "re_sds"), g_obs=1.0)
 
     def test_re_sd_shape_formula(self):
         assert (12 - 1) / 2.0 == 5.5
@@ -427,24 +477,29 @@ class TestTruncatedInverseGamma:
         b0 = np.full(12, math.sqrt(44.0 / 12.0))
         state = total_state(0.0, 1.0, 2.0, 1.0, b0, np.full(12, 0.1))
         data = make_total_dataset([(c, 0, 0.0) for c in range(12)], 12)
-        for kernel in TOTAL_KERNELS:
-            s = kernel(data, PriorSpec(), state)
-            draws = []
-            for _ in range(20000):
-                # b0 stays fixed, so the draws are independent
-                s.update_re_sd(0, rng.standard_gamma(5.5), rng.random())
-                draws.append(s.sigma0 ** 2)
-            draws = np.asarray(draws)
+        s = TotalSampler(data, PriorSpec(), state)
+        numpy = []
+        for _ in range(20000):
+            # b0 stays fixed, so the draws are independent
+            s.update_re_sd(0, rng.standard_gamma(5.5), rng.random())
+            numpy.append(s.sigma0 ** 2)
+        # the float chain with frozen effects, sigma and sigma1
+        rows = ((rng.standard_normal(), [0.0] * 12, [0.0] * 12, None,
+                 [rng.standard_gamma(5.5), None], [0.5, rng.random(), 0.5]) for _ in range(20000))
+        small = SmallTotalSampler(data, PriorSpec(), state)
+        floats = float_chain(small, rows, ("random_effects", "obs_variance", "re_sd1"))[:, 2] ** 2
+        for draws in (np.asarray(numpy), floats):
             se = np.std(draws) / math.sqrt(len(draws))
             assert np.mean(draws) == pytest.approx(22.0 / 4.5, abs=4 * se)
 
     def test_all_zero_effects_signaled(self):
         state = total_state(0.0, 1.0, 1.0, 1.0, np.zeros(3), np.zeros(3))
         data = make_total_dataset([(c, 0, 0.0) for c in range(3)], 3)
-        for kernel in TOTAL_KERNELS:
-            s = kernel(data, PriorSpec(), state)
-            with pytest.raises(DegenerateDataError, match="all random effects are zero"):
-                s.update_re_sd(0, 1.0, 0.5)
+        with pytest.raises(DegenerateDataError, match="all random effects are zero"):
+            TotalSampler(data, PriorSpec(), state).update_re_sd(0, 1.0, 0.5)
+        small = SmallTotalSampler(data, PriorSpec(), state)
+        with pytest.raises(DegenerateDataError, match="all random effects are zero"):
+            float_sweep(small, state, ("random_effects", "obs_variance"), g_re=(1.0, 1.0))
 
 
 def cov_numbers(rng, nu, n):
@@ -682,14 +737,16 @@ class TestChainRunner:
         # iterate the plain update with everything else frozen
         data = make_total_dataset([(0, 0, 10.0)], 1)
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
-        for kernel in TOTAL_KERNELS:
-            s = kernel(data, PriorSpec(), state)
-            draws = []
-            for _ in range(10000):
-                # effects stay frozen
-                s.update_intercept(rng.standard_normal(), s.zbar(), collapsed=False)
-                draws.append(s.beta0)
-            draws = np.asarray(draws)
+        s = TotalSampler(data, PriorSpec(), state)
+        numpy = []
+        for _ in range(10000):
+            # effects stay frozen
+            s.update_intercept(rng.standard_normal(), s.zbar(), collapsed=False)
+            numpy.append(s.beta0)
+        rows = ((rng.standard_normal(), [0.0], [0.0], None, [None, None], [0.5] * 3)
+                for _ in range(10000))
+        floats = float_chain(SmallTotalSampler(data, PriorSpec(), state), rows, PLAIN)[:, 0]
+        for draws in (np.asarray(numpy), floats):
             se = 0.995037 / math.sqrt(len(draws))
             assert np.mean(draws) == pytest.approx(9.90099, abs=3 * se)
             assert np.std(draws, ddof=1) == pytest.approx(0.995037, rel=0.05)
@@ -715,6 +772,12 @@ class TestChainRunner:
         state = sampler.get_state()
         assert state.params == spec.params(*params)
         assert np.array_equal(np.array(list(vars(state.effects).values())), effects)
+        # a run keeps the rows in the same order, and leaves its last sweep's state
+        out = np.full((1, len(names)), np.nan)
+        sampler.run(sampler.numbers(rng, frozenset()), 1, range(1), out, frozenset())
+        write_values(sampler, values)
+        assert not np.array_equal(values, np.concatenate([params, effects.ravel()]))
+        assert np.array_equal(out[0], values)
 
     @EACH_SAMPLER
     def test_states_share_no_memory_with_the_caller(self, kind, sampler_class, truth):
@@ -732,7 +795,8 @@ class TestChainRunner:
         assert np.array_equal(block(sampler.get_state()), held)
 
         out = sampler.get_state()
-        sampler.sweep(next(sampler.numbers(np.random.default_rng(1), frozenset())), frozenset())
+        sampler.run(sampler.numbers(np.random.default_rng(1), frozenset()), 1, range(0),
+                    np.empty((0, 0)), frozenset())
         swept = block(sampler.get_state())
         assert not np.array_equal(swept, held)
         assert np.array_equal(block(out), held)
@@ -742,7 +806,8 @@ class TestChainRunner:
 
     @pytest.mark.parametrize("skip", [(), ("obs_variance",), ("random_effects",), ("re_slopes",),
                                       ("re_sds",), ("re_sd1",)], ids=lambda s: "+".join(s) or "none")
-    @pytest.mark.parametrize("C", [1, 2, 4, SMALL_C])
+    # C = 16 sits well inside the float kernel's range; SMALL_C is its edge
+    @pytest.mark.parametrize("C", [1, 2, 4, 16, SMALL_C])
     def test_float_kernel_matches_numpy_kernel(self, C, skip, monkeypatch):
         # 300 sweeps cross two block boundaries; a degenerate run must fail
         # alike on both kernels
@@ -807,6 +872,66 @@ class TestChainRunner:
         assert all(0.01 <= x <= 9.9 for name, x in got.items() if name.startswith("sigma"))
         for column in vars(state.effects).values():
             assert np.array_equal(column, np.zeros(data.n_countries))
+
+
+class TestFloatChain:
+    """``SmallTotalSampler.run`` against ``TotalSampler.sweep``, one sweep at
+    a time: whole chains on a weak panel drift apart by rounding, one sweep
+    from a shared state does not."""
+
+    # country 1 has a single row and country 3 none
+    ENTRIES = [
+        *((0, t, 2.0 + 0.04 * t + 0.3 * math.sin(t)) for t in range(10)),
+        (1, 4, 1.2),
+        *((2, t, 3.1 - 0.02 * t + 0.2 * math.cos(2 * t)) for t in range(2, 12)),
+        *((4, t, 2.6 + 0.25 * math.sin(3 * t)) for t in range(0, 12, 3)),
+    ]
+    SKIPS = [(), ("obs_variance",), ("random_effects",), ("re_slopes",), ("re_sds",),
+             ("re_sd1",)]
+
+    @pytest.mark.parametrize("skip", SKIPS, ids=lambda s: "+".join(s) or "none")
+    @pytest.mark.parametrize("C", [1, 5])
+    def test_one_sweep_from_each_state_matches_the_numpy_sweep(self, C, skip):
+        entries = [row for row in self.ENTRIES if row[0] < C]
+        data = make_total_dataset(entries, C, 12)
+        start = initial_state("total", data)
+        chain, numpy = TotalSampler(data, PriorSpec(), start), TotalSampler(data, PriorSpec(), start)
+        small = SmallTotalSampler(data, PriorSpec(), start)
+        # a single country has no proper effect-sd conditional, so its chains
+        # skip those draws and keep the starting sds
+        walk_skip = frozenset({"re_sds"} if C == 1 else ())
+        skipped = frozenset(skip) | walk_skip
+        rows = zip(numpy.numbers(np.random.default_rng(C), skipped),
+                   small.numbers(np.random.default_rng(C), skipped))
+        walk = chain.numbers(np.random.default_rng(100 + C), walk_skip)
+        want, got = np.empty(4 + 2 * C), np.empty((1, 4 + 2 * C))
+        for _, (row, float_row), walk_row in zip(range(200), rows, walk):
+            chain.sweep(walk_row, walk_skip)  # each state: one more sweep of a chain
+            state = chain.get_state()
+            numpy.set_state(state)
+            numpy.sweep(row, skipped)
+            write_values(numpy, want)
+            small.set_state(state)
+            small.run(iter([float_row]), 1, range(1), got, skipped)
+            assert np.all(np.abs(got[0] - want) <= 1e-12 * (1.0 + np.abs(want))), (got[0], want)
+
+    @pytest.mark.parametrize("skip", [(), ("obs_variance",)], ids=["none", "obs_variance"])
+    def test_two_runs_resume_as_one(self, skip):
+        data = make_total_dataset(self.ENTRIES, 5, 12)
+        start = initial_state("total", data)
+        skipped = frozenset(skip)
+        whole = SmallTotalSampler(data, PriorSpec(), start)
+        one = np.empty((300, 14))
+        whole.run(whole.numbers(np.random.default_rng(3), skipped), 300, range(300), one, skipped)
+        split = SmallTotalSampler(data, PriorSpec(), start)
+        numbers = split.numbers(np.random.default_rng(3), skipped)
+        two = np.empty((300, 14))
+        split.run(numbers, 150, range(150), two[:150], skipped)
+        split.run(numbers, 150, range(150), two[150:], skipped)
+        assert one.tobytes() == two.tobytes()
+        final = [np.concatenate([list(vars(s.get_state().params).values()),
+                                 *vars(s.get_state().effects).values()]) for s in (whole, split)]
+        assert final[0].tobytes() == final[1].tobytes() == one[-1].tobytes()
 
 
 class CountingGenerator:
@@ -997,13 +1122,10 @@ class TestStatisticsPath:
             data.draw(st.floats(-50, 50)), data.draw(SDS), data.draw(SDS), data.draw(SDS),
             effects(data.draw, C, 5.0), effects(data.draw, C, 1.0),
         )
-        for kernel in TOTAL_KERNELS:
-            sampler = kernel(
-                make_total_dataset([(c, t, y) for c, t, _, y in entries], C, horizon),
-                PriorSpec(),
-                state,
-            )
-            self.check_total_conditionals(sampler, state, entries, C)
+        data_set = make_total_dataset([(c, t, y) for c, t, _, y in entries], C, horizon)
+        self.check_total_conditionals(TotalSampler(data_set, PriorSpec(), state), state, entries, C)
+        self.check_float_conditionals(SmallTotalSampler(data_set, PriorSpec(), state), state,
+                                      entries, C)
 
     @staticmethod
     def check_total_conditionals(sampler, state, entries, C):
@@ -1041,6 +1163,61 @@ class TestStatisticsPath:
 
         sampler.set_state(state)
         assert_close(sampler.residual_ss(), np.sum((y - p.beta0 - e.b0[c] - e.b1[c] * t) ** 2))
+
+    @staticmethod
+    def check_float_conditionals(sampler, state, entries, C):
+        """The facts of ``check_total_conditionals``, read off float sweeps
+        from ``state``: each draw is conditioned on the draws before it in the
+        sweep, taken at their means (normals 0)."""
+        p, e = state.params, state.effects
+        c, t, y = columns(entries, Sector.TOTAL)
+        pv, s2 = 100.0, p.sigma**2
+
+        def beta0(st):
+            return st.params.beta0
+
+        mean, var = float_normal_draws(sampler, state, PLAIN, beta0, "z")
+        prec = 1.0 / pv + len(y) / s2
+        assert_close(var, 1.0 / prec)
+        assert_close(mean, np.sum(y - e.b0[c] - e.b1[c] * t) / s2 / prec, math.sqrt(var))
+
+        prec, lin = 1.0 / pv, 0.0
+        for k in range(C):
+            z = (y - e.b1[c] * t)[c == k]
+            if z.size:
+                v = p.sigma0**2 + s2 / z.size
+                prec += 1.0 / v
+                lin += z.mean() / v
+        mean, var = float_normal_draws(sampler, state, NO_VARIANCES, beta0, "z")
+        assert_close(var, 1.0 / prec)
+        assert_close(mean, lin / prec, math.sqrt(var))
+
+        at0 = float_sweep(sampler, state, NO_VARIANCES)
+        b, b0 = at0.params.beta0, at0.effects.b0
+        prec = 1.0 / p.sigma0**2 + np.bincount(c, minlength=C) / s2
+        lin = np.bincount(c, weights=y - b - e.b1[c] * t, minlength=C) / s2
+        mean, var = float_normal_draws(sampler, state, NO_VARIANCES, lambda st: st.effects.b0,
+                                       "z_b0")
+        assert_close(var, 1.0 / prec)
+        assert_close(mean, lin / prec, np.sqrt(var))
+
+        prec = 1.0 / p.sigma1**2 + np.bincount(c, weights=t * t, minlength=C) / s2
+        lin = np.bincount(c, weights=t * (y - b - b0[c]), minlength=C) / s2
+        mean, var = float_normal_draws(sampler, state, NO_VARIANCES, lambda st: st.effects.b1,
+                                       "z_b1")
+        assert_close(var, 1.0 / prec)
+        assert_close(mean, lin / prec, np.sqrt(var))
+
+        # with a gamma this large every variance draw takes the untruncated
+        # branch rate / g, so 2g·sd² gives back the sum of squares it read:
+        # the residuals and the effects of the state the updates before it
+        # left, at normals that keep every effect off 0
+        g = 1e12
+        out = float_sweep(sampler, state, (), 0.5, 0.5, 0.5, g_obs=g, g_re=(g, g))
+        q, f = out.params, out.effects
+        assert_close(2.0 * g * q.sigma**2, np.sum((y - q.beta0 - f.b0[c] - f.b1[c] * t) ** 2))
+        assert_close(2.0 * g * q.sigma0**2, np.sum(f.b0**2))
+        assert_close(2.0 * g * q.sigma1**2, np.sum(f.b1**2))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
