@@ -1,6 +1,6 @@
 """Bayesian longitudinal mixed models for country-level landings panels."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .data import FIRST_YEAR, load_landings, simulate_dataset, write_landings
 from .diagnostics import (

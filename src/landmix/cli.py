@@ -347,7 +347,7 @@ def _export_figure1(args) -> list[list]:
     if not args.data:
         raise ConfigError("--figure 1 requires --data")
     with utf8_text(args.data), open(args.data, newline="", encoding="utf-8") as fh:
-        rows = _parse_rows(fh)
+        rows, _ = _parse_rows(fh)
     out = [["country", "year", "log_tonnes", "sector"]]
     for country, year, sector, tonnes in rows:
         out.append([country, year, repr(math.log(tonnes)), sector.value])

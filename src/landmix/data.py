@@ -38,12 +38,15 @@ _SECTORS = {s.value: s for s in Sector}
 
 
 def _parse_rows(lines: Iterable[str]):
+    """The rows with positive tonnage, and each country's index in order of
+    first appearance among all parsed rows, zero-tonnage ones included."""
     reader = csv.reader(lines)
     header = next(reader, None)
     if header is None or [h.strip().lower() for h in header] != ["country", "year", "sector", "tonnes"]:
         raise DataFormatError("expected header 'country,year,sector,tonnes'")
     seen = set()
     rows = []
+    index: dict[str, int] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -67,11 +70,12 @@ def _parse_rows(lines: Iterable[str]):
         if key in seen:
             raise DataFormatError(f"line {lineno}: duplicate row for {key}")
         seen.add(key)
+        index.setdefault(country, len(index))
         if tonnes == 0.0:
             log.warning("dropping zero-tonnage row %s/%s/%s (line %d)", country, year, sector.value, lineno)
             continue
         rows.append((country, year, sector, tonnes))
-    return rows
+    return rows, index
 
 
 def load_landings(path, model_kind: str) -> Dataset:
@@ -83,16 +87,10 @@ def load_landings(path, model_kind: str) -> Dataset:
     """
     spec = model_spec(model_kind)  # ConfigError for an unknown kind
     with utf8_text(path), open(path, newline="", encoding="utf-8") as fh:
-        rows = _parse_rows(fh)
-
-    labels: list[str] = []
-    index: dict[str, int] = {}
-    for country, _, _, _ in rows:
-        if country not in index:
-            index[country] = len(labels)
-            labels.append(country)
-    if not labels:
+        rows, index = _parse_rows(fh)
+    if not rows:
         raise DataFormatError("no usable rows in input")
+    labels = tuple(index)
 
     country = np.array([index[r[0]] for r in rows], dtype=np.intp)
     t = np.array([r[1] for r in rows], dtype=np.intp) - FIRST_YEAR
@@ -115,7 +113,7 @@ def load_landings(path, model_kind: str) -> Dataset:
         log.warning("country %s has no %s rows: its effects are drawn from the prior",
                     labels[c], wanted)
     order = np.lexsort((sector, t, country))
-    return Dataset(country[order], t[order], sector[order], y[order], tuple(labels), horizon)
+    return Dataset(country[order], t[order], sector[order], y[order], labels, horizon)
 
 
 def write_landings(data: Dataset, path) -> None:

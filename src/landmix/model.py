@@ -64,6 +64,11 @@ class PriorSpec:
             return 0.0, self.sd_bound
         return None
 
+    def draw(self, names, rng: np.random.Generator) -> list[float]:
+        """One draw from the prior of each named parameter, in order."""
+        return [float(rng.normal(0.0, self.intercept_sd) if s is None else rng.uniform(*s))
+                for s in map(self.support, names)]
+
 
 @dataclass(frozen=True)
 class StreamStats:
@@ -113,6 +118,16 @@ class StreamStats:
     def syy_sum(self) -> float:
         """Σ Syy over the cells, which every residual sum of squares adds."""
         return float(self.syy.sum())
+
+    @cached_property
+    def sum_t2(self) -> np.ndarray:
+        """Σt² per cell, the slope effects' data precision times sigma²."""
+        return self.stt + self.n * self.tbar**2
+
+    @cached_property
+    def n_tbar(self) -> np.ndarray:
+        """n·t̄ per cell."""
+        return self.n * self.tbar
 
     def residual_ss(self, a, b) -> float:
         """Σ (y − a − b·t)² over every row, for per-cell a and b that

@@ -18,12 +18,10 @@ from .data import simulate_dataset
 from .diagnostics import _tau_and_ess, split_rhat
 from .errors import ConfigError, DegenerateDataError
 from .model import (
-    TOTAL_PARAM_NAMES,
     Dataset,
     ModelState,
     PriorSpec,
     TotalEffects,
-    TotalParams,
     effects_to_dict,
     log_density,
     model_spec,
@@ -98,8 +96,8 @@ def grid_log_posterior(
     """Evaluate the unnormalized log posterior on the lattice, normalize by
     log-sum-exp, and return the marginal distribution of every free axis.
 
-    Free axes may be any parameter of the model (``TOTAL_PARAM_NAMES`` or
-    ``JOINT_PARAM_NAMES``) and per-country effects such as ``b0[i]`` or
+    Free axes may be any parameter of the model (its ``param_names`` in
+    ``model.MODELS``) and per-country effects such as ``b0[i]`` or
     ``b1_A[i]``; everything else is fixed at the values in ``fixed``.  Sd
     and correlation axes take cell midpoints, which keeps them strictly
     inside their prior's support; every other axis includes both ends.
@@ -151,6 +149,15 @@ def grid_log_posterior(
 
 # -- simulation-based calibration ---------------------------------------------
 
+# each truth is ranked among RANK_DRAWS draws, and the ranks are binned into
+# RANK_BINS equal bins (so RANK_BINS divides RANK_DRAWS + 1) for the chi-square
+RANK_DRAWS = 49
+RANK_BINS = 10
+# a replicate whose worst split R-hat exceeds RHAT_GATE is excluded; a run
+# excluding more than MAX_EXCLUDE_FRAC of its replicates fails
+RHAT_GATE = 1.05
+MAX_EXCLUDE_FRAC = 0.05
+
 
 @dataclass(frozen=True)
 class SBCConfig:
@@ -161,14 +168,6 @@ class SBCConfig:
             iterations=2500, burnin=1000, thin=1, chains=2, seed=0
         )
     )
-    rank_draws: int = 49
-    rank_bins: int = 10
-    rhat_gate: float = 1.05
-    max_exclude_frac: float = 0.05
-
-    def __post_init__(self) -> None:
-        if (self.rank_draws + 1) % self.rank_bins != 0:
-            raise ConfigError("rank_draws + 1 must be divisible by rank_bins")
 
 
 @dataclass
@@ -219,9 +218,9 @@ def sbc_run(
 
     Per replicate: parameters are drawn from their priors, a panel is
     simulated, the sampler refits it, and the rank of each true value
-    among ``rank_draws`` near-independent retained draws is recorded.
-    Replicates whose worst split R-hat exceeds the gate are excluded; a
-    run excluding more than ``max_exclude_frac`` is marked failed.
+    among ``RANK_DRAWS`` near-independent retained draws is recorded.
+    Replicates whose worst split R-hat exceeds ``RHAT_GATE`` are excluded; a
+    run excluding more than ``MAX_EXCLUDE_FRAC`` is marked failed.
     """
     if model_kind != "total":
         raise ConfigError("SBC harness supports the total model only")
@@ -234,53 +233,48 @@ def sbc_run(
     if config.chain.chains < 2:
         raise ConfigError(f"SBC's R-hat gate needs at least 2 chains, got {config.chain.chains}")
     pooled_draws = config.chain.chains * config.chain.n_retained
-    if pooled_draws < config.rank_draws:
+    if pooled_draws < RANK_DRAWS:
         raise ConfigError(
-            f"SBC ranks each truth among {config.rank_draws} draws, but the chains "
+            f"SBC ranks each truth among {RANK_DRAWS} draws, but the chains "
             f"retain only {pooled_draws} in all"
         )
-    priors = config.chain.priors
-    ranks: dict[str, list[int]] = {p: [] for p in TOTAL_PARAM_NAMES}
+    spec = model_spec(model_kind)
+    ranks: dict[str, list[int]] = {p: [] for p in spec.param_names}
     kept: list[int] = []
     excluded = 0
     for r in range(replicates):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        truth = TotalParams(
-            beta0=float(rng.normal(0.0, priors.intercept_sd)),
-            sigma=float(rng.uniform(0.0, priors.sd_bound)),
-            sigma0=float(rng.uniform(0.0, priors.sd_bound)),
-            sigma1=float(rng.uniform(0.0, priors.sd_bound)),
-        )
+        truth = spec.params(*config.chain.priors.draw(spec.param_names, rng))
         data, _ = simulate_dataset(
-            "total", truth, config.n_countries, config.horizon, seed=rng
+            model_kind, truth, config.n_countries, config.horizon, seed=rng
         )
         chain_cfg = replace(config.chain, seed=int(rng.integers(2**62)))
-        chains = run_chains("total", data, chain_cfg)
+        chains = run_chains(model_kind, data, chain_cfg)
         worst = max(
-            _safe_rhat([ch.draws[p] for ch in chains]) for p in TOTAL_PARAM_NAMES
+            _safe_rhat([ch.draws[p] for ch in chains]) for p in spec.param_names
         )
-        if worst > config.rhat_gate:
+        if worst > RHAT_GATE:
             excluded += 1
             continue
         kept.append(r)
         for p, value in params_to_dict(truth).items():
             pooled = np.concatenate([ch.draws[p] for ch in chains])
-            sel = _thin_to(pooled, config.rank_draws)
+            sel = _thin_to(pooled, RANK_DRAWS)
             ranks[p].append(int(np.sum(sel < value)))
 
-    per_bin = (config.rank_draws + 1) // config.rank_bins
+    per_bin = (RANK_DRAWS + 1) // RANK_BINS
     rank_arrays = {p: np.asarray(v, dtype=int) for p, v in ranks.items()}
     pvalues = {
-        p: _uniform_pvalue(np.bincount(arr // per_bin, minlength=config.rank_bins))
+        p: _uniform_pvalue(np.bincount(arr // per_bin, minlength=RANK_BINS))
         for p, arr in rank_arrays.items()
     }
-    failed = excluded > config.max_exclude_frac * replicates
+    failed = excluded > MAX_EXCLUDE_FRAC * replicates
     return SBCResult(
         rank_arrays,
         np.asarray(kept, dtype=int),
         pvalues,
         replicates,
         excluded,
-        config.rank_draws,
+        RANK_DRAWS,
         failed,
     )

@@ -1,10 +1,12 @@
 """Metropolis-within-Gibbs engine for both landings models.
 
-One sweep updates, in fixed order: fixed intercepts, random effects,
-observation variance, random-effect scale parameters.  Conjugate blocks
-are drawn exactly.  So are the variances, whose conditionals are
-inverse-gamma laws truncated at the squared sd bound: each draw takes one
-standard gamma and one uniform, with no rejection loop.  Each 2x2
+One sweep updates four blocks, in fixed order: fixed intercepts, random
+effects, observation variance, random-effect scale parameters.  Each
+numpy sampler draws each block with one update method; ``_Sampler`` holds
+what both share.  Conjugate blocks are drawn exactly.  So are the variances,
+whose conditionals are inverse-gamma laws truncated at the squared sd
+bound: each draw takes one standard gamma and one uniform, with no
+rejection loop.  Each 2x2
 covariance block of the joint model (two sds and a correlation) takes one
 independence Metropolis-Hastings step whose proposal is the
 inverse-Wishart shape of its conditional: with scatter
@@ -31,10 +33,11 @@ Every conditional reads the data only through the per-country sufficient
 statistics of the model's streams (``model_streams``: n, t̄, ȳ, Stt, Sty
 and Syy as (S, C) arrays, a row per sector), computed once per dataset.
 A sweep therefore does O(C) work in the number of countries C, whatever
-the length of the panel.  A total chain on at most ``SMALL_C`` countries
-runs as one loop on Python floats (``SmallTotalSampler.run``), where numpy
-calls would be nearly all overhead; every other chain calls ``sweep`` on
-numpy arrays.  ``SMALL_C`` is the most countries at which that loop was
+the length of the panel.  Every kernel carries z̄ = ȳ − b1·t̄ as state:
+``set_state`` computes it and each slope draw refreshes it.  A total
+chain on at most ``SMALL_C`` countries runs as one loop on Python floats
+(``SmallTotalSampler.run``), where numpy calls would be nearly all
+overhead; every other chain calls ``sweep`` on numpy arrays.  ``SMALL_C`` is the most countries at which that loop was
 faster in every measured run.
 
 Chains are deterministic given (seed, chain_index): chain c uses
@@ -57,11 +60,9 @@ import numpy as np
 from .errors import ConfigError, DegenerateCovarianceError, DegenerateDataError
 from .model import (
     Dataset,
-    JointEffects,
     JointParams,
     ModelState,
     PriorSpec,
-    TotalEffects,
     TotalParams,
     build_covariance,
     draw_names,
@@ -263,7 +264,35 @@ def _draw_inv_wishart_2x2(s11, s12, s22, c1, c2, z) -> tuple[float, float, float
 
 
 class _Sampler:
-    """The chain loop that both models' samplers share."""
+    """What both models' samplers share: the model's streams and the
+    constants read from them, the state's z̄, and the chain loop.
+
+    ``effects`` is one block in draw-column order, a row per sector for the
+    intercept effects and then a row per sector for the slope effects,
+    ``b1``, a view bound once by ``set_state``."""
+
+    kind: str  # the model's key in model.MODELS
+
+    def __init__(self, data: Dataset, priors: PriorSpec):
+        self.priors = priors
+        self.C = data.n_countries
+        self.s = model_streams(self.kind, data)
+        self.n_obs = self.s.n_obs
+        self.upper_var = priors.sd_bound**2
+        self.obs_shape = (self.n_obs - 1) / 2.0
+
+    def zbar(self) -> np.ndarray:
+        """z̄ = ȳ − b1·t̄ per sector and country: what the intercepts see of
+        each stream.  Computed into the carried z̄, which the sweep reads
+        until the next slope draw."""
+        return np.subtract(self.s.ybar, self.b1 * self.s.tbar, out=self.carried_zbar)
+
+    def get_state(self) -> ModelState:
+        spec = model_spec(self.kind)
+        return ModelState(spec.params(*self._fields()[0]), spec.effects(*self.effects.copy()))
+
+    def acceptance(self) -> dict[str, float]:
+        return {}
 
     def run(self, numbers, iterations: int, kept: range, out: np.ndarray,
             skipped: frozenset[str]) -> None:
@@ -277,22 +306,19 @@ class _Sampler:
 
 
 class TotalSampler(_Sampler):
-    """Mutable sampling state for the total-landings model."""
+    """Mutable sampling state for the total-landings model: each stream
+    statistic is one (1, C) row."""
 
+    kind = "total"
     # frozen effects (criterion 1) or slopes (criterion 2), the variance
     # control of the calibration check, and frozen scale parameters
     skip_keys = frozenset({"random_effects", "re_slopes", "obs_variance", "re_sds", "re_sd1"})
 
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
-        self.s = model_streams("total", data)  # (1, C) rows
-        self.n_obs = self.s.n_obs
-        self.C = data.n_countries
-        self.sum_t2 = self.s.stt + self.s.n * self.s.tbar**2
-        self.n_tbar = self.s.n * self.s.tbar
+        super().__init__(data, priors)
         self.prior_var = priors.intercept_sd**2
-        self.upper_var = priors.sd_bound**2
-        self.obs_shape = (self.n_obs - 1) / 2.0
         self.re_shape = (self.C - 1) / 2.0
+        self.carried_zbar = np.empty((1, self.C))
         self.set_state(state)
 
     def set_state(self, state: ModelState) -> None:
@@ -306,13 +332,10 @@ class TotalSampler(_Sampler):
         # the block's rows as (1, C) views, bound once: the updates write
         # into them in place
         self.b0, self.b1 = self.effects[:1], self.effects[1:]
+        self.zbar()
 
     def _fields(self):  # parameters and effects in the order of model.MODELS
         return (self.beta0, self.sigma, self.sigma0, self.sigma1), self.effects.ravel()
-
-    def get_state(self) -> ModelState:
-        params, effects = self._fields()
-        return ModelState(TotalParams(*params), TotalEffects(*np.array(effects).reshape(2, -1)))
 
     def numbers(self, rng: np.random.Generator, skipped: frozenset[str]):
         """Each sweep's random numbers, drawn BLOCK sweeps at a time: normals
@@ -336,44 +359,33 @@ class TotalSampler(_Sampler):
         """A block's normals as its sweeps' beta0 floats and b0, b1 rows."""
         return z[:, 0].tolist(), z[:, 1:self.C + 1], z[:, self.C + 1:]
 
-    # conditional-parameter helpers (exact formulas, also used by tests)
-
-    def zbar(self) -> np.ndarray:
-        """z̄ = ȳ − b1·t̄ per country: what the intercepts see of the data."""
-        return self.s.ybar - self.b1 * self.s.tbar
-
-    def intercept_conditional_plain(self, zbar) -> tuple[float, float]:
-        s2 = self.sigma * self.sigma
-        resid_sum = float(np.vdot(self.s.n, np.subtract(zbar, self.b0)))  # arrays or lists
-        return conj_normal(self.prior_var, self.n_obs / s2, resid_sum / s2)
-
-    def intercept_conditional_collapsed(self, zbar) -> tuple[float, float]:
-        # country c contributes z̄_c ~ N(beta0, sigma0² + sigma²/n_c), with
-        # weight n_c / (n_c·sigma0² + sigma²): 0 for a country without rows
-        s = self.s
-        w = s.n / (s.n * self.sigma0**2 + self.sigma**2)
-        return conj_normal(self.prior_var, float(w.sum()), float(np.vdot(w, zbar)))
-
-    def update_intercept(self, z: float, zbar, collapsed: bool) -> None:
-        mean, var = (
-            self.intercept_conditional_collapsed(zbar)
-            if collapsed
-            else self.intercept_conditional_plain(zbar)
-        )
+    def update_intercept(self, z: float, collapsed: bool) -> None:
+        """Draw beta0 given z̄, with the random intercepts integrated out
+        when ``collapsed``, else given them.  Collapsed, country c contributes
+        z̄_c ~ N(beta0, sigma0² + sigma²/n_c), with weight
+        n_c / (n_c·sigma0² + sigma²): 0 for a country without rows."""
+        s, zbar = self.s, self.carried_zbar
+        if collapsed:
+            w = s.n / (s.n * self.sigma0**2 + self.sigma**2)
+            prec, lin = float(w.sum()), float(np.vdot(w, zbar))
+        else:
+            s2 = self.sigma * self.sigma
+            prec, lin = self.n_obs / s2, float(np.vdot(s.n, zbar - self.b0)) / s2
+        mean, var = conj_normal(self.prior_var, prec, lin)
         self.beta0 = mean + math.sqrt(var) * z
 
-    def update_random_intercepts(self, z, zbar) -> None:
-        s = self.s
+    def update_random_effects(self, z_b0, z_b1) -> None:
+        """Draw the intercept effects, then the slope effects unless z_b1 is
+        None, and carry the new z̄.  Each precision is taken times sigma²."""
+        s, b0 = self.s, self.b0
         s2 = self.sigma * self.sigma
-        prec = s2 / self.sigma0**2 + s.n  # conditional precision times sigma²
-        np.add(s.n * (zbar - self.beta0) / prec, np.sqrt(s2 / prec) * z, out=self.b0)
-
-    def update_random_slopes(self, z) -> None:
-        s = self.s
-        s2 = self.sigma * self.sigma
-        prec = s2 / self.sigma1**2 + self.sum_t2  # conditional precision times sigma²
-        mean = (s.sty + self.n_tbar * (s.ybar - self.beta0 - self.b0)) / prec
-        np.add(mean, np.sqrt(s2 / prec) * z, out=self.b1)
+        prec = s2 / self.sigma0**2 + s.n
+        np.add(s.n * (self.carried_zbar - self.beta0) / prec, np.sqrt(s2 / prec) * z_b0, out=b0)
+        if z_b1 is not None:
+            prec = s2 / self.sigma1**2 + s.sum_t2
+            mean = (s.sty + s.n_tbar * (s.ybar - self.beta0 - b0)) / prec
+            np.add(mean, np.sqrt(s2 / prec) * z_b1, out=self.b1)
+            self.zbar()
 
     def residual_ss(self) -> float:
         """Σ (y − beta0 − b0_c − b1_c·t)² over the panel."""
@@ -382,33 +394,24 @@ class TotalSampler(_Sampler):
     def update_obs_variance(self, g: float, u: float) -> None:
         self.sigma = _draw_obs_sd(self, self.residual_ss(), g, u)
 
-    def update_re_sd(self, which: int, g: float, u: float) -> None:
-        b = self.b1 if which else self.b0
-        sd = _draw_re_sd(self, float(np.vdot(b, b)), g, u)
-        if which == 0:
-            self.sigma0 = sd
-        else:
-            self.sigma1 = sd
+    def update_re_sd(self, g, u, sd1: bool) -> None:
+        """Draw sigma0, then sigma1 if ``sd1``, from the standard gammas g
+        and the uniforms u."""
+        self.sigma0 = _draw_re_sd(self, float(np.vdot(self.b0, self.b0)), g[0], u[0])
+        if sd1:
+            self.sigma1 = _draw_re_sd(self, float(np.vdot(self.b1, self.b1)), g[1], u[1])
 
     def sweep(self, numbers, skipped: frozenset[str]) -> None:
         """One sweep, given its row of ``numbers``."""
         z, z_b0, z_b1, g_obs, g_re, u = numbers
         effects = "random_effects" not in skipped
-        zbar = self.zbar()
-        self.update_intercept(z, zbar, collapsed=effects)
+        self.update_intercept(z, collapsed=effects)
         if effects:
-            self.update_random_intercepts(z_b0, zbar)
-            if "re_slopes" not in skipped:
-                self.update_random_slopes(z_b1)
+            self.update_random_effects(z_b0, None if "re_slopes" in skipped else z_b1)
         if "obs_variance" not in skipped:
             self.update_obs_variance(g_obs, u[0])
         if "re_sds" not in skipped:
-            self.update_re_sd(0, g_re[0], u[1])
-            if "re_sd1" not in skipped:
-                self.update_re_sd(1, g_re[1], u[2])
-
-    def acceptance(self) -> dict[str, float]:
-        return {}
+            self.update_re_sd(g_re, u[1:], "re_sd1" not in skipped)
 
 
 class SmallTotalSampler(TotalSampler):
@@ -430,7 +433,7 @@ class SmallTotalSampler(TotalSampler):
         sums, and one that draws b0_c, then b1_c, carries z̄_c = ȳ_c − b1_c·t̄_c
         to the next sweep and sums what the variance draws read.  Kept rows
         are held as tuples and written into ``out`` a BLOCK at a time; the
-        last sweep's state is written back at the end."""
+        last sweep's state, z̄ included, is written back at the end."""
         effects = "random_effects" not in skipped
         slopes = effects and "re_slopes" not in skipped
         obs, re0 = "obs_variance" not in skipped, "re_sds" not in skipped
@@ -438,12 +441,12 @@ class SmallTotalSampler(TotalSampler):
         s = self.s
         # per country: n, t̄, ȳ, Stt, Sty, Σt² and n·t̄
         stats = list(zip(*(
-            a[0].tolist() for a in (s.n, s.tbar, s.ybar, s.stt, s.sty, self.sum_t2, self.n_tbar)
+            a[0].tolist() for a in (s.n, s.tbar, s.ybar, s.stt, s.sty, s.sum_t2, s.n_tbar)
         )))
         ns, syy_sum, prior_var = s.n[0].tolist(), s.syy_sum, self.prior_var
         beta0, sigma, sigma0, sigma1 = self.beta0, self.sigma, self.sigma0, self.sigma1
         b0, b1 = self.effects.tolist()
-        zbar = [ybar - b * tbar for (_, tbar, ybar, *_), b in zip(stats, b1)]
+        zbar = self.carried_zbar[0].tolist()
         keep, rows, j = iter(kept), [], 0
         keep_at = next(keep, -1)
         for it, (z, z_b0, z_b1, g_obs, g_re, u) in zip(range(iterations), numbers):
@@ -495,6 +498,7 @@ class SmallTotalSampler(TotalSampler):
             out[j:j + len(rows)] = rows
         self.beta0, self.sigma, self.sigma0, self.sigma1 = beta0, sigma, sigma0, sigma1
         self.effects[...] = b0, b1
+        self.carried_zbar[0] = zbar
 
 
 class JointSampler(_Sampler):
@@ -504,23 +508,18 @@ class JointSampler(_Sampler):
     and ``effects`` one (4, C) block in draw-column order (b0_I, b0_A, b1_I,
     b1_A): rows :2 are the intercept-effect pairs, rows 2: the slope pairs."""
 
+    kind = "joint"
     # the negative controls of a calibration check
     skip_keys = frozenset({"obs_variance", "cov_params"})
 
     def __init__(self, data: Dataset, priors: PriorSpec, state: ModelState):
-        self.priors = priors
-        self.C = data.n_countries
-        self.s = s = model_streams("joint", data)
-        self.n_obs = s.n_obs
-        self.sum_t2 = s.stt + s.n * s.tbar**2
-        self.n_tbar = s.n * s.tbar
+        super().__init__(data, priors)
+        s = self.s
         # the rows each effect block adds to its precision's diagonal, times sigma²
-        self.data_prec = (tuple(s.n), tuple(self.sum_t2))
+        self.data_prec = (tuple(s.n), tuple(s.sum_t2))
         # the counts the collapsed intercept's weights are linear in: n_I·n_A, n_I, n_A
         self.n_basis = np.array([s.n[0] * s.n[1], *s.n])
         self.prior_prec = 1.0 / priors.intercept_sd**2
-        self.upper_var = priors.sd_bound**2
-        self.obs_shape = (self.n_obs - 1) / 2.0
         # the IW proposal's degrees of freedom, and k/2 of its acceptance ratio
         self.nu = max(self.C - 1, 2)
         self.half_k = 0.5 * (self.nu + 1 - self.C)
@@ -551,13 +550,11 @@ class JointSampler(_Sampler):
         self.rho = [p.rho0, p.rho1]
         self.log_w = [self._log_weight(*self.sd0, p.rho0), self._log_weight(*self.sd1, p.rho1)]
         self.effects = _effects_block(state)
+        self.b1 = self.effects[2:]
         self.zbar()
 
     def _fields(self):  # parameters and effects in the order of model.MODELS
         return (*self.beta, self.sigma, *self.sd0, *self.sd1, *self.rho), self.effects.ravel()
-
-    def get_state(self) -> ModelState:
-        return ModelState(JointParams(*self._fields()[0]), JointEffects(*self.effects.copy()))
 
     def numbers(self, rng: np.random.Generator, skipped: frozenset[str]):
         """Each sweep's random numbers, drawn BLOCK sweeps at a time: normals
@@ -607,13 +604,7 @@ class JointSampler(_Sampler):
         omr = 1.0 - rho * rho
         return math.log(omr) + self.half_k * math.log((sd_1 * sd_2) ** 2 * omr)
 
-    def zbar(self) -> np.ndarray:
-        """z̄ = ȳ − b1·t̄ per sector and country, (2, C): what the intercepts
-        see of each stream.  Computed into the carried z̄, which the sweep
-        reads until the next slope draw."""
-        return np.subtract(self.s.ybar, self.effects[2:] * self.s.tbar, out=self.carried_zbar)
-
-    def update_intercepts_collapsed(self, z, zbar) -> None:
+    def update_intercepts_collapsed(self, z) -> None:
         """Draw (beta_I, beta_A) jointly with the intercept pairs integrated out.
 
         Country c's mean pair (z̄_I, z̄_A), z̄ = ȳ − b1·t̄, is normal around
@@ -631,14 +622,13 @@ class JointSampler(_Sampler):
         num = np.array([a22, s2, 0.0, a11, 0.0, s2, -a12, 0.0, 0.0,
                         det_cov0, a11 * s2, a22 * s2]).reshape(4, 3) @ self.n_basis
         q = num[:3] / (num[3] + s2 * s2)
-        self.carried_zbar[...] = zbar  # no copy when zbar is the carried z̄
         (q11, qz11, _), (q22, _, qz22), (q12, qz12_i, qz12_a) = (q @ self.ones_zbar.T).tolist()
         pp = self.prior_prec
         self.beta[0], self.beta[1] = _draw_gauss2(
             pp + q11, q12, pp + q22, qz11 + qz12_a, qz22 + qz12_i, z
         )
 
-    def update_random_effects(self, z_b0, z_b1, zbar) -> None:
+    def update_random_effects(self, z_b0, z_b1) -> None:
         """Draw the intercept-effect pairs, then the slope-effect pairs, given
         their normals of shape (2, C), and carry the new z̄.  Each block's
         precision and linear term are taken times sigma², so its normals are
@@ -648,11 +638,11 @@ class JointSampler(_Sampler):
         s, beta, e = self.s, self.beta_col, self.effects
         (n_i, n_a), (t2_i, t2_a) = self.data_prec
         q11, q12, q22 = self._prior_prec(0)
-        h_i, h_a = s.n * (zbar - beta)
+        h_i, h_a = s.n * (self.carried_zbar - beta)
         e[0], e[1] = _draw_gauss2(n_i + s2 * q11, s2 * q12, n_a + s2 * q22, h_i, h_a,
                                   sigma * z_b0)
         q11, q12, q22 = self._prior_prec(1)
-        h_i, h_a = s.sty + self.n_tbar * (s.ybar - beta - e[:2])
+        h_i, h_a = s.sty + s.n_tbar * (s.ybar - beta - e[:2])
         e[2], e[3] = _draw_gauss2(t2_i + s2 * q11, s2 * q12, t2_a + s2 * q22, h_i, h_a,
                                   sigma * z_b1)
         self.zbar()
@@ -688,9 +678,8 @@ class JointSampler(_Sampler):
     def sweep(self, numbers, skipped: frozenset[str]) -> None:
         """One sweep, given its row of ``numbers``."""
         z, z_e, z_iw, g_obs, c1, c2, u = numbers
-        zbar = self.carried_zbar
-        self.update_intercepts_collapsed(z, zbar)
-        self.update_random_effects(z_e[:2], z_e[2:], zbar)
+        self.update_intercepts_collapsed(z)
+        self.update_random_effects(z_e[:2], z_e[2:])
         if "obs_variance" not in skipped:
             self.update_obs_variance(g_obs, u[0])
         if "cov_params" not in skipped:

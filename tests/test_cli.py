@@ -1,5 +1,4 @@
 import csv
-import functools
 import io
 import json
 import math
@@ -16,7 +15,6 @@ from landmix.cli import _write_draws, main, read_draws
 from landmix.data import load_landings
 from landmix.errors import DataFormatError
 from landmix.model import JOINT_PARAM_NAMES, TOTAL_PARAM_NAMES
-from landmix.oracle import SBCConfig
 from landmix.sampler import ChainConfig, ChainDraws
 
 
@@ -1007,7 +1005,7 @@ class TestSbcAndSummarize:
     def test_sbc_writes_strict_json_when_every_replicate_excluded(self, tmp_path,
                                                                   monkeypatch):
         # a gate below 1 excludes every replicate, leaving NaN p-values
-        monkeypatch.setattr(cli, "SBCConfig", functools.partial(SBCConfig, rhat_gate=0.5))
+        monkeypatch.setattr(oracle, "RHAT_GATE", 0.5)
         out = tmp_path / "sbc"
         assert run("sbc", "--replicates", "2", "--countries", "3", "--years", "6",
                    "--iters", "60", "--burnin", "30", "--out", out) == 4

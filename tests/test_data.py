@@ -85,6 +85,27 @@ class TestLoadLandings:
         ]
         assert set(missing) <= set(data.labels)  # kept, with no rows
 
+    @pytest.mark.parametrize("model, sector", [("total", "total"), ("joint", "industrial")])
+    def test_country_with_only_zero_tonnage_kept_and_warned(self, tmp_path, caplog, model,
+                                                            sector):
+        # every row of B reads 0 tonnes: each is dropped, and B stays in the
+        # panel as a country without rows
+        path = write_csv(tmp_path, [f"A,1970,{sector},10", f"B,1970,{sector},0",
+                                    f"B,1971,{sector},0", f"C,1971,{sector},12"])
+        with caplog.at_level(logging.WARNING, logger="landmix.data"):
+            data = load_landings(path, model)
+        assert data.labels == ("A", "B", "C")
+        assert data.country.tolist() == [0, 2]
+        wanted = " or ".join(s.value for s in MODELS[model].sectors)
+        assert caplog.messages[-1] == (
+            f"country B has no {wanted} rows: its effects are drawn from the prior")
+        assert sum("zero-tonnage" in m for m in caplog.messages) == 2
+
+    def test_only_zero_tonnage_rows_rejected(self, tmp_path):
+        path = write_csv(tmp_path, ["A,1970,total,0", "B,1970,total,0"])
+        with pytest.raises(DataFormatError, match="no usable rows"):
+            load_landings(path, "total")
+
     def test_duplicate_row_rejected(self, tmp_path):
         path = write_csv(
             tmp_path, ["Spain,1970,industrial,10", "Spain,1970,industrial,20"]

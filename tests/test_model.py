@@ -275,6 +275,22 @@ class TestPriorSpecOverride:
         expected = -0.5 * LOG_2PI - math.log(2.0) - 3 * math.log(3.0)
         assert density(state_ok, priors=priors).prior == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["total", "joint"])
+    def test_draw_takes_each_name_from_its_prior(self, kind):
+        # one generator call per name, in order: a normal for an intercept,
+        # a uniform over the support for an sd or a correlation
+        priors, spec = PriorSpec(intercept_sd=2.0, sd_bound=3.0), MODELS[kind]
+        got = priors.draw(spec.param_names, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        want = [rng.normal(0.0, 2.0) if name.startswith("beta")
+                else rng.uniform(-1.0, 1.0) if name.startswith("rho") else rng.uniform(0.0, 3.0)
+                for name in spec.param_names]
+        assert got == want
+        assert all(type(x) is float for x in got)
+        zeros = np.zeros((len(spec.effect_tags), 1))
+        state = ModelState(spec.params(*got), spec.effects(*zeros))
+        assert density(state, priors=priors).prior > -math.inf
+
 
 class TestStreamStats:
     @pytest.mark.parametrize("kind", ["total", "joint"])

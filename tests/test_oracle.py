@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import landmix.oracle as oracle
 from landmix.errors import ConfigError
 from landmix.model import Sector, TotalEffects
 from landmix.oracle import (
+    RANK_BINS,
+    RANK_DRAWS,
     GridSpec,
     SBCConfig,
     _uniform_pvalue,
@@ -193,24 +196,29 @@ def small_sbc(chain=None):
         horizon=6,
         chain=chain
         or ChainConfig(iterations=600, burnin=200, thin=1, chains=2, seed=0),
-        rank_draws=19,
-        rank_bins=4,
     )
 
 
 class TestSBC:
+    @pytest.fixture(autouse=True)
+    def small_ranks(self, monkeypatch):
+        # each truth ranked among 19 draws, in 4 bins
+        monkeypatch.setattr(oracle, "RANK_DRAWS", 19)
+        monkeypatch.setattr(oracle, "RANK_BINS", 4)
+
     def test_ranks_in_range_and_deterministic(self):
         cfg = small_sbc()
         res1 = sbc_run("total", cfg, replicates=6, seed=100)
         res2 = sbc_run("total", cfg, replicates=6, seed=100)
         for p, arr in res1.ranks.items():
             assert arr.size + res1.excluded == 6
-            assert np.all((arr >= 0) & (arr <= cfg.rank_draws))
+            assert np.all((arr >= 0) & (arr <= 19))
             assert np.array_equal(arr, res2.ranks[p])
+        assert res1.rank_max == 19
 
     def test_rank_bins_must_divide(self):
-        with pytest.raises(ConfigError):
-            SBCConfig(rank_draws=50, rank_bins=10)
+        assert (RANK_DRAWS + 1) % RANK_BINS == 0
+        assert (oracle.RANK_DRAWS + 1) % oracle.RANK_BINS == 0  # the test settings
 
     def test_joint_unsupported(self):
         with pytest.raises(ConfigError):
@@ -252,9 +260,8 @@ class TestSBC:
     def test_pvalues_are_scipy_chisquare(self):
         cfg = small_sbc()
         res = sbc_run("total", cfg, replicates=6, seed=100)
-        per_bin = (cfg.rank_draws + 1) // cfg.rank_bins
         for p, ranks in res.ranks.items():
-            counts = np.bincount(ranks // per_bin, minlength=cfg.rank_bins)
+            counts = np.bincount(ranks // 5, minlength=4)
             assert res.pvalues[p] == chisquare(counts).pvalue
 
     @pytest.mark.parametrize("counts", [
@@ -269,10 +276,11 @@ class TestSBC:
         counts = np.array(counts)
         assert _uniform_pvalue(counts) == chisquare(counts).pvalue
 
-    def test_every_replicate_excluded_gives_nan_pvalues(self):
+    def test_every_replicate_excluded_gives_nan_pvalues(self, monkeypatch):
         # a gate below 1 excludes every replicate: no ranks remain to bin
+        monkeypatch.setattr(oracle, "RHAT_GATE", 0.5)
         chain = ChainConfig(iterations=60, burnin=30, thin=1, chains=2)
-        config = SBCConfig(4, 10, chain, rhat_gate=0.5)
+        config = SBCConfig(4, 10, chain)
         res = sbc_run("total", config, replicates=3, seed=0)
         assert res.excluded == 3
         assert res.failed

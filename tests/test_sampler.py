@@ -77,25 +77,33 @@ def pair_draws(sampler, state, update, read, size):
     return (m1, m2), (l11 * l11, l11 * l21, l21 * l21 + l22 * l22)
 
 
-# each update with its normals z, the other numbers it takes made from the state
-def random_intercepts(s, z):
-    s.update_random_intercepts(z, s.zbar())
+# each update with its normals z
+def plain_intercept(s, z):
+    s.update_intercept(float(z), collapsed=False)
 
 
-def random_slopes(s, z):
-    s.update_random_slopes(z)
+def collapsed_intercept(s, z):
+    s.update_intercept(float(z), collapsed=True)
+
+
+def random_intercepts(s, z):  # with the slopes frozen
+    s.update_random_effects(z, None)
+
+
+def random_slopes(s, z):  # the intercepts are drawn first, at their mean (normals 0)
+    s.update_random_effects(np.zeros_like(z), z)
 
 
 def intercept_pair(s, z):
-    s.update_intercepts_collapsed(z.ravel(), s.zbar())
+    s.update_intercepts_collapsed(z.ravel())
 
 
 def b0_pairs(s, z):
-    s.update_random_effects(z, np.zeros_like(z), s.zbar())
+    s.update_random_effects(z, np.zeros_like(z))
 
 
 def b1_pairs(s, z):  # the intercept pairs are drawn first, at their mean (normals 0)
-    s.update_random_effects(np.zeros_like(z), z, s.zbar())
+    s.update_random_effects(np.zeros_like(z), z)
 
 
 def trunc_ig(shape, rate, upper, rng):
@@ -144,6 +152,10 @@ def float_normal_draws(sampler, state, skipped, read, key):
     return at0, (at1 - at0) ** 2
 
 
+def beta0_of(state):
+    return state.params.beta0
+
+
 def b0_pair(state):
     return state.effects.b0_ind, state.effects.b0_art
 
@@ -172,8 +184,8 @@ class TestConjugateFormulas:
         state = total_state(0.0, 1.0, 1.0, 1.0, [0.0], [0.0])
         s = TotalSampler(data, PriorSpec(), state)
         small = SmallTotalSampler(data, PriorSpec(), state)
-        for mean, var in (s.intercept_conditional_plain(s.zbar()),
-                          float_normal_draws(small, state, PLAIN, lambda st: st.params.beta0, "z")):
+        for mean, var in (normal_draws(s, state, plain_intercept, beta0_of, ()),
+                          float_normal_draws(small, state, PLAIN, beta0_of, "z")):
             assert mean == pytest.approx(10.0 / 2.01, rel=1e-10)
             assert var == pytest.approx(1.0 / 2.01, rel=1e-10)
 
@@ -190,7 +202,7 @@ class TestConjugateFormulas:
 
         def numpy_draw(z):
             s.set_state(state)
-            s.update_random_intercepts(z, s.zbar())
+            s.update_random_effects(z, None)
             return s.get_state()
 
         def float_draw(z):
@@ -235,9 +247,8 @@ class TestCollapsedIntercept:
         num_var = np.trapezoid(w * (betas - num_mean) ** 2, betas)
         s = TotalSampler(data, PriorSpec(), state)
         small = SmallTotalSampler(data, PriorSpec(), state)
-        for mean, var in (s.intercept_conditional_collapsed(s.zbar()),
-                          float_normal_draws(small, state, NO_VARIANCES,
-                                             lambda st: st.params.beta0, "z")):
+        for mean, var in (normal_draws(s, state, collapsed_intercept, beta0_of, ()),
+                          float_normal_draws(small, state, NO_VARIANCES, beta0_of, "z")):
             assert mean == pytest.approx(num_mean, abs=2e-3)
             assert var == pytest.approx(num_var, rel=2e-2)
 
@@ -250,7 +261,7 @@ class TestCollapsedIntercept:
         draws = []
         for _ in range(4000):
             s.beta[0] = 0.0
-            s.update_intercepts_collapsed(rng.standard_normal(2), s.zbar())
+            s.update_intercepts_collapsed(rng.standard_normal(2))
             draws.append(s.get_state().params.beta0_ind)
         sd = np.std(draws)
         expected = math.sqrt(1.0 / (1.0 / 100.0 + 1.0 / (9.9**2 + 1.0)))
@@ -289,8 +300,7 @@ class TestJointPairConditional:
         draws_i, draws_a = [], []
         for _ in range(6000):
             s.set_state(state)
-            s.update_random_effects(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)),
-                                    s.zbar())
+            s.update_random_effects(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)))
             e = s.get_state().effects
             draws_i.append(e.b0_ind[0])
             draws_a.append(e.b0_art[0])
@@ -313,8 +323,7 @@ class TestJointPairConditional:
         b0i, b0a = [], []
         for _ in range(6000):
             s.set_state(state)
-            s.update_random_effects(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)),
-                                    s.zbar())
+            s.update_random_effects(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
             e = s.get_state().effects
             b0i.append(e.b0_ind[1])
             b0a.append(e.b0_art[1])
@@ -481,7 +490,7 @@ class TestTruncatedInverseGamma:
         numpy = []
         for _ in range(20000):
             # b0 stays fixed, so the draws are independent
-            s.update_re_sd(0, rng.standard_gamma(5.5), rng.random())
+            s.update_re_sd([rng.standard_gamma(5.5)], [rng.random()], sd1=False)
             numpy.append(s.sigma0 ** 2)
         # the float chain with frozen effects, sigma and sigma1
         rows = ((rng.standard_normal(), [0.0] * 12, [0.0] * 12, None,
@@ -496,7 +505,7 @@ class TestTruncatedInverseGamma:
         state = total_state(0.0, 1.0, 1.0, 1.0, np.zeros(3), np.zeros(3))
         data = make_total_dataset([(c, 0, 0.0) for c in range(3)], 3)
         with pytest.raises(DegenerateDataError, match="all random effects are zero"):
-            TotalSampler(data, PriorSpec(), state).update_re_sd(0, 1.0, 0.5)
+            TotalSampler(data, PriorSpec(), state).update_re_sd([1.0], [0.5], sd1=False)
         small = SmallTotalSampler(data, PriorSpec(), state)
         with pytest.raises(DegenerateDataError, match="all random effects are zero"):
             float_sweep(small, state, ("random_effects", "obs_variance"), g_re=(1.0, 1.0))
@@ -741,7 +750,7 @@ class TestChainRunner:
         numpy = []
         for _ in range(10000):
             # effects stay frozen
-            s.update_intercept(rng.standard_normal(), s.zbar(), collapsed=False)
+            s.update_intercept(rng.standard_normal(), collapsed=False)
             numpy.append(s.beta0)
         rows = ((rng.standard_normal(), [0.0], [0.0], None, [None, None], [0.5] * 3)
                 for _ in range(10000))
@@ -917,21 +926,30 @@ class TestFloatChain:
 
     @pytest.mark.parametrize("skip", [(), ("obs_variance",)], ids=["none", "obs_variance"])
     def test_two_runs_resume_as_one(self, skip):
-        data = make_total_dataset(self.ENTRIES, 5, 12)
-        start = initial_state("total", data)
+        # every kernel carries its whole state, z̄ included, from one run to the next
+        total = make_total_dataset(self.ENTRIES, 5, 12)
+        joint = make_joint_dataset(TestJointSweep.ENTRIES, TestJointSweep.C, 16)
         skipped = frozenset(skip)
-        whole = SmallTotalSampler(data, PriorSpec(), start)
-        one = np.empty((300, 14))
-        whole.run(whole.numbers(np.random.default_rng(3), skipped), 300, range(300), one, skipped)
-        split = SmallTotalSampler(data, PriorSpec(), start)
-        numbers = split.numbers(np.random.default_rng(3), skipped)
-        two = np.empty((300, 14))
-        split.run(numbers, 150, range(150), two[:150], skipped)
-        split.run(numbers, 150, range(150), two[150:], skipped)
-        assert one.tobytes() == two.tobytes()
-        final = [np.concatenate([list(vars(s.get_state().params).values()),
-                                 *vars(s.get_state().effects).values()]) for s in (whole, split)]
-        assert final[0].tobytes() == final[1].tobytes() == one[-1].tobytes()
+        for kind, data, sampler_class in (("total", total, SmallTotalSampler),
+                                          ("total", total, TotalSampler),
+                                          ("joint", joint, JointSampler)):
+            start = initial_state(kind, data)
+            width = len(draw_names(kind, data.labels))
+            whole = sampler_class(data, PriorSpec(), start)
+            one = np.empty((300, width))
+            whole.run(whole.numbers(np.random.default_rng(3), skipped), 300, range(300), one,
+                      skipped)
+            split = sampler_class(data, PriorSpec(), start)
+            numbers = split.numbers(np.random.default_rng(3), skipped)
+            two = np.empty((300, width))
+            split.run(numbers, 150, range(150), two[:150], skipped)
+            split.run(numbers, 150, range(150), two[150:], skipped)
+            assert one.tobytes() == two.tobytes(), sampler_class
+            final = [np.concatenate([list(vars(s.get_state().params).values()),
+                                     *vars(s.get_state().effects).values()])
+                     for s in (whole, split)]
+            assert final[0].tobytes() == final[1].tobytes() == one[-1].tobytes()
+            assert whole.carried_zbar.tobytes() == split.carried_zbar.tobytes()
 
 
 class CountingGenerator:
@@ -1133,7 +1151,7 @@ class TestStatisticsPath:
         c, t, y = columns(entries, Sector.TOTAL)
         pv, s2 = 100.0, p.sigma**2
 
-        mean, var = sampler.intercept_conditional_plain(sampler.zbar())
+        mean, var = normal_draws(sampler, state, plain_intercept, beta0_of, ())
         prec = 1.0 / pv + len(y) / s2
         assert_close(var, 1.0 / prec)
         assert_close(mean, np.sum(y - e.b0[c] - e.b1[c] * t) / s2 / prec, math.sqrt(var))
@@ -1145,7 +1163,7 @@ class TestStatisticsPath:
                 v = p.sigma0**2 + s2 / z.size
                 prec += 1.0 / v
                 lin += z.mean() / v
-        mean, var = sampler.intercept_conditional_collapsed(sampler.zbar())
+        mean, var = normal_draws(sampler, state, collapsed_intercept, beta0_of, ())
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, math.sqrt(var))
 
@@ -1155,8 +1173,11 @@ class TestStatisticsPath:
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, np.sqrt(var))
 
+        # the slopes are drawn after the intercepts: condition on those at
+        # their mean (normals 0)
+        b0 = mean
         prec = 1.0 / p.sigma1**2 + np.bincount(c, weights=t * t, minlength=C) / s2
-        lin = np.bincount(c, weights=t * (y - p.beta0 - e.b0[c]), minlength=C) / s2
+        lin = np.bincount(c, weights=t * (y - p.beta0 - b0[c]), minlength=C) / s2
         mean, var = normal_draws(sampler, state, random_slopes, lambda st: st.effects.b1, C)
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, np.sqrt(var))
@@ -1430,3 +1451,28 @@ class TestJointSweep:
         state = self.random_state(rng, self.C)
         sampler.set_state(state)
         self.check_sweep(sampler, state, self.numbers(rng, self.C, [0.5, 0.02, 0.97]))
+        # the total sampler against one built at the new state, over each
+        # skip set that leaves the slopes to be drawn
+        data = make_total_dataset(TestFloatChain.ENTRIES, 5, 12)
+        start = initial_state("total", data)
+        for skip in ((), ("obs_variance",), ("re_sds",)):
+            skipped = frozenset(skip)
+            sampler = TotalSampler(data, PriorSpec(), start)
+            rows = sampler.numbers(np.random.default_rng(43), skipped)
+            sampler.sweep(next(rows), skipped)
+            p = start.params
+            b1 = rng.normal(0.0, 0.05, 5)
+            state = total_state(p.beta0 + 0.3, p.sigma, p.sigma0, p.sigma1,
+                                rng.normal(0.0, 0.5, 5), b1)
+            sampler.set_state(state)
+            zbar = [np.mean((data.y - b1[k] * data.t)[data.country == k])
+                    if np.any(data.country == k) else 0.0 for k in range(5)]
+            assert_close(sampler.carried_zbar[0], zbar, 1.0)
+            fresh = TotalSampler(data, PriorSpec(), state)
+            row = next(rows)
+            want, got = np.empty((2, 14))
+            fresh.sweep(row, skipped)
+            write_values(fresh, want)
+            sampler.sweep(row, skipped)
+            write_values(sampler, got)
+            assert got.tobytes() == want.tobytes(), skip
