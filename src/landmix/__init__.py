@@ -1,6 +1,6 @@
 """Bayesian longitudinal mixed models for country-level landings panels."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .data import FIRST_YEAR, load_landings, simulate_dataset, write_landings
 from .diagnostics import (
@@ -22,14 +22,12 @@ from .errors import (
 )
 from .model import (
     Dataset,
-    JointEffects,
     JointParams,
     ModelState,
     PriorSpec,
     SECTORS,
     Sector,
     StreamStats,
-    TotalEffects,
     TotalParams,
     build_covariance,
     log_density,

@@ -28,8 +28,7 @@ from .diagnostics import (
     summary_csv_rows,
 )
 from .errors import ConfigError, DataFormatError, DegenerateDataError, LandmixError, utf8_text
-from .model import (MODELS, effects_to_dict, model_spec, model_streams, params_from_dict,
-                    params_to_dict)
+from .model import MODELS, model_spec, model_streams, params_from_dict, params_to_dict
 from .oracle import SBCConfig, sbc_run
 from .sampler import ChainConfig, ChainDraws, run_chains
 
@@ -317,12 +316,11 @@ def cmd_simulate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_landings(data, out_dir / "data.csv")
-    columns = effects_to_dict(effects).items()
     truth = {
         "model": args.model,
         "params": params_to_dict(params),
         "effects": {
-            label: {tag: float(column[i]) for tag, column in columns}
+            label: {tag: float(column[i]) for tag, column in effects.items()}
             for i, label in enumerate(data.labels)
         },
     }

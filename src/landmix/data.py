@@ -19,16 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, utf8_text
-from .model import (
-    SECTORS,
-    Dataset,
-    JointEffects,
-    Params,
-    Sector,
-    TotalEffects,
-    build_covariance,
-    model_spec,
-)
+from .model import SECTORS, Dataset, Params, Sector, build_covariance, model_spec
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +44,8 @@ def _parse_rows(lines: Iterable[str]):
         if len(row) != 4:
             raise DataFormatError(f"line {lineno}: expected 4 fields, got {len(row)}")
         country, year_s, sector_s, tonnes_s = (f.strip() for f in row)
+        if not country:
+            raise DataFormatError(f"line {lineno}: empty country")
         try:
             year = int(year_s)
             tonnes = float(tonnes_s)
@@ -138,8 +131,9 @@ def simulate_dataset(
 ):
     """Draw a synthetic panel from the generative model.
 
-    Returns (dataset, effects) where effects holds the simulated
-    per-country ground truth.  Deterministic under seed.
+    Returns (dataset, effects) where effects maps each of the model's
+    effect tags to its simulated per-country ground truth.  Deterministic
+    under seed.
     """
     spec = model_spec(model_kind)
     if not isinstance(true_params, spec.params):
@@ -163,13 +157,13 @@ def simulate_dataset(
         series = np.arange(n_countries)
         sectors = np.full(n_countries, Sector.TOTAL.code)
         level, slope = p.beta0 + b0, b1
-        effects: TotalEffects | JointEffects = TotalEffects(b0, b1)
+        effects = {"b0": b0, "b1": b1}
     else:
         cov0 = build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
         cov1 = build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)
         pairs0 = rng.multivariate_normal([0.0, 0.0], cov0, size=n_countries)
         pairs1 = rng.multivariate_normal([0.0, 0.0], cov1, size=n_countries)
-        effects = JointEffects(pairs0[:, 0], pairs0[:, 1], pairs1[:, 0], pairs1[:, 1])
+        effects = dict(zip(spec.effect_tags, (*pairs0.T, *pairs1.T)))
         if p.sigma <= 0:
             raise ConfigError("sigma must be positive")
         cells = [
@@ -183,9 +177,9 @@ def simulate_dataset(
         sectors = np.array([sector.code for _, sector in cells], dtype=np.intp)
         ind = sectors == Sector.INDUSTRIAL.code
         level = np.where(
-            ind, p.beta0_ind + effects.b0_ind[series], p.beta0_art + effects.b0_art[series]
+            ind, p.beta0_ind + effects["b0_I"][series], p.beta0_art + effects["b0_A"][series]
         )
-        slope = np.where(ind, effects.b1_ind[series], effects.b1_art[series])
+        slope = np.where(ind, effects["b1_I"][series], effects["b1_A"][series])
 
     # one series of `horizon` rows per (country, sector) cell, drawn in cell order
     y = level[:, None] + slope[:, None] * t + rng.normal(0.0, p.sigma, (len(series), horizon))

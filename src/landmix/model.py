@@ -218,45 +218,25 @@ class JointParams:
     rho1: float
 
 
-@dataclass
-class TotalEffects:
-    """Per-country random intercepts and slopes of the total model."""
-
-    b0: np.ndarray
-    b1: np.ndarray
-
-
-@dataclass
-class JointEffects:
-    """Per-country paired random effects of the joint model."""
-
-    b0_ind: np.ndarray
-    b0_art: np.ndarray
-    b1_ind: np.ndarray
-    b1_art: np.ndarray
-
-
 Params = Union[TotalParams, JointParams]
-Effects = Union[TotalEffects, JointEffects]
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """What tells one model apart from the other: its parameter and effects
-    classes, the public names of the parameters and the tags of the effects,
-    each in the field order of its class, and the sectors it reads."""
+    """What tells one model apart from the other: its parameter class, the
+    public names of its parameters in the class's field order, the tags of
+    its per-country effects, and the sectors it reads."""
 
     params: type
-    effects: type
     param_names: tuple[str, ...]
     effect_tags: tuple[str, ...]
     sectors: tuple[Sector, ...]
 
 
 MODELS = {
-    "total": ModelSpec(TotalParams, TotalEffects, ("beta0", "sigma", "sigma0", "sigma1"),
+    "total": ModelSpec(TotalParams, ("beta0", "sigma", "sigma0", "sigma1"),
                        ("b0", "b1"), (Sector.TOTAL,)),
-    "joint": ModelSpec(JointParams, JointEffects,
+    "joint": ModelSpec(JointParams,
                        ("beta0_I", "beta0_A", "sigma", "sigma0_I", "sigma0_A", "sigma1_I",
                         "sigma1_A", "rho0", "rho1"),
                        ("b0_I", "b0_A", "b1_I", "b1_A"), (Sector.INDUSTRIAL, Sector.ARTISANAL)),
@@ -305,11 +285,6 @@ def params_to_dict(params: Params) -> dict[str, float]:
     return dict(zip(spec.param_names, vars(params).values()))
 
 
-def effects_to_dict(effects: Effects) -> dict[str, np.ndarray]:
-    spec = next(s for s in MODELS.values() if isinstance(effects, s.effects))
-    return dict(zip(spec.effect_tags, vars(effects).values()))
-
-
 def params_from_dict(model_kind: str, d: dict[str, float]) -> Params:
     spec = model_spec(model_kind)
     missing = [name for name in spec.param_names if name not in d]
@@ -320,8 +295,13 @@ def params_from_dict(model_kind: str, d: dict[str, float]) -> Params:
 
 @dataclass
 class ModelState:
+    """A model's parameters, and its per-country effects as a dict from each
+    of ``model_spec(kind).effect_tags`` to that tag's column (one entry per
+    country label).  The package builds the dict in tag order and reads it
+    by tag."""
+
     params: Params
-    effects: Effects
+    effects: dict[str, np.ndarray]
 
 
 def build_covariance(sd_a: float, sd_b: float, rho: float) -> np.ndarray:
@@ -356,24 +336,25 @@ def log_density(state: ModelState, data: Dataset, priors: PriorSpec = PriorSpec(
     """The log likelihood, log random-effects density and log prior of a
     total- or joint-model state.
 
-    Parameters may be numpy arrays that broadcast against each other, and
-    each effect field may be any per-country sequence, such as a list that
-    mixes floats with arrays: a lattice axis on one country's effect is
-    never stacked with the others'.  The data enter only through
-    ``model_streams``, so the cost is O(C) array operations, not O(N).
+    Parameters may be numpy arrays that broadcast against each other.  The
+    effects are read by tag, and each tag's column may be any per-country
+    sequence, such as a list that mixes floats with arrays: a lattice axis
+    on one country's effect is never stacked with the others'.  The data
+    enter only through ``model_streams``, so the cost is O(C) array
+    operations, not O(N).
     """
     p, e = state.params, state.effects
     if isinstance(p, TotalParams):
         kind = "total"
-        means = [(p.beta0, e.b0, e.b1)]
+        means = [(p.beta0, e["b0"], e["b1"])]
         # independent intercept and slope effects: a pair with correlation 0
-        blocks = [(e.b0, e.b1, p.sigma0, p.sigma1, 0.0)]
+        blocks = [(e["b0"], e["b1"], p.sigma0, p.sigma1, 0.0)]
     else:
         kind = "joint"
-        means = [(p.beta0_ind, e.b0_ind, e.b1_ind), (p.beta0_art, e.b0_art, e.b1_art)]
+        means = [(p.beta0_ind, e["b0_I"], e["b1_I"]), (p.beta0_art, e["b0_A"], e["b1_A"])]
         blocks = [
-            (e.b0_ind, e.b0_art, p.sigma0_ind, p.sigma0_art, p.rho0),
-            (e.b1_ind, e.b1_art, p.sigma1_ind, p.sigma1_art, p.rho1),
+            (e["b0_I"], e["b0_A"], p.sigma0_ind, p.sigma0_art, p.rho0),
+            (e["b1_I"], e["b1_A"], p.sigma1_ind, p.sigma1_art, p.rho1),
         ]
     st = model_streams(kind, data)
     n_obs, C = data.n_obs, data.n_countries

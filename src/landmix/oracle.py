@@ -21,8 +21,6 @@ from .model import (
     Dataset,
     ModelState,
     PriorSpec,
-    TotalEffects,
-    effects_to_dict,
     log_density,
     model_spec,
     model_streams,
@@ -33,20 +31,21 @@ from .sampler import ChainConfig, run_chains
 
 GRID_GUARD = 10_000_000
 
-_EFFECT_AXIS = re.compile(r"(b[01](?:_[IA])?)\[(\d+)\]")
+_EFFECT_AXIS = re.compile(r"(\w+)\[(\d+)\]")  # tag[i]: country i's effect of that tag
 
 
 def conjugate_posterior_beta0(
     data: Dataset,
-    effects: TotalEffects,
+    effects: dict[str, np.ndarray],
     sigma: float,
     priors: PriorSpec = PriorSpec(),
 ) -> tuple[float, float]:
     """Exact normal posterior (mean, sd) of the fixed intercept with all
-    variance components and random effects held fixed."""
+    variance components and the random effects (a total-model effects dict)
+    held fixed."""
     model_streams("total", data)  # its sector check; the rows are read raw below
     c, t, y = data.country, data.t, data.y
-    resid = y - effects.b0[c] - effects.b1[c] * t
+    resid = y - effects["b0"][c] - effects["b1"][c] * t
     prec = 1.0 / priors.intercept_sd**2 + len(y) / sigma**2
     mean = float(np.sum(resid)) / sigma**2 / prec
     return mean, math.sqrt(1.0 / prec)
@@ -106,7 +105,7 @@ def grid_log_posterior(
     if not isinstance(fixed.params, model.params):
         raise ConfigError(f"fixed state must carry {model_kind}-model parameters")
     params = params_to_dict(fixed.params)
-    effects = {tag: list(column) for tag, column in effects_to_dict(fixed.effects).items()}
+    effects = {tag: list(fixed.effects[tag]) for tag in model.effect_tags}
     names = list(spec.axes)
     axis_vals: dict[str, np.ndarray] = {}
     for k, name in enumerate(names):
@@ -131,7 +130,7 @@ def grid_log_posterior(
         axis_vals[name] = vals
         column[key] = vals.reshape([n if j == k else 1 for j in range(len(names))])
 
-    state = ModelState(params_from_dict(model_kind, params), model.effects(*effects.values()))
+    state = ModelState(params_from_dict(model_kind, params), effects)
     w = log_density(state, data, priors).posterior
     lmax = float(np.max(w))
     if not math.isfinite(lmax):

@@ -267,9 +267,10 @@ class _Sampler:
     """What both models' samplers share: the model's streams and the
     constants read from them, the state's z̄, and the chain loop.
 
-    ``effects`` is one block in draw-column order, a row per sector for the
-    intercept effects and then a row per sector for the slope effects,
-    ``b1``, a view bound once by ``set_state``."""
+    ``effects`` is one block in draw-column order, a row per effect tag of
+    ``model.MODELS``: a row per sector for the intercept effects, ``b0``,
+    then a row per sector for the slope effects, ``b1``.  Both are views
+    bound once by ``set_state``, and the updates write into them in place."""
 
     kind: str  # the model's key in model.MODELS
 
@@ -287,9 +288,24 @@ class _Sampler:
         until the next slope draw."""
         return np.subtract(self.s.ybar, self.b1 * self.s.tbar, out=self.carried_zbar)
 
+    def set_state(self, state: ModelState) -> None:
+        """Take a copy of ``state``, checked once here: the updates trust
+        every later state, which they keep inside the prior support."""
+        for name, x in params_to_dict(state.params).items():
+            support = self.priors.support(name)
+            if support and not support[0] < x < support[1]:
+                raise DegenerateCovarianceError(f"starting {name} = {x} is outside {support}")
+        self._set_params(state.params)
+        tags = model_spec(self.kind).effect_tags
+        self.effects = np.array([state.effects[tag] for tag in tags], dtype=float)
+        S = len(self.s.n)
+        self.b0, self.b1 = self.effects[:S], self.effects[S:]
+        self.zbar()
+
     def get_state(self) -> ModelState:
         spec = model_spec(self.kind)
-        return ModelState(spec.params(*self._fields()[0]), spec.effects(*self.effects.copy()))
+        effects = dict(zip(spec.effect_tags, self.effects.copy()))
+        return ModelState(spec.params(*self._fields()[0]), effects)
 
     def acceptance(self) -> dict[str, float]:
         return {}
@@ -321,18 +337,12 @@ class TotalSampler(_Sampler):
         self.carried_zbar = np.empty((1, self.C))
         self.set_state(state)
 
-    def set_state(self, state: ModelState) -> None:
-        p = state.params
+    def _set_params(self, p: TotalParams) -> None:  # the parameters of a checked state
         assert isinstance(p, TotalParams)
         self.beta0 = p.beta0
         self.sigma = p.sigma
         self.sigma0 = p.sigma0
         self.sigma1 = p.sigma1
-        self.effects = _effects_block(state)
-        # the block's rows as (1, C) views, bound once: the updates write
-        # into them in place
-        self.b0, self.b1 = self.effects[:1], self.effects[1:]
-        self.zbar()
 
     def _fields(self):  # parameters and effects in the order of model.MODELS
         return (self.beta0, self.sigma, self.sigma0, self.sigma1), self.effects.ravel()
@@ -531,15 +541,8 @@ class JointSampler(_Sampler):
         self.carried_zbar = self.ones_zbar[1:]
         self.set_state(state)
 
-    def set_state(self, state: ModelState) -> None:
-        """Take a copy of ``state``, checked once here: the updates trust
-        every later state, which they keep inside the prior support."""
-        p = state.params
+    def _set_params(self, p: JointParams) -> None:  # the parameters of a checked state
         assert isinstance(p, JointParams)
-        for name, x in params_to_dict(p).items():
-            support = self.priors.support(name)
-            if support and not support[0] < x < support[1]:
-                raise DegenerateCovarianceError(f"starting {name} = {x} is outside {support}")
         build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0)
         build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)
         self.beta = np.array([p.beta0_ind, p.beta0_art], dtype=float)
@@ -549,9 +552,6 @@ class JointSampler(_Sampler):
         self.sd1 = [p.sigma1_ind, p.sigma1_art]
         self.rho = [p.rho0, p.rho1]
         self.log_w = [self._log_weight(*self.sd0, p.rho0), self._log_weight(*self.sd1, p.rho1)]
-        self.effects = _effects_block(state)
-        self.b1 = self.effects[2:]
-        self.zbar()
 
     def _fields(self):  # parameters and effects in the order of model.MODELS
         return (*self.beta, self.sigma, *self.sd0, *self.sd1, *self.rho), self.effects.ravel()
@@ -691,11 +691,6 @@ class JointSampler(_Sampler):
         return {f"cov{block}": n / self.proposed for block, n in enumerate(self.accepted)}
 
 
-def _effects_block(state: ModelState) -> np.ndarray:
-    """A copy of the state's effects, one row per effect tag of model.MODELS."""
-    return np.array(list(vars(state.effects).values()), dtype=float)
-
-
 def write_values(sampler, row: np.ndarray) -> None:
     """Write a sampler's state into one draw row, in the column order of
     ``model.draw_names``: the parameters, then the effects, given flat in
@@ -736,8 +731,8 @@ def initial_state(model_kind: str, data: Dataset, priors: PriorSpec = PriorSpec(
     sds = [sigma, *spread(st.ybar - np.array(grand)[:, None]), *spread(slopes)]
     params = [*grand, *(_clip_sd(x, priors) for x in sds)]
     rhos = [0.0] * (len(spec.param_names) - len(params))
-    zeros = (np.zeros(data.n_countries) for _ in spec.effect_tags)
-    return ModelState(spec.params(*params, *rhos), spec.effects(*zeros))
+    zeros = {tag: np.zeros(data.n_countries) for tag in spec.effect_tags}
+    return ModelState(spec.params(*params, *rhos), zeros)
 
 
 # -- chain runners -----------------------------------------------------------

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from landmix.model import (
-    Dataset,
-    JointEffects,
-    JointParams,
-    ModelState,
-    Sector,
-    TotalEffects,
-    TotalParams,
-)
+from landmix.model import Dataset, JointParams, ModelState, Sector, TotalParams
 
 
 def make_total_dataset(entries, n_countries, horizon=50, labels=None):
@@ -36,19 +28,19 @@ def make_joint_dataset(entries, n_countries, horizon=50, labels=None):
 def total_state(beta0, sigma, sigma0, sigma1, b0, b1):
     return ModelState(
         TotalParams(beta0, sigma, sigma0, sigma1),
-        TotalEffects(np.asarray(b0, dtype=float), np.asarray(b1, dtype=float)),
+        {"b0": np.asarray(b0, dtype=float), "b1": np.asarray(b1, dtype=float)},
     )
 
 
 def joint_state(params, b0_i, b0_a, b1_i, b1_a):
     return ModelState(
         JointParams(*params),
-        JointEffects(
-            np.asarray(b0_i, dtype=float),
-            np.asarray(b0_a, dtype=float),
-            np.asarray(b1_i, dtype=float),
-            np.asarray(b1_a, dtype=float),
-        ),
+        {
+            "b0_I": np.asarray(b0_i, dtype=float),
+            "b0_A": np.asarray(b0_a, dtype=float),
+            "b1_I": np.asarray(b1_i, dtype=float),
+            "b1_A": np.asarray(b1_a, dtype=float),
+        },
     )
 
 

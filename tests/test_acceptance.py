@@ -22,7 +22,6 @@ from landmix.model import (
     ModelState,
     PriorSpec,
     TOTAL_PARAM_NAMES,
-    TotalEffects,
     TotalParams,
 )
 from landmix.oracle import (

@@ -532,6 +532,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{damaged}: not UTF-8 text" in err
 
+    @pytest.mark.parametrize("command", ["fit", "figure1"])
+    def test_empty_country_exits_3(self, tmp_path, capsys, command):
+        data = tmp_path / "data.csv"
+        data.write_text("country,year,sector,tonnes\nSpain,1970,total,10\n ,1971,total,5\n")
+        argv = {
+            "fit": ["fit", "--model", "total", "--data", data],
+            "figure1": ["export", "--figure", "1", "--data", data],
+        }[command]
+        assert run(*argv, "--out", tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "line 3: empty country" in err
+        assert not (tmp_path / "out").exists()
+
     @staticmethod
     def manifest_without(fit, key, tmp_path):
         manifest = json.loads((fit / "manifest.json").read_text())

@@ -123,6 +123,13 @@ class TestLoadLandings:
         with pytest.raises(DataFormatError, match="line 3"):
             load_landings(path, "joint")
 
+    @pytest.mark.parametrize("country", ["", "   "])
+    def test_empty_country_rejected(self, tmp_path, country):
+        # a blank label would be read as a country of its own
+        path = write_csv(tmp_path, ["Spain,1970,total,10", f"{country},1971,total,5"])
+        with pytest.raises(DataFormatError, match="line 3: empty country"):
+            load_landings(path, "total")
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("pais,ano,sector,toneladas\nSpain,1970,industrial,10\n")
@@ -173,7 +180,7 @@ class TestSimulateDataset:
         d1, e1 = simulate_dataset("total", p, 5, 10, seed=42)
         d2, e2 = simulate_dataset("total", p, 5, 10, seed=42)
         assert_same_rows(d1, d2)
-        assert np.array_equal(e1.b0, e2.b0)
+        assert np.array_equal(e1["b0"], e2["b0"])
 
     def test_degenerate_variance_limit(self):
         p = TotalParams(3.5, 1e-8, 1e-8, 1e-8)
@@ -184,7 +191,7 @@ class TestSimulateDataset:
     def test_intercept_effect_spread_matches_sigma0(self):
         p = TotalParams(8.098, 0.541, 4.234, 0.054)
         _, effects = simulate_dataset("total", p, 500, 45, seed=3)
-        assert np.var(effects.b0, ddof=1) == pytest.approx(4.234**2, rel=0.15)
+        assert np.var(effects["b0"], ddof=1) == pytest.approx(4.234**2, rel=0.15)
 
     def test_simulated_data_revalidates(self, tmp_path):
         p = JointParams(8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.06, 0.5, 0.9)

@@ -14,7 +14,6 @@ from landmix.model import (
     ModelState,
     PriorSpec,
     Sector,
-    TotalEffects,
     TotalParams,
     build_covariance,
     draw_names,
@@ -31,8 +30,7 @@ JOINT_OK = (8.0, 5.0, 0.5, 2.0, 3.0, 0.05, 0.06, 0.5, 0.9)
 
 
 def countries(state):
-    e = state.effects
-    return len(e.b0 if isinstance(e, TotalEffects) else e.b0_ind)
+    return len(next(iter(state.effects.values())))
 
 
 def density(state, data=None, priors=PriorSpec()):
@@ -110,9 +108,9 @@ class TestLogLikelihood:
         resid = 0.7
         contributions = []
         for country, sector, mu in [
-            (0, Sector.INDUSTRIAL, p.beta0_ind + e.b0_ind[0]),
-            (1, Sector.INDUSTRIAL, p.beta0_ind + e.b0_ind[1]),
-            (1, Sector.ARTISANAL, p.beta0_art + e.b0_art[1]),
+            (0, Sector.INDUSTRIAL, p.beta0_ind + e["b0_I"][0]),
+            (1, Sector.INDUSTRIAL, p.beta0_ind + e["b0_I"][1]),
+            (1, Sector.ARTISANAL, p.beta0_art + e["b0_A"][1]),
         ]:
             data = make_joint_dataset([(country, 3, sector, mu + resid)], 2)
             contributions.append(density(state, data).likelihood)
@@ -240,7 +238,7 @@ class TestLogPosterior:
     @settings(max_examples=50, deadline=None)
     @given(state=total_states())
     def test_is_sum_of_components(self, state):
-        C = len(state.effects.b0)
+        C = len(state.effects["b0"])
         data = make_total_dataset([(c, t, 0.5 * c + 0.1 * t) for c in range(C) for t in range(3)], C)
         terms = density(state, data)
         parts = terms.likelihood + terms.effects + terms.prior
@@ -257,11 +255,11 @@ class TestLogPosterior:
 
         expected = 0.0
         for c, t, y in entries:
-            mu = 0.7 + state.effects.b0[c] + state.effects.b1[c] * t
+            mu = 0.7 + state.effects["b0"][c] + state.effects["b1"][c] * t
             expected += norm_logpdf(y, mu, 0.9)
         for c in range(2):
-            expected += norm_logpdf(state.effects.b0[c], 0.0, 1.4)
-            expected += norm_logpdf(state.effects.b1[c], 0.0, 0.3)
+            expected += norm_logpdf(state.effects["b0"][c], 0.0, 1.4)
+            expected += norm_logpdf(state.effects["b1"][c], 0.0, 0.3)
         expected += norm_logpdf(0.7, 0.0, 10.0) + 3 * math.log(1.0 / 10.0)
         assert density(state, data).posterior == pytest.approx(expected, rel=1e-12)
 
@@ -287,8 +285,8 @@ class TestPriorSpecOverride:
                 for name in spec.param_names]
         assert got == want
         assert all(type(x) is float for x in got)
-        zeros = np.zeros((len(spec.effect_tags), 1))
-        state = ModelState(spec.params(*got), spec.effects(*zeros))
+        zeros = {tag: np.zeros(1) for tag in spec.effect_tags}
+        state = ModelState(spec.params(*got), zeros)
         assert density(state, priors=priors).prior > -math.inf
 
 
@@ -340,13 +338,13 @@ def offset_panel(model, rng, C=8, T=45):
     if model == "total":
         state = total_state(1e6, 0.5, 3.0, 0.05, rng.normal(0, 3, C), rng.normal(0, 0.05, C))
         e = state.effects
-        means = {Sector.TOTAL: lambda c, t: 1e6 + e.b0[c] + e.b1[c] * t}
+        means = {Sector.TOTAL: lambda c, t: 1e6 + e["b0"][c] + e["b1"][c] * t}
     else:
         state = joint_state((1e6, 1e6 - 3.0, 0.5, 2.6, 3.8, 0.05, 0.05, 0.67, 0.9),
                             *rng.normal(0, [[3.0], [3.0], [0.05], [0.05]], (4, C)))
         e = state.effects
-        means = {Sector.INDUSTRIAL: lambda c, t: 1e6 + e.b0_ind[c] + e.b1_ind[c] * t,
-                 Sector.ARTISANAL: lambda c, t: 1e6 - 3.0 + e.b0_art[c] + e.b1_art[c] * t}
+        means = {Sector.INDUSTRIAL: lambda c, t: 1e6 + e["b0_I"][c] + e["b1_I"][c] * t,
+                 Sector.ARTISANAL: lambda c, t: 1e6 - 3.0 + e["b0_A"][c] + e["b1_A"][c] * t}
     rows = []
     for c in range(C):
         for k, (sector, mean) in enumerate(means.items()):
@@ -355,8 +353,8 @@ def offset_panel(model, rng, C=8, T=45):
             rows += [(c, t, sector, mean(c, t) + rng.normal(0, 0.5)) for t in range(T) if t != c]
     # the state's parameters and effects move off the values that drew the data
     values = {n: v + rng.normal(0, 0.01) for n, v in params_to_dict(state.params).items()}
-    moved = ModelState(params_from_dict(model, values), type(state.effects)(
-        *(x + rng.normal(0, 0.01, C) for x in vars(state.effects).values())))
+    moved = ModelState(params_from_dict(model, values),
+                       {tag: x + rng.normal(0, 0.01, C) for tag, x in state.effects.items()})
     return moved, make_joint_dataset(rows, C, horizon=T), rows
 
 
@@ -372,13 +370,13 @@ class TestLogDensity:
             return -0.5 * math.log(2 * math.pi) - math.log(sd) - 0.5 * ((x - mu) / sd) ** 2
 
         if model == "total":
-            mean = {Sector.TOTAL: lambda c, t: p["beta0"] + e.b0[c] + e.b1[c] * t}
-            pairs = [((e.b0, e.b1), p["sigma0"], p["sigma1"], 0.0)]
+            mean = {Sector.TOTAL: lambda c, t: p["beta0"] + e["b0"][c] + e["b1"][c] * t}
+            pairs = [((e["b0"], e["b1"]), p["sigma0"], p["sigma1"], 0.0)]
         else:
-            mean = {Sector.INDUSTRIAL: lambda c, t: p["beta0_I"] + e.b0_ind[c] + e.b1_ind[c] * t,
-                    Sector.ARTISANAL: lambda c, t: p["beta0_A"] + e.b0_art[c] + e.b1_art[c] * t}
-            pairs = [((e.b0_ind, e.b0_art), p["sigma0_I"], p["sigma0_A"], p["rho0"]),
-                     ((e.b1_ind, e.b1_art), p["sigma1_I"], p["sigma1_A"], p["rho1"])]
+            mean = {Sector.INDUSTRIAL: lambda c, t: p["beta0_I"] + e["b0_I"][c] + e["b1_I"][c] * t,
+                    Sector.ARTISANAL: lambda c, t: p["beta0_A"] + e["b0_A"][c] + e["b1_A"][c] * t}
+            pairs = [((e["b0_I"], e["b0_A"]), p["sigma0_I"], p["sigma0_A"], p["rho0"]),
+                     ((e["b1_I"], e["b1_A"]), p["sigma1_I"], p["sigma1_A"], p["rho1"])]
         likelihood = sum(norm_logpdf(y, mean[s](c, t), p["sigma"]) for c, t, s, y in rows)
         effects = 0.0
         for (x1, x2), sd1, sd2, rho in pairs:
@@ -402,16 +400,16 @@ class TestLogDensity:
         # three lattice axes: an intercept, country 1's slope effect, and the
         # observation sd (total) or the slope correlation (joint)
         state, data, _ = offset_panel(model, np.random.default_rng(8), C=3, T=6)
-        intercept, field, third = (
-            ("beta0", "b1", "sigma") if model == "total" else ("beta0_I", "b1_art", "rho1")
+        intercept, tag, third = (
+            ("beta0", "b1", "sigma") if model == "total" else ("beta0_I", "b1_A", "rho1")
         )
         a, b, x = 1e6 + np.linspace(-1, 1, 5), np.linspace(-0.2, 0.2, 4), np.linspace(0.2, 0.8, 3)
 
         def at(a, b, x):
             values = {**params_to_dict(state.params), intercept: a, third: x}
-            column = list(getattr(state.effects, field))
+            column = list(state.effects[tag])
             column[1] = b
-            effects = type(state.effects)(**{**vars(state.effects), field: column})
+            effects = {**state.effects, tag: column}
             return log_density(ModelState(params_from_dict(model, values), effects), data)
 
         got = at(a[:, None, None], b[None, :, None], x[None, None, :])

@@ -6,7 +6,7 @@ from scipy.stats import chisquare
 
 import landmix.oracle as oracle
 from landmix.errors import ConfigError
-from landmix.model import Sector, TotalEffects
+from landmix.model import Sector
 from landmix.oracle import (
     RANK_BINS,
     RANK_DRAWS,
@@ -25,7 +25,7 @@ from conftest import joint_state, make_joint_dataset, make_total_dataset, total_
 class TestConjugateOracle:
     def test_single_residual(self):
         data = make_total_dataset([(0, 0, 10.0)], 1)
-        eff = TotalEffects(np.zeros(1), np.zeros(1))
+        eff = {"b0": np.zeros(1), "b1": np.zeros(1)}
         mean, sd = conjugate_posterior_beta0(data, eff, sigma=1.0)
         assert mean == pytest.approx(9.90099, abs=1e-5)
         assert sd == pytest.approx(math.sqrt(100.0 / 101.0), rel=1e-9)
@@ -33,20 +33,20 @@ class TestConjugateOracle:
 
     def test_zero_observations_returns_prior(self):
         data = make_total_dataset([], 1)
-        eff = TotalEffects(np.zeros(1), np.zeros(1))
+        eff = {"b0": np.zeros(1), "b1": np.zeros(1)}
         assert conjugate_posterior_beta0(data, eff, sigma=1.0) == (0.0, 10.0)
 
     def test_zero_residuals_symmetric(self):
         entries = [(0, t, 0.3 + 0.02 * t) for t in range(5)]
         data = make_total_dataset(entries, 1)
-        eff = TotalEffects(np.array([0.3]), np.array([0.02]))
+        eff = {"b0": np.array([0.3]), "b1": np.array([0.02])}
         mean, sd = conjugate_posterior_beta0(data, eff, sigma=0.7)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert sd == pytest.approx(math.sqrt(1.0 / (0.01 + 5 / 0.49)), rel=1e-12)
 
     def test_effects_subtracted(self):
         data = make_total_dataset([(0, 2, 5.0)], 1)
-        eff = TotalEffects(np.array([1.0]), np.array([0.5]))
+        eff = {"b0": np.array([1.0]), "b1": np.array([0.5])}
         mean, _ = conjugate_posterior_beta0(data, eff, sigma=1.0)
         # residual is 5 - 1 - 0.5*2 = 3
         assert mean == pytest.approx(3.0 / 1.01, rel=1e-9)
@@ -57,7 +57,7 @@ class TestConjugateOracle:
         data = make_joint_dataset(
             [(0, 0, Sector.TOTAL, 1.0), (0, 1, Sector.TOTAL, 1.5),
              (0, 0, Sector.INDUSTRIAL, 0.7)], 1)
-        eff = TotalEffects(np.zeros(1), np.zeros(1))
+        eff = {"b0": np.zeros(1), "b1": np.zeros(1)}
         with pytest.raises(ConfigError, match="rows outside the total model's sectors"):
             conjugate_posterior_beta0(data, eff, sigma=1.0)
 
@@ -170,7 +170,7 @@ class TestGridOracle:
         data = make_joint_dataset(entries, 2)
         fixed = joint_state((8.0, 5.0, 0.6, 2.0, 3.0, 0.1, 0.1, 0.5, 0.5),
                             [0.1, -0.3], [0.4, -1.2], [0.0, 0.0], [0.05, 0.02])
-        resid = [y - fixed.effects.b0_art[c] - fixed.effects.b1_art[c] * t
+        resid = [y - fixed.effects["b0_A"][c] - fixed.effects["b1_A"][c] * t
                  for c, t, s, y in entries if s is Sector.ARTISANAL]
         prec = 1.0 / 100.0 + len(resid) / 0.36
         mean, sd = sum(resid) / 0.36 / prec, prec ** -0.5

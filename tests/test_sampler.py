@@ -140,7 +140,8 @@ def float_sweep(sampler, state, skipped, z=0.0, z_b0=0.0, z_b1=0.0, g_obs=None,
            list(g_re), list(u))
     kept = float_chain(sampler, [row], skipped)[0]
     out = sampler.get_state()
-    assert np.array_equal(kept, [*vars(out.params).values(), *out.effects.b0, *out.effects.b1])
+    assert np.array_equal(kept, [*vars(out.params).values(), *out.effects["b0"],
+                                 *out.effects["b1"]])
     return out
 
 
@@ -157,11 +158,11 @@ def beta0_of(state):
 
 
 def b0_pair(state):
-    return state.effects.b0_ind, state.effects.b0_art
+    return state.effects["b0_I"], state.effects["b0_A"]
 
 
 def b1_pair(state):
-    return state.effects.b1_ind, state.effects.b1_art
+    return state.effects["b1_I"], state.effects["b1_A"]
 
 
 class TestConjugateFormulas:
@@ -209,7 +210,8 @@ class TestConjugateFormulas:
             return float_sweep(small, state, ("re_slopes",) + NO_VARIANCES, rng.standard_normal(), z)
 
         for update in (numpy_draw, float_draw):
-            draws = np.asarray([update(rng.standard_normal(2)).effects.b0[1] for _ in range(4000)])
+            draws = np.asarray([update(rng.standard_normal(2)).effects["b0"][1]
+                                for _ in range(4000)])
             assert np.mean(draws) == pytest.approx(0.0, abs=4 / math.sqrt(4000))
             assert np.std(draws) == pytest.approx(1.0, rel=0.1)
 
@@ -219,8 +221,8 @@ class TestConjugateFormulas:
         state = total_state(0.0, 1.0, 1.0, 2.0, [0.0], [0.0])
         s = TotalSampler(data, PriorSpec(), state)
         small = SmallTotalSampler(data, PriorSpec(), state)
-        for _, var in (normal_draws(s, state, random_slopes, lambda st: st.effects.b1, 1),
-                       float_normal_draws(small, state, NO_VARIANCES, lambda st: st.effects.b1,
+        for _, var in (normal_draws(s, state, random_slopes, lambda st: st.effects["b1"], 1),
+                       float_normal_draws(small, state, NO_VARIANCES, lambda st: st.effects["b1"],
                                           "z_b1")):
             assert 1.0 / var[0] == pytest.approx(1.0 / 4.0)
 
@@ -302,8 +304,8 @@ class TestJointPairConditional:
             s.set_state(state)
             s.update_random_effects(rng.standard_normal((2, 1)), rng.standard_normal((2, 1)))
             e = s.get_state().effects
-            draws_i.append(e.b0_ind[0])
-            draws_a.append(e.b0_art[0])
+            draws_i.append(e["b0_I"][0])
+            draws_a.append(e["b0_A"][0])
         # marginals equal the univariate conjugate update N(1, 0.5), N(-0.5, 0.5)
         m_i, v_i = conj_normal(1.0, 1.0, 2.0)
         m_a, v_a = conj_normal(1.0, 1.0, -1.0)
@@ -325,8 +327,8 @@ class TestJointPairConditional:
             s.set_state(state)
             s.update_random_effects(rng.standard_normal((2, 2)), rng.standard_normal((2, 2)))
             e = s.get_state().effects
-            b0i.append(e.b0_ind[1])
-            b0a.append(e.b0_art[1])
+            b0i.append(e["b0_I"][1])
+            b0a.append(e["b0_A"][1])
         assert np.std(b0i) == pytest.approx(2.0, rel=0.08)
         assert np.std(b0a) == pytest.approx(3.0, rel=0.08)
         assert np.corrcoef(b0i, b0a)[0, 1] == pytest.approx(0.5, abs=0.06)
@@ -628,7 +630,7 @@ def skip_run(kind, skip, C=4, iterations=30):
     a run with frozen effects keeps proper scale conditionals."""
     data, _ = simulate_dataset(kind, SKIP_TRUTHS[kind], C, 8, seed=0)
     spec = MODELS[kind]
-    effects = spec.effects(*(np.linspace(-1.0, 1.0, C) for _ in spec.effect_tags))
+    effects = {tag: np.linspace(-1.0, 1.0, C) for tag in spec.effect_tags}
     init = ModelState(initial_state(kind, data).params, effects)
     cfg = ChainConfig(iterations=iterations, burnin=0, thin=1, chains=1, seed=5,
                       skip_updates=skip)
@@ -742,6 +744,20 @@ class TestChainRunner:
         with pytest.raises(DegenerateCovarianceError):
             run_chain("joint", data, cfg, init_state=init)
 
+    @pytest.mark.parametrize("field, value", [("sigma0", 0.0), ("sigma1", -1.0), ("sigma0", 40.0),
+                                              ("sigma", 10.0)])
+    @pytest.mark.parametrize("small_c", [SMALL_C, 0], ids=["float", "numpy"])
+    def test_invalid_total_start_rejected(self, field, value, small_c, monkeypatch):
+        # both total kernels check the start as the joint sampler does
+        monkeypatch.setattr(sampler_module, "SMALL_C", small_c)
+        data, _ = simulate_dataset("total", SKIP_TRUTHS["total"], 3, 6, seed=0)
+        start = initial_state("total", data)
+        init = ModelState(replace(start.params, **{field: value}), start.effects)
+        cfg = ChainConfig(iterations=10, burnin=0, thin=1, chains=1, seed=1)
+        with pytest.raises(DegenerateCovarianceError,
+                           match=re.escape(f"starting {field} = {value} is outside (0.0, 10.0)")):
+            run_chain("total", data, cfg, init_state=init)
+
     def test_frozen_effects_intercept_matches_conjugate(self, rng):
         # iterate the plain update with everything else frozen
         data = make_total_dataset([(0, 0, 10.0)], 1)
@@ -768,7 +784,7 @@ class TestChainRunner:
         sampler = sampler_class(data, PriorSpec(), initial_state(kind, data))
         params = rng.uniform(0.1, 0.9, len(spec.param_names))
         effects = rng.normal(size=(len(spec.effect_tags), data.n_countries))
-        sampler.set_state(ModelState(spec.params(*params), spec.effects(*effects)))
+        sampler.set_state(ModelState(spec.params(*params), dict(zip(spec.effect_tags, effects))))
         names = draw_names(kind, data.labels)
         values = np.full(len(names), np.nan)
         write_values(sampler, values)
@@ -780,7 +796,7 @@ class TestChainRunner:
             assert [by_name[f"{tag}[{label}]"] for label in data.labels] == list(column)
         state = sampler.get_state()
         assert state.params == spec.params(*params)
-        assert np.array_equal(np.array(list(vars(state.effects).values())), effects)
+        assert np.array_equal(np.array(list(state.effects.values())), effects)
         # a run keeps the rows in the same order, and leaves its last sweep's state
         out = np.full((1, len(names)), np.nan)
         sampler.run(sampler.numbers(rng, frozenset()), 1, range(1), out, frozenset())
@@ -793,13 +809,13 @@ class TestChainRunner:
         # the effects live in one block inside the sampler: neither the state
         # it was given nor a state it handed out may be a view of that block
         def block(state):
-            return np.array(list(vars(state.effects).values()))
+            return np.array(list(state.effects.values()))
 
         data, _ = simulate_dataset(kind, truth, 3, 6, seed=0)
         given = initial_state(kind, data)
         sampler = sampler_class(data, PriorSpec(), given)
         held = block(sampler.get_state())
-        for column in vars(given.effects).values():
+        for column in given.effects.values():
             column += 1.0
         assert np.array_equal(block(sampler.get_state()), held)
 
@@ -809,7 +825,7 @@ class TestChainRunner:
         swept = block(sampler.get_state())
         assert not np.array_equal(swept, held)
         assert np.array_equal(block(out), held)
-        for column in vars(out.effects).values():
+        for column in out.effects.values():
             column[:] = np.nan
         assert np.array_equal(block(sampler.get_state()), swept)
 
@@ -879,8 +895,45 @@ class TestChainRunner:
         got = params_to_dict(state.params)
         np.testing.assert_allclose(list(got.values()), want, rtol=1e-10)
         assert all(0.01 <= x <= 9.9 for name, x in got.items() if name.startswith("sigma"))
-        for column in vars(state.effects).values():
+        for column in state.effects.values():
             assert np.array_equal(column, np.zeros(data.n_countries))
+
+
+class TestEffectsLayout:
+    @pytest.mark.parametrize("kind", ["total", "joint"])
+    def test_effects_keyed_by_the_model_tags(self, kind):
+        # what simulates, starts and hands out a state keys its effects by
+        # the model's tags, in table order, each a column per country
+        tags = list(MODELS[kind].effect_tags)
+        data, simulated = simulate_dataset(kind, SKIP_TRUTHS[kind], 3, 6, seed=0)
+        start = initial_state(kind, data)
+        sampler = SAMPLERS[kind](data, PriorSpec(), start)
+        for effects in (simulated, start.effects, sampler.get_state().effects):
+            assert list(effects) == tags
+            assert all(np.shape(column) == (3,) for column in effects.values())
+
+    @EACH_SAMPLER
+    def test_set_state_reads_effects_by_tag(self, kind, sampler_class, truth):
+        # a dict in reverse tag order gives the same state and the same sweep
+        data, _ = simulate_dataset(kind, truth, 3, 6, seed=0)
+        params = initial_state(kind, data).params
+        tags = MODELS[kind].effect_tags
+        effects = {tag: np.linspace(-1.0, 1.0, 3) + k for k, tag in enumerate(tags)}
+        reverse = {tag: effects[tag] for tag in reversed(tags)}
+
+        def state_and_sweep(effects):
+            sampler = sampler_class(data, PriorSpec(), ModelState(params, effects))
+            rows = np.full((2, len(draw_names(kind, data.labels))), np.nan)
+            write_values(sampler, rows[0])
+            sampler.run(sampler.numbers(np.random.default_rng(1), frozenset()), 1, range(1),
+                        rows[1:], frozenset())
+            return rows
+
+        assert list(reverse) != list(tags)
+        given = state_and_sweep(effects)
+        assert np.array_equal(given[0, len(params_to_dict(params)):], np.concatenate(
+            [effects[tag] for tag in tags]))
+        assert np.array_equal(state_and_sweep(reverse), given)
 
 
 class TestFloatChain:
@@ -946,7 +999,7 @@ class TestFloatChain:
             split.run(numbers, 150, range(150), two[150:], skipped)
             assert one.tobytes() == two.tobytes(), sampler_class
             final = [np.concatenate([list(vars(s.get_state().params).values()),
-                                     *vars(s.get_state().effects).values()])
+                                     *s.get_state().effects.values()])
                      for s in (whole, split)]
             assert final[0].tobytes() == final[1].tobytes() == one[-1].tobytes()
             assert whole.carried_zbar.tobytes() == split.carried_zbar.tobytes()
@@ -1154,11 +1207,11 @@ class TestStatisticsPath:
         mean, var = normal_draws(sampler, state, plain_intercept, beta0_of, ())
         prec = 1.0 / pv + len(y) / s2
         assert_close(var, 1.0 / prec)
-        assert_close(mean, np.sum(y - e.b0[c] - e.b1[c] * t) / s2 / prec, math.sqrt(var))
+        assert_close(mean, np.sum(y - e["b0"][c] - e["b1"][c] * t) / s2 / prec, math.sqrt(var))
 
         prec, lin = 1.0 / pv, 0.0
         for k in range(C):
-            z = (y - e.b1[c] * t)[c == k]
+            z = (y - e["b1"][c] * t)[c == k]
             if z.size:
                 v = p.sigma0**2 + s2 / z.size
                 prec += 1.0 / v
@@ -1168,8 +1221,8 @@ class TestStatisticsPath:
         assert_close(mean, lin / prec, math.sqrt(var))
 
         prec = 1.0 / p.sigma0**2 + np.bincount(c, minlength=C) / s2
-        lin = np.bincount(c, weights=y - p.beta0 - e.b1[c] * t, minlength=C) / s2
-        mean, var = normal_draws(sampler, state, random_intercepts, lambda st: st.effects.b0, C)
+        lin = np.bincount(c, weights=y - p.beta0 - e["b1"][c] * t, minlength=C) / s2
+        mean, var = normal_draws(sampler, state, random_intercepts, lambda st: st.effects["b0"], C)
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, np.sqrt(var))
 
@@ -1178,12 +1231,13 @@ class TestStatisticsPath:
         b0 = mean
         prec = 1.0 / p.sigma1**2 + np.bincount(c, weights=t * t, minlength=C) / s2
         lin = np.bincount(c, weights=t * (y - p.beta0 - b0[c]), minlength=C) / s2
-        mean, var = normal_draws(sampler, state, random_slopes, lambda st: st.effects.b1, C)
+        mean, var = normal_draws(sampler, state, random_slopes, lambda st: st.effects["b1"], C)
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, np.sqrt(var))
 
         sampler.set_state(state)
-        assert_close(sampler.residual_ss(), np.sum((y - p.beta0 - e.b0[c] - e.b1[c] * t) ** 2))
+        assert_close(sampler.residual_ss(),
+                     np.sum((y - p.beta0 - e["b0"][c] - e["b1"][c] * t) ** 2))
 
     @staticmethod
     def check_float_conditionals(sampler, state, entries, C):
@@ -1200,11 +1254,11 @@ class TestStatisticsPath:
         mean, var = float_normal_draws(sampler, state, PLAIN, beta0, "z")
         prec = 1.0 / pv + len(y) / s2
         assert_close(var, 1.0 / prec)
-        assert_close(mean, np.sum(y - e.b0[c] - e.b1[c] * t) / s2 / prec, math.sqrt(var))
+        assert_close(mean, np.sum(y - e["b0"][c] - e["b1"][c] * t) / s2 / prec, math.sqrt(var))
 
         prec, lin = 1.0 / pv, 0.0
         for k in range(C):
-            z = (y - e.b1[c] * t)[c == k]
+            z = (y - e["b1"][c] * t)[c == k]
             if z.size:
                 v = p.sigma0**2 + s2 / z.size
                 prec += 1.0 / v
@@ -1214,17 +1268,17 @@ class TestStatisticsPath:
         assert_close(mean, lin / prec, math.sqrt(var))
 
         at0 = float_sweep(sampler, state, NO_VARIANCES)
-        b, b0 = at0.params.beta0, at0.effects.b0
+        b, b0 = at0.params.beta0, at0.effects["b0"]
         prec = 1.0 / p.sigma0**2 + np.bincount(c, minlength=C) / s2
-        lin = np.bincount(c, weights=y - b - e.b1[c] * t, minlength=C) / s2
-        mean, var = float_normal_draws(sampler, state, NO_VARIANCES, lambda st: st.effects.b0,
+        lin = np.bincount(c, weights=y - b - e["b1"][c] * t, minlength=C) / s2
+        mean, var = float_normal_draws(sampler, state, NO_VARIANCES, lambda st: st.effects["b0"],
                                        "z_b0")
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, np.sqrt(var))
 
         prec = 1.0 / p.sigma1**2 + np.bincount(c, weights=t * t, minlength=C) / s2
         lin = np.bincount(c, weights=t * (y - b - b0[c]), minlength=C) / s2
-        mean, var = float_normal_draws(sampler, state, NO_VARIANCES, lambda st: st.effects.b1,
+        mean, var = float_normal_draws(sampler, state, NO_VARIANCES, lambda st: st.effects["b1"],
                                        "z_b1")
         assert_close(var, 1.0 / prec)
         assert_close(mean, lin / prec, np.sqrt(var))
@@ -1236,9 +1290,9 @@ class TestStatisticsPath:
         g = 1e12
         out = float_sweep(sampler, state, (), 0.5, 0.5, 0.5, g_obs=g, g_re=(g, g))
         q, f = out.params, out.effects
-        assert_close(2.0 * g * q.sigma**2, np.sum((y - q.beta0 - f.b0[c] - f.b1[c] * t) ** 2))
-        assert_close(2.0 * g * q.sigma0**2, np.sum(f.b0**2))
-        assert_close(2.0 * g * q.sigma1**2, np.sum(f.b1**2))
+        assert_close(2.0 * g * q.sigma**2, np.sum((y - q.beta0 - f["b0"][c] - f["b1"][c] * t) ** 2))
+        assert_close(2.0 * g * q.sigma0**2, np.sum(f["b0"]**2))
+        assert_close(2.0 * g * q.sigma1**2, np.sum(f["b1"]**2))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -1258,8 +1312,8 @@ class TestStatisticsPath:
         p, e = state.params, state.effects
         pv, s2 = 100.0, p.sigma**2
         streams = [
-            (columns(entries, Sector.INDUSTRIAL), p.beta0_ind, e.b0_ind, e.b1_ind),
-            (columns(entries, Sector.ARTISANAL), p.beta0_art, e.b0_art, e.b1_art),
+            (columns(entries, Sector.INDUSTRIAL), p.beta0_ind, e["b0_I"], e["b1_I"]),
+            (columns(entries, Sector.ARTISANAL), p.beta0_art, e["b0_A"], e["b1_A"]),
         ]
 
         # the collapsed conditional, country by country: each country adds the
@@ -1314,8 +1368,8 @@ class TestStatisticsPath:
         direct = sum(
             np.sum((y - beta - e0[c] - e1[c] * t) ** 2)
             for (c, t, y), beta, e0, e1 in (
-                (columns(entries, Sector.INDUSTRIAL), p.beta0_ind, e.b0_ind, e.b1_ind),
-                (columns(entries, Sector.ARTISANAL), p.beta0_art, e.b0_art, e.b1_art),
+                (columns(entries, Sector.INDUSTRIAL), p.beta0_ind, e["b0_I"], e["b1_I"]),
+                (columns(entries, Sector.ARTISANAL), p.beta0_art, e["b0_A"], e["b1_A"]),
             )
         )
         sampler.set_state(state)
@@ -1332,7 +1386,7 @@ def joint_sweep_reference(entries, C, state, numbers, priors=PriorSpec()):
     p, e = state.params, state.effects
     sectors = (Sector.INDUSTRIAL, Sector.ARTISANAL)
     rows = [columns(entries, sector) for sector in sectors]
-    b0, b1 = np.array([e.b0_ind, e.b0_art]), np.array([e.b1_ind, e.b1_art])
+    b0, b1 = np.array([e["b0_I"], e["b0_A"]]), np.array([e["b1_I"], e["b1_A"]])
     s2 = p.sigma**2
     covs = [build_covariance(p.sigma0_ind, p.sigma0_art, p.rho0),
             build_covariance(p.sigma1_ind, p.sigma1_art, p.rho1)]
